@@ -6,7 +6,7 @@ battery only drains (no harvesting); hitting zero is a latched death state.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 # Node identifiers are plain non-negative ints with total order (used for
@@ -86,7 +86,7 @@ def consume(
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
     drained = account.e_residual - params.power(mode) * duration
-    return replace(account, e_residual=max(0.0, drained))
+    return EnergyAccount(max(0.0, drained), account.e_max)
 
 
 def fraction_remaining(account: EnergyAccount) -> float:

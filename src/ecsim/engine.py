@@ -1,9 +1,10 @@
 """Deterministic discrete-event loop: node radio/role state machine, scheme
 dispatch and round orchestration.
 
-One simulation owns one event heap ordered by (time, seq), its own RNG
-streams and all mutable world state, so identical (config, seed) pairs give
-bit-identical results. Energy is charged lazily: whenever a node is touched,
+One simulation owns one heap of ``Event`` tuples ordered by (time, seq), its
+own RNG streams and all mutable world state, so identical (config, seed)
+pairs give bit-identical results. Each event reaches its handler through one
+module-level table. Energy is charged lazily: whenever a node is touched,
 the elapsed interval is billed at its current radio mode's power.
 """
 
@@ -13,9 +14,9 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, NamedTuple, Union
 
 from ecsim import cluster as cluster_mod
 from ecsim import report as report_mod
@@ -53,13 +54,19 @@ class EventKind(Enum):
     CACHE_DELIVERY = "cache-delivery"
 
 
-@dataclass(order=True)
-class Event:
+class Event(NamedTuple):
+    """One queued event.
+
+    Events order by ``(time, seq)``. ``seq`` is unique within a simulation,
+    so a comparison never reaches ``kind`` or ``payload``, and events at
+    equal times run in the order they were pushed.
+    """
+
     time: float
     seq: int
-    kind: EventKind = field(compare=False)
-    node: NodeId | None = field(compare=False, default=None)
-    payload: dict = field(compare=False, default_factory=dict)
+    kind: EventKind
+    node: NodeId | None
+    payload: dict
 
 
 class NodePhase(Enum):
@@ -359,6 +366,14 @@ class Simulation:
         heapq.heappush(self._heap, Event(time, self._seq, kind, node, payload))
         self._seq += 1
 
+    def pending(self) -> list[Event]:
+        """The queued events, in no particular order."""
+        return list(self._heap)
+
+    def peek_time(self) -> float | None:
+        """Time of the earliest queued event; None when the queue is empty."""
+        return self._heap[0].time if self._heap else None
+
     def step(self) -> Event | None:
         """Process the earliest pending event; None when the queue is empty."""
         if not self._heap:
@@ -366,18 +381,7 @@ class Simulation:
         event = heapq.heappop(self._heap)
         assert event.time >= self.now - 1e-9, "event causality violated"
         self.now = max(self.now, event.time)
-        handler = {
-            EventKind.PACKET_ARRIVAL: self._on_packet_arrival,
-            EventKind.TX_COMPLETE: self._on_tx_complete,
-            EventKind.SLOT_BOUNDARY: self._on_slot_boundary,
-            EventKind.ROUND_SETUP: self._on_round_setup,
-            EventKind.SLEEP_EXPIRY: self._on_sleep_expiry,
-            EventKind.IDLE_EXPIRY: self._on_idle_expiry,
-            EventKind.MOBILITY_STEP: self._on_mobility_step,
-            EventKind.NODE_DEATH: self._on_node_death,
-            EventKind.CACHE_DELIVERY: self._on_cache_delivery,
-        }[event.kind]
-        handler(event)
+        _HANDLERS[event.kind](self, event)
         return event
 
     def run(self) -> "report_mod.MetricsReport":
@@ -1159,7 +1163,7 @@ class Simulation:
     def _kill(self, node: SimNode) -> None:
         node.alive = False
         node.death_time = self.now
-        node.account = replace(node.account, e_residual=0.0)
+        node.account = EnergyAccount(0.0, node.account.e_max)
         node.mode_epoch += 1
         node.phase_epoch += 1
         if self.first_death is None:
@@ -1240,6 +1244,21 @@ class Simulation:
                 continue
             holder.outbox.append(work)
         self._try_transmit(holder)
+
+
+# Plain functions, not bound methods: a per-instance table of bound methods
+# would make every Simulation a reference cycle that only the cyclic GC frees.
+_HANDLERS = {
+    EventKind.PACKET_ARRIVAL: Simulation._on_packet_arrival,
+    EventKind.TX_COMPLETE: Simulation._on_tx_complete,
+    EventKind.SLOT_BOUNDARY: Simulation._on_slot_boundary,
+    EventKind.ROUND_SETUP: Simulation._on_round_setup,
+    EventKind.SLEEP_EXPIRY: Simulation._on_sleep_expiry,
+    EventKind.IDLE_EXPIRY: Simulation._on_idle_expiry,
+    EventKind.MOBILITY_STEP: Simulation._on_mobility_step,
+    EventKind.NODE_DEATH: Simulation._on_node_death,
+    EventKind.CACHE_DELIVERY: Simulation._on_cache_delivery,
+}
 
 
 def run_simulation(

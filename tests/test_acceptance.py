@@ -160,7 +160,7 @@ def test_criterion_2_sleep_constraint_audit():
             if flow["src"] == flow["dst"]:
                 flow["dst"] = (flow["dst"] + 1) % nodes
         sim = Simulation(from_dict(raw), rng.randrange(1_000_000))
-        while sim._heap and sim._heap[0].time <= sim.horizon + 1e-9:
+        while (t := sim.peek_time()) is not None and t <= sim.horizon + 1e-9:
             sim.step()
             total_events += 1
         sim._finalize()

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -138,7 +140,7 @@ class TestStepTransitions:
             type("E", (), {"node": 1, "payload": {"epoch": node.phase_epoch}})()
         )
         assert node.phase is NodePhase.IDLE
-        kinds = [e.kind for e in sim._heap if e.node == 1 and e.time >= wake]
+        kinds = [e.kind for e in sim.pending() if e.node == 1 and e.time >= wake]
         assert EventKind.IDLE_EXPIRY in kinds
 
     def test_stale_sleep_expiry_ignored(self):
@@ -216,3 +218,54 @@ class TestStepTransitions:
         sim = Simulation(config, 8)
         sim.run()
         assert sim.counts["lost-no-cache"] > 0
+
+
+class TestEventQueue:
+    def test_same_time_events_run_in_push_order(self):
+        sim = Simulation(make_config(horizon_s=20.0, flows=[]), 4)
+        # Stale epochs and empty caches make every one of these handlers a no-op.
+        pushed = [
+            (EventKind.NODE_DEATH, 1, {"epoch": -1}),
+            (EventKind.SLEEP_EXPIRY, 2, {"epoch": -1}),
+            (EventKind.CACHE_DELIVERY, 3, {"woken": 4}),
+            (EventKind.IDLE_EXPIRY, 1, {"epoch": -1}),
+            (EventKind.NODE_DEATH, 5, {"epoch": -2}),
+            (EventKind.CACHE_DELIVERY, 1, {"woken": 2}),
+            (EventKind.SLEEP_EXPIRY, 1, {"epoch": -3}),
+        ]
+        first = len(sim.pending())
+        for kind, node, payload in pushed:
+            sim._push(0.0, kind, node, **payload)
+        ours = sorted(e.seq for e in sim.pending())[first:]
+        seen = []
+        while sim.peek_time() == 0.0:
+            event = sim.step()
+            if event.seq in ours:
+                seen.append((event.kind, event.node, event.payload))
+        assert seen == pushed
+
+    def test_pending_and_peek_time(self):
+        sim = Simulation(make_config(horizon_s=20.0), 4)
+        events = sim.pending()
+        assert events
+        assert sim.peek_time() == min(e.time for e in events)
+        popped = sim.step()
+        assert popped.time == min(e.time for e in events)
+        assert popped.seq not in {e.seq for e in sim.pending()}
+
+
+@pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
+def test_simulation_is_freed_without_cyclic_gc(kind):
+    # A finished Simulation must not be a reference cycle: with the cyclic
+    # collector off, dropping the last reference has to free it at once.
+    config = make_config(horizon_s=40.0, initial_energy_j=30.0, scheme={"kind": kind})
+    gc.collect()
+    gc.disable()
+    try:
+        sim = Simulation(config, 3)
+        sim.run()
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()

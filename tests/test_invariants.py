@@ -56,7 +56,7 @@ def test_no_packet_silently_vanishes():
                 accounted.add(entry.packet.id)
     pending_retries = {
         e.payload["packet_id"]
-        for e in sim._heap
+        for e in sim.pending()
         if e.kind.name == "PACKET_ARRIVAL" and "packet_id" in e.payload
     }
     accounted |= pending_retries
