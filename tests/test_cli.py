@@ -97,6 +97,15 @@ def test_compare_needs_two_schemes(scenario_file, tmp_path):
     assert code == 2
 
 
+def test_compare_unknown_scheme_exit_code_2(scenario_file, tmp_path):
+    code = main([
+        "compare", "--config", str(scenario_file), "--seed", "3",
+        "--schemes", "traffic-aware,bogus", "--out", str(tmp_path / "cmp"), "--quiet",
+    ])
+    assert code == 2
+    assert not (tmp_path / "cmp").exists()
+
+
 def test_sweep_writes_one_report_per_value(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     code = main([

@@ -80,6 +80,51 @@ def test_scheme_parsing_variants():
     assert cfg.scheme.duty == 0.25
 
 
+def test_unknown_scheme_kind_names_every_kind():
+    raw = minimal()
+    raw["scheme"] = {"kind": "sometimes-on"}
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    (message,) = [e for e in err.value.errors if e.startswith("scheme")]
+    for kind in ("traffic-aware", "always-on", "periodic", "coordinated"):
+        assert kind in message
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        {"kind": "periodic", "listen_s": 1},
+        {"kind": "coordinated", "duty": 0.5},
+        {"kind": "always-on", "duty": 0.5},
+        {"kind": "traffic-aware", "period_s": 2.0},
+    ],
+)
+def test_other_schemes_keys_rejected(scheme):
+    raw = minimal()
+    raw["scheme"] = scheme
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert any("unknown keys" in e for e in err.value.errors)
+
+
+@pytest.mark.parametrize(
+    "scheme",
+    [
+        {"kind": "traffic-aware"},
+        {"kind": "always-on"},
+        {"kind": "periodic", "duty": 0.4, "period_s": 3.0},
+        {"kind": "coordinated", "listen_s": 0.7, "sleep_s": 2.5},
+    ],
+)
+def test_every_scheme_roundtrips_through_to_dict(scheme):
+    raw = minimal()
+    raw["scheme"] = scheme
+    cfg = from_dict(raw)
+    assert cfg.to_dict()["scheme"] == scheme
+    again = from_dict(cfg.to_dict())
+    assert again.scheme == cfg.scheme
+
+
 def test_roundtrip_through_to_dict():
     raw = minimal()
     raw["flows"] = [{"src": 1, "dst": 2, "rate_pps": 0.5, "ds_fraction": 0.5}]

@@ -1,10 +1,13 @@
 """Byte contract: the demo scenario's outputs under every scheme are pinned.
 
-`ecsim compare` runs `scenarios/demo.json` cut to a 60 s horizon, seed 42,
-under all four schemes with traces on. The sha256 of every file it writes
-must match the digests below. A change that is meant only to make the
-simulator faster must leave them as they are. A change that alters
-behaviour on purpose records the new digests and says why in CHANGES.md.
+`ecsim compare` runs `scenarios/demo.json`, seed 42, under all four schemes
+with traces on, in two variants: cut to a 60 s horizon (no node dies), and
+with 25 J batteries over 100 s with faster mobility, so that nodes die under
+every scheme and traffic-aware repairs the roles of dead cluster heads and
+proxies. The sha256 of every file it writes must match the digests below. A
+change that is meant only to make the simulator faster or smaller must leave
+them as they are. A change that alters behaviour on purpose records the new
+digests and says why in CHANGES.md.
 """
 
 import hashlib
@@ -57,11 +60,54 @@ GOLDEN = {
 }
 
 
-def test_demo_outputs_match_golden_digests(tmp_path):
+# First deaths at 30-82 s depending on the scheme.
+GOLDEN_DEATHS = {
+    "compare.csv": "663ae9e9a7b95e9021985cde3f28901d82103c4924a24945cdbcae96cf64c54b",
+    "traffic-aware/report.json": (
+        "ef1f225bee27611016e6af3d397168933b7fd45381184062c0c0db0770af249e"
+    ),
+    "traffic-aware/timeseries.csv": (
+        "694a0ea44a5766dedf556006cab569142b4a624724cd65b700545af539f382bf"
+    ),
+    "traffic-aware/trace.csv": (
+        "a9303094a04aac0a4a9323c9ddcacd6f362ba17f70650c5c34f34e643224f234"
+    ),
+    "periodic/report.json": (
+        "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"
+    ),
+    "periodic/timeseries.csv": (
+        "01c4af12a3d944f46bffd561175f72bbf2246c9db49334cf92012e091078df4d"
+    ),
+    "periodic/trace.csv": (
+        "85f7b9915fe00497073eb40765781cf1b83e0a44caed2f2bf951220e4230af3a"
+    ),
+    "coordinated/report.json": (
+        "1c70627d0e8dde1073f5900e60c87abec89bef3417c657a0b84d2c42ba65d29a"
+    ),
+    "coordinated/timeseries.csv": (
+        "2d92eaf9874cd76215a06666797f42bba2168e2ca354d75326770ff7b7432643"
+    ),
+    "coordinated/trace.csv": (
+        "48cdf7489e622f956dd03a0a5ddc46c8cdcf0244b1a734e91f902e2d2eba9f49"
+    ),
+    "always-on/report.json": (
+        "e2571cadb4c9205f0a08f25df0daaec6673bd96d2fbaa81ebba9fc825fa3ed8d"
+    ),
+    "always-on/timeseries.csv": (
+        "65a7e045cf7a893989717278396da230ed6f3484ff95141627e7aceb8c2225cb"
+    ),
+    "always-on/trace.csv": (
+        "e941e8c22da551602433c728fed2527ce097bc15e0eb35a2c6c337a817907c76"
+    ),
+}
+
+
+def compare_digests(tmp_path, **overrides) -> dict[str, str]:
+    """sha256 of every file `ecsim compare` writes for the demo scenario
+    with ``overrides`` applied, keyed by path under the output directory."""
     raw = json.loads(DEMO.read_text())
-    raw["horizon_s"] = 60.0
-    raw["traffic_horizon_s"] = 55.0
-    config = tmp_path / "demo60.json"
+    raw.update(overrides)
+    config = tmp_path / "scenario.json"
     config.write_text(json.dumps(raw))
     out = tmp_path / "out"
     code = main([
@@ -69,7 +115,19 @@ def test_demo_outputs_match_golden_digests(tmp_path):
         "--schemes", ",".join(SCHEMES), "--trace", "--out", str(out), "--quiet",
     ])
     assert code == 0
-    written = sorted(str(p.relative_to(out)) for p in out.rglob("*") if p.is_file())
-    assert written == sorted(GOLDEN)
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in GOLDEN}
-    assert digests == GOLDEN
+    return {
+        str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in out.rglob("*")
+        if p.is_file()
+    }
+
+
+def test_demo_outputs_match_golden_digests(tmp_path):
+    assert compare_digests(tmp_path, horizon_s=60.0, traffic_horizon_s=55.0) == GOLDEN
+
+
+def test_death_outputs_match_golden_digests(tmp_path):
+    digests = compare_digests(
+        tmp_path, initial_energy_j=25.0, horizon_s=100.0, traffic_horizon_s=90.0, p_move=0.01
+    )
+    assert digests == GOLDEN_DEATHS
