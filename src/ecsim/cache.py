@@ -20,7 +20,6 @@ class StoreResult(Enum):
     ACCEPTED = "accepted"
     DUPLICATE = "duplicate"
     REJECTED_FULL = "full"
-    REJECTED_UNAVAILABLE = "unavailable"
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,8 @@ class CacheStore:
                 return now - entry.stored_at
         return None
 
-    def store(self, packet: Packet, now: float, holder_active: bool = True) -> StoreResult:
+    def store(self, packet: Packet, now: float) -> StoreResult:
         """Store a packet for a sleeping destination; idempotent per packet id."""
-        if not holder_active:
-            return StoreResult.REJECTED_UNAVAILABLE
         if packet.id in self._ids:
             return StoreResult.DUPLICATE
         if packet.size_bits > self.free_bits:

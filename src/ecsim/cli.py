@@ -15,10 +15,8 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ecsim.config import ConfigError, ScenarioConfig, from_dict, parse_config
-from ecsim.engine import run_simulation
+from ecsim.engine import SCHEMES, run_simulation
 from ecsim.report import compare, compare_csv, trace_csv
-
-SCHEME_CHOICES = ("traffic-aware", "always-on", "periodic", "coordinated")
 
 
 def _write_outputs(outdir: Path, report, trace_rows, quiet: bool) -> None:
@@ -105,8 +103,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if len(schemes) < 2:
         raise ConfigError(["compare needs at least two schemes"])
     for scheme in schemes:
-        if scheme not in SCHEME_CHOICES:
-            raise ConfigError([f"unknown scheme {scheme!r}; choices: {SCHEME_CHOICES}"])
+        if scheme not in SCHEMES:
+            raise ConfigError([f"unknown scheme {scheme!r}; choices: {tuple(SCHEMES)}"])
     outdir = Path(args.out)
     reports = []
     for scheme in schemes:
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, required=True)
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--scheme", choices=SCHEME_CHOICES)
+    run_p.add_argument("--scheme", choices=tuple(SCHEMES))
     run_p.add_argument("--trace", action="store_true", help="also write trace.csv")
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=cmd_run)
@@ -145,7 +143,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--seed", type=int, default=1)
     sweep_p.add_argument("--seeds", help="comma-separated seeds (overrides --seed)")
     sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--scheme", choices=SCHEME_CHOICES)
+    sweep_p.add_argument("--scheme", choices=tuple(SCHEMES))
     sweep_p.add_argument("--trace", action="store_true")
     sweep_p.add_argument("--quiet", action="store_true")
     sweep_p.set_defaults(func=cmd_sweep)

@@ -48,15 +48,11 @@ class Cluster:
 
 @dataclass
 class ServiceLedger:
-    """Per-node counts of rounds served in each role.
-
-    ``tau`` records the pairwise-comparison contact window; it is kept for
-    reporting and not otherwise consumed.
-    """
+    """Per-node counts of rounds served in each role, including roles
+    re-elected within a round after a death."""
 
     sp_rounds: dict[NodeId, int] = field(default_factory=dict)
     ch_rounds: dict[NodeId, int] = field(default_factory=dict)
-    tau: float = 0.0
 
     def sp_count(self, node: NodeId) -> int:
         return self.sp_rounds.get(node, 0)

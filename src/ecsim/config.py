@@ -11,18 +11,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ecsim.core import EnergyModelParams
-from ecsim.engine import (
-    AlwaysOn,
-    CoordinatedDutyCycle,
-    PeriodicSleepWake,
-    Scheme,
-    TrafficAware,
-)
+from ecsim.engine import SCHEMES, Scheme, TrafficAware
 from ecsim.traffic import FlowSpec
 
 MAX_NODES_PER_CLUSTER = 50
-
-SCHEME_KINDS = ("traffic-aware", "always-on", "periodic", "coordinated")
 
 
 class ConfigError(ValueError):
@@ -67,10 +59,8 @@ class ScenarioConfig:
 
     def to_dict(self) -> dict:
         scheme = {"kind": self.scheme.name}
-        if isinstance(self.scheme, PeriodicSleepWake):
-            scheme.update(duty=self.scheme.duty, period_s=self.scheme.period)
-        elif isinstance(self.scheme, CoordinatedDutyCycle):
-            scheme.update(listen_s=self.scheme.listen, sleep_s=self.scheme.sleep)
+        for key, attr in self.scheme.keys:
+            scheme[key] = getattr(self.scheme, attr)
         return {
             "grid": {"width": self.grid_width, "height": self.grid_height},
             "nodes": self.node_count,
@@ -175,29 +165,16 @@ def _parse_scheme(raw, errors: list[str]) -> Scheme:
         errors.append(f"scheme: expected an object or kind string, got {raw!r}")
         return fallback
     kind = raw.get("kind")
-    if kind not in SCHEME_KINDS:
-        errors.append(f"scheme.kind: must be one of {SCHEME_KINDS}, got {kind!r}")
+    cls = SCHEMES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        errors.append(f"scheme.kind: must be one of {tuple(SCHEMES)}, got {kind!r}")
         return fallback
-    allowed = {"kind"}
     try:
-        if kind == "traffic-aware":
-            scheme: Scheme = TrafficAware()
-        elif kind == "always-on":
-            scheme = AlwaysOn()
-        elif kind == "periodic":
-            allowed |= {"duty", "period_s"}
-            scheme = PeriodicSleepWake(
-                duty=raw.get("duty", 0.25), period=raw.get("period_s", 2.0)
-            )
-        else:
-            allowed |= {"listen_s", "sleep_s"}
-            scheme = CoordinatedDutyCycle(
-                listen=raw.get("listen_s", 0.5), sleep=raw.get("sleep_s", 1.5)
-            )
+        scheme = cls(**{attr: raw[key] for key, attr in cls.keys if key in raw})
     except (TypeError, ValueError) as exc:
         errors.append(f"scheme: {exc}")
         return fallback
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {"kind"} - {key for key, _ in cls.keys}
     if unknown:
         errors.append(f"scheme: unknown keys {sorted(unknown)}")
     return scheme

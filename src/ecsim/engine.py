@@ -35,7 +35,16 @@ from ecsim.scheduler import (
     path_delay,
     sp_sleep,
 )
-from ecsim.topology import Grid, Position, build_connectivity, move_step, refresh_node
+from ecsim.topology import (
+    ConnectivityGraph,
+    Grid,
+    Position,
+    build_connectivity,
+    connected_components,
+    hop_distances,
+    move_step,
+    refresh_node,
+)
 from ecsim.traffic import Packet, PacketClass, generate, tx_delay
 
 if TYPE_CHECKING:
@@ -77,6 +86,10 @@ class NodePhase(Enum):
 
 # --------------------------------------------------------------------------
 # Schemes
+#
+# Each scheme class declares its kind string (``name``), its parameters with
+# their defaults, and the scenario keys that set them (``keys``, pairs of
+# scenario key and attribute). ``SCHEMES`` is the only list of kinds.
 
 
 @dataclass(frozen=True)
@@ -84,18 +97,24 @@ class TrafficAware:
     """The traffic-aware sleep-proxy scheme; intervals come from the scheduler."""
 
     name = "traffic-aware"
+    keys = ()
 
 
 @dataclass(frozen=True)
 class AlwaysOn:
     name = "always-on"
+    keys = ()
 
 
 @dataclass(frozen=True)
 class PeriodicSleepWake:
-    duty: float
-    period: float
+    """Staggered duty cycle: each node listens for the first ``duty`` share
+    of every period, shifted by its own offset."""
+
+    duty: float = 0.25
+    period: float = 2.0
     name = "periodic"
+    keys = (("duty", "duty"), ("period_s", "period"))
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duty <= 1.0:
@@ -103,48 +122,50 @@ class PeriodicSleepWake:
         if self.period <= 0:
             raise ValueError("period must be > 0")
 
+    @property
+    def listen(self) -> float:
+        return self.duty * self.period
+
 
 @dataclass(frozen=True)
 class CoordinatedDutyCycle:
     """Synchronized listen/sleep windows shared by all cluster members."""
 
-    listen: float
-    sleep: float
+    listen: float = 0.5
+    sleep: float = 1.5
     name = "coordinated"
+    keys = (("listen_s", "listen"), ("sleep_s", "sleep"))
 
     def __post_init__(self) -> None:
         if self.listen <= 0 or self.sleep <= 0:
             raise ValueError("listen and sleep windows must be > 0")
 
+    @property
+    def period(self) -> float:
+        return self.listen + self.sleep
+
 
 Scheme = Union[TrafficAware, AlwaysOn, PeriodicSleepWake, CoordinatedDutyCycle]
+
+SCHEMES: dict[str, type] = {
+    cls.name: cls for cls in (TrafficAware, AlwaysOn, PeriodicSleepWake, CoordinatedDutyCycle)
+}
 
 
 @dataclass(frozen=True)
 class PhaseDirective:
     phase: NodePhase
-    until: float | None  # next scheduled transition; None means indefinite
+    until: float  # next scheduled transition
 
 
 def dispatch_scheme(
-    scheme: Scheme,
-    now: float,
-    offset: float = 0.0,
-    assigned_sleep: float | None = None,
+    scheme: PeriodicSleepWake | CoordinatedDutyCycle, now: float, offset: float = 0.0
 ) -> PhaseDirective:
-    """Phase directive for a node under the given scheme at time ``now``."""
-    if isinstance(scheme, AlwaysOn):
-        return PhaseDirective(NodePhase.ACTIVE, None)
-    if isinstance(scheme, TrafficAware):
-        if assigned_sleep is not None:
-            return PhaseDirective(NodePhase.SLEEP, now + assigned_sleep)
-        return PhaseDirective(NodePhase.ACTIVE, None)
-    if isinstance(scheme, PeriodicSleepWake):
-        period = scheme.period
-        listen = scheme.duty * scheme.period
-    else:
-        period = scheme.listen + scheme.sleep
-        listen = scheme.listen
+    """Phase directive at time ``now`` for a node under a duty-cycle
+    baseline: awake for ``listen`` seconds at the start of every ``period``
+    after ``offset``."""
+    period = scheme.period
+    listen = scheme.listen
     rel = now - offset
     cycle = math.floor(rel / period + 1e-9)
     within = rel - cycle * period
@@ -186,17 +207,13 @@ class SimNode:
         "mode_epoch",
         "last_touch",
         "outbox",
-        "tx_busy_until",
         "radio_busy_until",
         "cache",
         "time_in_mode",
         "death_time",
-        "sp_rounds",
-        "ch_rounds",
         "offset",
         "wake_at",
         "last_relay_slot",
-        "custody",
         "retry_heap",
     )
 
@@ -213,18 +230,14 @@ class SimNode:
         self.mode_epoch = 0
         self.last_touch = 0.0
         self.outbox: deque[PacketWork] = deque()
-        self.tx_busy_until = 0.0
         self.radio_busy_until = 0.0
         self.cache = CacheStore(nid, cache_capacity)
         self.time_in_mode = {mode: 0.0 for mode in RadioMode}
         self.death_time: float | None = None
-        self.sp_rounds = 0
-        self.ch_rounds = 0
         self.offset = 0.0  # phase offset for staggered periodic schedules
         self.wake_at: float | None = None  # scheduled sleep exit, while sleeping
         self.last_relay_slot = -(10**9)  # absolute slot of last forwarding work
-        self.custody = 0  # deferred packets parked here awaiting a retry
-        self.retry_heap: list[float] = []  # pending retry times for custody
+        self.retry_heap: list[float] = []  # retry times of packets deferred here
 
     @property
     def awake(self) -> bool:
@@ -243,6 +256,9 @@ LOST_NO_CACHE = "lost-no-cache"
 # others: it must stay up long enough to move the packet onward, while a
 # sleeping destination's traffic is recovered by the neighbor cache.
 RELAY_QUIET_SLOTS = 1
+
+# Random placements tried before a scenario is declared unable to connect.
+PLACEMENT_ATTEMPTS = 200
 
 
 class Simulation:
@@ -279,7 +295,7 @@ class Simulation:
             self.nodes[nid] = node
 
         self.ledger = ActivityLedger(self.slot_width, self.slots_per_round)
-        self.service_ledger = cluster_mod.ServiceLedger(tau=self.round_length)
+        self.service_ledger = cluster_mod.ServiceLedger()
         self.clusters: list[cluster_mod.Cluster] = []
         self.sp_history: dict[int, list[float]] = {}
         self.ch_ids: set[NodeId] = set()
@@ -343,11 +359,8 @@ class Simulation:
                 self._baseline_tick(self.nodes[nid])
 
     @staticmethod
-    def _place_connected(config, rng: random.Random) -> tuple[Grid, "ConnectivityGraph"]:
-        from ecsim.topology import ConnectivityGraph, connected_components
-
-        last = None
-        for _ in range(200):
+    def _place_connected(config, rng: random.Random) -> tuple[Grid, ConnectivityGraph]:
+        for _ in range(PLACEMENT_ATTEMPTS):
             grid = Grid(config.grid_width, config.grid_height)
             for nid in range(config.node_count):
                 grid.place(
@@ -355,10 +368,12 @@ class Simulation:
                     Position(rng.randrange(config.grid_width), rng.randrange(config.grid_height)),
                 )
             graph = build_connectivity(grid)
-            last = (grid, graph)
             if config.node_count <= 1 or len(connected_components(graph)) == 1:
-                return last
-        return last  # give up: degenerate geometry, run as-is
+                return grid, graph
+        raise RuntimeError(
+            f"no connected placement of {config.node_count} nodes on a "
+            f"{config.grid_width}x{config.grid_height} grid in {PLACEMENT_ATTEMPTS} attempts"
+        )
 
     # -- event plumbing ----------------------------------------------------
 
@@ -506,7 +521,6 @@ class Simulation:
         nid = event.node
         node = self.nodes[nid]
         if event.payload.get("retry"):
-            node.custody = max(0, node.custody - 1)
             while node.retry_heap and node.retry_heap[0] <= self.now + 1e-9:
                 heapq.heappop(node.retry_heap)
         if pid in self.terminal:
@@ -537,11 +551,7 @@ class Simulation:
     def _deliver(self, work: PacketWork) -> None:
         packet = work.packet
         dst_node = self.nodes[packet.dst]
-        if (
-            isinstance(self.scheme, TrafficAware)
-            and dst_node.alive
-            and dst_node.phase is NodePhase.IDLE
-        ):
+        if dst_node.alive and dst_node.phase is NodePhase.IDLE:
             # Incoming traffic moves the destination into the active state.
             self._set_phase(dst_node, NodePhase.ACTIVE)
         delay = self.now - packet.created_at
@@ -632,14 +642,7 @@ class Simulation:
         cached = self._dist_cache.get(dst)
         if cached is not None and cached[0] == self._topology_version:
             return cached[1]
-        dist: dict[NodeId, int] = {dst: 0}
-        queue = deque([dst])
-        while queue:
-            cur = queue.popleft()
-            for nxt in sorted(self.graph.neighbors_of(cur)):
-                if nxt not in dist:
-                    dist[nxt] = dist[cur] + 1
-                    queue.append(nxt)
+        dist = hop_distances(self.graph, dst)
         self._dist_cache[dst] = (self._topology_version, dist)
         return dist
 
@@ -692,7 +695,6 @@ class Simulation:
             # back off so hopeless packets stop flooding the event queue.
             backoff = min(self.retry_s * 2.0 ** (work.defer_count - 3), self.round_length)
             retry_at = max(retry_at, self.now + backoff)
-        node.custody += 1
         heapq.heappush(node.retry_heap, retry_at)
         self._push(retry_at, EventKind.PACKET_ARRIVAL, node.nid,
                    packet_id=work.packet.id, retry=True)
@@ -711,7 +713,6 @@ class Simulation:
         self._set_tx(sender, True)
         self._bump_rx(receiver, +1)
         end = self.now + duration
-        sender.tx_busy_until = end
         sender.radio_busy_until = max(sender.radio_busy_until, end)
         receiver.radio_busy_until = max(receiver.radio_busy_until, end)
         self._push(end, EventKind.TX_COMPLETE, receiver_id,
@@ -746,16 +747,16 @@ class Simulation:
 
     def _on_slot_boundary(self, event: Event) -> None:
         slot = event.payload["slot"]
-        # Flush ongoing radio activity so the closing slot is fully recorded.
         for nid in sorted(self.nodes):
             node = self.nodes[nid]
-            if node.alive and (node.tx_active or node.rx_active):
-                self._touch(node)
-        for nid in sorted(self.nodes):
-            if self.nodes[nid].alive:
+            if node.alive:
+                # Flush ongoing radio activity so the closing slot is fully
+                # recorded, then mark the slot observed.
+                if node.tx_active or node.rx_active:
+                    self._touch(node)
                 self.ledger.record_active(nid, slot, 0.0)
         self._evict_caches()
-        if isinstance(self.scheme, TrafficAware) and self.round_index >= 1:
+        if self.round_index >= 1:
             self._sp_evaluation(slot)
         self.current_slot = slot + 1
 
@@ -831,7 +832,7 @@ class Simulation:
                     continue
                 if self._imminent_bits(m) > 0:
                     continue
-                interval = self._grant_sleep(m)
+                interval, cache_delays = self._grant_sleep(m)
                 if m == cluster.ch:
                     # The head naps only between its boundary duties.
                     interval = min(interval, self.slot_width)
@@ -842,7 +843,7 @@ class Simulation:
                             "time": self.now,
                             "t_sleep": interval,
                             "round_length": self.round_length,
-                            "min_cache_delay": self._min_cache_delay(m),
+                            "min_cache_delay": min(cache_delays, default=None),
                         }
                     )
                     self.sp_history.setdefault(idx, []).append(interval)
@@ -902,9 +903,10 @@ class Simulation:
         best = max(samples, key=lambda s: (s[1], s[0]))
         return best[1], best[2]
 
-    def _grant_sleep(self, nid: NodeId) -> float:
+    def _grant_sleep(self, nid: NodeId) -> tuple[float, list[float]]:
         """Sleep interval for one member, from current capacities, cached
-        backlog and the recent path-delay window."""
+        backlog and the recent path-delay window, with the hosting delays of
+        the member's cached packets that went into it."""
         neighbors = sorted(self.graph.neighbors_of(nid))
         capacities = tuple(float(self.link_bps) for _ in neighbors)
         cap_sum = sum(capacities)
@@ -913,7 +915,7 @@ class Simulation:
         self._window_prune(samples)
         sup = max(v for _, v in samples)
         if sup <= 0:
-            return 0.0  # isolated node: stays awake
+            return 0.0, []  # isolated node: stays awake
         volumes = []
         delays = []
         for holder_id in sorted(self.holders_by_dst.get(nid, ())):
@@ -942,19 +944,9 @@ class Simulation:
             cache_delays=tuple(delays),
         )
         try:
-            return compute_sleep(inputs, self.config.sleep_epsilon)
+            return compute_sleep(inputs, self.config.sleep_epsilon), delays
         except NoCapacityError:
-            return 0.0
-
-    def _min_cache_delay(self, nid: NodeId) -> float | None:
-        delays = []
-        for holder_id in sorted(self.holders_by_dst.get(nid, ())):
-            holder = self.nodes[holder_id]
-            if holder.alive:
-                age = holder.cache.hosting_delay(nid, self.now)
-                if age is not None:
-                    delays.append(age)
-        return min(delays) if delays else None
+            return 0.0, delays
 
     def _idle_interval(self, nid: NodeId) -> float:
         dp = self._max_dp(nid)
@@ -980,8 +972,8 @@ class Simulation:
         wake_raw = self.now + interval
         aligned = math.floor(wake_raw / self.slot_width + 1e-9) * self.slot_width - 1e-6
         if node.retry_heap:
-            # Custody: sleep only until just before the earliest retry, so the
-            # handover happens the moment both ends are awake.
+            # Packets deferred here: sleep only until just before the earliest
+            # retry, so the handover happens the moment both ends are awake.
             aligned = min(aligned, node.retry_heap[0] - 1e-6)
         if aligned <= self.now + 1e-9:
             return False
@@ -1034,22 +1026,22 @@ class Simulation:
         if event.payload["epoch"] != node.phase_epoch:
             return
         if isinstance(self.scheme, TrafficAware):
-            self._wake_to_idle(node)
+            self._enter_idle(node)
         else:
             self._baseline_tick(node)
-            self._cache_pickups(node.nid)
-            self._try_transmit(node)
+        self._cache_pickups(node.nid)
+        self._try_transmit(node)
 
     def _on_idle_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
-        if not node.alive:
+        if not node.alive or event.payload["epoch"] != node.phase_epoch:
             return
+        # Under traffic-aware only _enter_idle schedules this event, so a
+        # matching epoch means the node is still idle.
         if isinstance(self.scheme, TrafficAware):
-            if node.phase is NodePhase.IDLE and event.payload["epoch"] == node.phase_epoch:
-                self._set_phase(node, NodePhase.ACTIVE)
+            self._set_phase(node, NodePhase.ACTIVE)
         else:
-            if event.payload["epoch"] == node.phase_epoch:
-                self._baseline_tick(node)
+            self._baseline_tick(node)
 
     def _baseline_tick(self, node: SimNode) -> None:
         """Apply the scheme's current window to a node under a duty-cycle
@@ -1058,9 +1050,7 @@ class Simulation:
         if directive.phase is NodePhase.ACTIVE:
             if node.phase is not NodePhase.ACTIVE:
                 self._set_phase(node, NodePhase.ACTIVE)
-            if directive.until is not None:
-                self._push(directive.until, EventKind.IDLE_EXPIRY, node.nid,
-                           epoch=node.phase_epoch)
+            self._push(directive.until, EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
         else:
             if node.tx_active or node.rx_active:
                 # Let the transfer finish; re-check at the radio's free time.
@@ -1068,10 +1058,8 @@ class Simulation:
                            EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
                 return
             self._set_phase(node, NodePhase.SLEEP)
-            if directive.until is not None:
-                node.wake_at = directive.until
-                self._push(directive.until, EventKind.SLEEP_EXPIRY, node.nid,
-                           epoch=node.phase_epoch)
+            node.wake_at = directive.until
+            self._push(directive.until, EventKind.SLEEP_EXPIRY, node.nid, epoch=node.phase_epoch)
 
     def _on_mobility_step(self, event: Event) -> None:
         p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
@@ -1136,8 +1124,6 @@ class Simulation:
         )
         self.ch_ids = {cl.ch for cl in self.clusters}
         for cl in self.clusters:
-            self.nodes[cl.ch].ch_rounds += 1
-            self.nodes[cl.sp].sp_rounds += 1
             for role_node in {cl.ch, cl.sp}:
                 node = self.nodes[role_node]
                 if node.phase is NodePhase.SLEEP:
@@ -1189,8 +1175,7 @@ class Simulation:
         self.grid.remove(node.nid)
         self.graph.remove_node(node.nid)
         self._topology_version += 1
-        if isinstance(self.scheme, TrafficAware):
-            self._replace_dead_roles(node.nid)
+        self._replace_dead_roles(node.nid)
 
     def _replace_dead_roles(self, dead: NodeId) -> None:
         refreshed = []
@@ -1206,8 +1191,6 @@ class Simulation:
                 new_cl = cluster_mod.elect_roles(
                     members, energies, self.service_ledger, cl.round_index, cl.round_length
                 )
-                self.nodes[new_cl.ch].ch_rounds += 1
-                self.nodes[new_cl.sp].sp_rounds += 1
                 for role_node in {new_cl.ch, new_cl.sp}:
                     if self.nodes[role_node].phase is NodePhase.SLEEP:
                         self._wake_to_idle(self.nodes[role_node])

@@ -42,11 +42,6 @@ class MetricsReport:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
-    def metric(self, name: str):
-        if name in self.network:
-            return self.network[name]
-        raise KeyError(name)
-
     def timeseries_csv(self) -> str:
         lines = ["time,alive_fraction,total_residual_j"]
         for t, frac, residual in self.timeseries:
@@ -84,8 +79,8 @@ def finalize(sim: "Simulation") -> MetricsReport:
                 "idle": node.time_in_mode[RadioMode.IDLE],
                 "sleep": node.time_in_mode[RadioMode.SLEEP],
             },
-            "sp_rounds": node.sp_rounds,
-            "ch_rounds": node.ch_rounds,
+            "sp_rounds": sim.service_ledger.sp_count(nid),
+            "ch_rounds": sim.service_ledger.ch_count(nid),
         }
 
     node_count = max(1, len(sim.nodes))

@@ -1,5 +1,5 @@
 """Grid placement, 3x3-block connectivity, lazy random-walk mobility and
-minimum-hop routing.
+hop distances.
 
 Two nodes are connected when their cells lie in the same 3x3 block centered
 on either node's cell (the block truncates at grid borders); nodes sharing a
@@ -67,9 +67,6 @@ class Grid:
             return self._where[node]
         except KeyError:
             raise LookupError(f"node {node} is not placed") from None
-
-    def is_placed(self, node: NodeId) -> bool:
-        return node in self._where
 
     def nodes(self) -> list[NodeId]:
         return sorted(self._where)
@@ -181,48 +178,21 @@ def connected_components(graph: ConnectivityGraph) -> list[set[NodeId]]:
     seen: set[NodeId] = set()
     components: list[set[NodeId]] = []
     for root in graph.nodes():
-        if root in seen:
-            continue
-        comp = {root}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nxt in graph.neighbors_of(cur):
-                if nxt not in comp:
-                    comp.add(nxt)
-                    queue.append(nxt)
-        seen |= comp
-        components.append(comp)
+        if root not in seen:
+            comp = set(hop_distances(graph, root))
+            seen |= comp
+            components.append(comp)
     return components
 
 
-def shortest_hop_path(
-    graph: ConnectivityGraph, src: NodeId, dst: NodeId
-) -> list[NodeId] | None:
-    """Minimum-hop path from src to dst, ties broken by smallest next-hop id.
-
-    Returns None when disconnected; src == dst degenerates to [src].
-    """
-    if src == dst:
-        return [src]
-    dist = _bfs_distances(graph, dst)
-    if src not in dist:
-        return None
-    path = [src]
-    cur = src
-    while cur != dst:
-        want = dist[cur] - 1
-        cur = min(n for n in graph.neighbors_of(cur) if dist.get(n) == want)
-        path.append(cur)
-    return path
-
-
-def _bfs_distances(graph: ConnectivityGraph, root: NodeId) -> dict[NodeId, int]:
+def hop_distances(graph: ConnectivityGraph, root: NodeId) -> dict[NodeId, int]:
+    """Minimum hop count from ``root`` to every node it can reach, itself
+    included at 0; unreachable nodes are absent."""
     dist = {root: 0}
     queue = deque([root])
     while queue:
         cur = queue.popleft()
-        for nxt in sorted(graph.neighbors_of(cur)):
+        for nxt in graph.neighbors_of(cur):
             if nxt not in dist:
                 dist[nxt] = dist[cur] + 1
                 queue.append(nxt)

@@ -128,8 +128,3 @@ def tx_delay(size_bits: int, capacity_bps: float) -> float:
     if capacity_bps <= 0:
         raise ValueError("link capacity must be > 0")
     return size_bits / capacity_bps
-
-
-def classify(packet: Packet) -> PacketClass:
-    """The packet's traffic class; the engine enforces deadline accounting."""
-    return packet.klass

@@ -33,11 +33,6 @@ def test_store_idempotent_per_packet_id():
     assert store.volume_for(9) == 8_000
 
 
-def test_store_unavailable_holder():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
-    assert store.store(packet(1), now=0.0, holder_active=False) is StoreResult.REJECTED_UNAVAILABLE
-
-
 def test_deliver_on_wake_fifo_order():
     store = CacheStore(holder=1, capacity_bits=1_000_000)
     for pid in (3, 1, 2):

@@ -72,6 +72,19 @@ def test_missing_config_exit_code_2(tmp_path):
     assert code == 2
 
 
+def test_unconnectable_placement_exit_code_3(tmp_path, capsys):
+    # Three nodes on a 1000x1000 grid practically never share a 3x3 block.
+    sparse = tmp_path / "sparse.json"
+    grid = {"width": 1000, "height": 1000}
+    sparse.write_text(json.dumps({**SCENARIO, "nodes": 3, "grid": grid, "flows": []}))
+    code = main(["run", "--config", str(sparse), "--seed", "1",
+                 "--out", str(tmp_path / "o"), "--quiet"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "3 nodes" in err and "1000x1000" in err and "200 attempts" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_compare_emits_table(scenario_file, tmp_path):
     out = tmp_path / "cmp"
     code = main([

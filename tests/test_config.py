@@ -80,9 +80,10 @@ def test_scheme_parsing_variants():
     assert cfg.scheme.duty == 0.25
 
 
-def test_unknown_scheme_kind_names_every_kind():
+@pytest.mark.parametrize("kind", ["sometimes-on", ["periodic"], None])
+def test_unknown_scheme_kind_names_every_kind(kind):
     raw = minimal()
-    raw["scheme"] = {"kind": "sometimes-on"}
+    raw["scheme"] = {"kind": kind}
     with pytest.raises(ConfigError) as err:
         from_dict(raw)
     (message,) = [e for e in err.value.errors if e.startswith("scheme")]

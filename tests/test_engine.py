@@ -6,13 +6,11 @@ import pytest
 
 from ecsim.config import from_dict
 from ecsim.engine import (
-    AlwaysOn,
     CoordinatedDutyCycle,
     EventKind,
     NodePhase,
     PeriodicSleepWake,
     Simulation,
-    TrafficAware,
     dispatch_scheme,
     run_simulation,
 )
@@ -41,16 +39,6 @@ class TestDispatchScheme:
         second = dispatch_scheme(scheme, 1.0)
         assert second.phase is NodePhase.SLEEP
         assert second.until == pytest.approx(2.0)
-
-    def test_always_on_never_sleeps(self):
-        directive = dispatch_scheme(AlwaysOn(), 123.4)
-        assert directive.phase is NodePhase.ACTIVE
-        assert directive.until is None
-
-    def test_traffic_aware_passes_through_assignment(self):
-        directive = dispatch_scheme(TrafficAware(), 5.0, assigned_sleep=1.2)
-        assert directive.phase is NodePhase.SLEEP
-        assert directive.until == pytest.approx(6.2)
 
     def test_coordinated_windows(self):
         scheme = CoordinatedDutyCycle(listen=0.5, sleep=1.5)

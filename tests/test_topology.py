@@ -10,9 +10,9 @@ from ecsim.topology import (
     Position,
     build_connectivity,
     connected_components,
+    hop_distances,
     move_step,
     refresh_node,
-    shortest_hop_path,
 )
 
 
@@ -102,33 +102,24 @@ def line_graph(n):
     return graph
 
 
+# Minimum-hop path lengths, as hop_distances gives them.
+
+
 def test_path_on_line_graph():
     graph = line_graph(3)
-    assert shortest_hop_path(graph, 1, 3) == [1, 2, 3]
+    assert hop_distances(graph, 3) == {3: 0, 2: 1, 1: 2}
 
 
 def test_path_disconnected_is_none():
     graph = ConnectivityGraph()
     graph.add_node(1)
     graph.add_node(2)
-    assert shortest_hop_path(graph, 1, 2) is None
+    assert hop_distances(graph, 2).get(1) is None
 
 
 def test_path_degenerate_same_node():
     graph = line_graph(2)
-    assert shortest_hop_path(graph, 1, 1) == [1]
-
-
-def test_path_ties_break_to_smallest_next_hop():
-    # Two equal-length routes 0->1->3 and 0->2->3: pick via node 1.
-    graph = ConnectivityGraph()
-    for n in range(4):
-        graph.add_node(n)
-    graph.add_edge(0, 1)
-    graph.add_edge(0, 2)
-    graph.add_edge(1, 3)
-    graph.add_edge(2, 3)
-    assert shortest_hop_path(graph, 0, 3) == [0, 1, 3]
+    assert hop_distances(graph, 1)[1] == 0
 
 
 def oracle_bfs_length(graph, src, dst):
@@ -160,17 +151,10 @@ def test_path_length_matches_bfs_oracle(seed):
         for b in range(a + 1, n):
             if rng.random() < 0.2:
                 graph.add_edge(a, b)
-    src, dst = rng.sample(range(n), 2)
-    path = shortest_hop_path(graph, src, dst)
-    expected = oracle_bfs_length(graph, src, dst)
-    if expected is None:
-        assert path is None
-    else:
-        assert path is not None
-        assert len(path) - 1 == expected
-        assert path[0] == src and path[-1] == dst
-        for a, b in zip(path, path[1:]):
-            assert graph.has_edge(a, b)
+    dst = rng.randrange(n)
+    dist = hop_distances(graph, dst)
+    for src in range(n):
+        assert dist.get(src) == oracle_bfs_length(graph, src, dst)
 
 
 @settings(max_examples=40, deadline=None)

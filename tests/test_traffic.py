@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ecsim.traffic import FlowSpec, Packet, PacketClass, classify, generate, tx_delay
+from ecsim.traffic import FlowSpec, Packet, PacketClass, generate, tx_delay
 
 
 def test_zero_rate_gives_empty_stream():
@@ -91,21 +91,6 @@ def test_packet_guards():
             created_at=5.0,
             deadline=5.0,
         )
-
-
-def test_classify_returns_class():
-    elastic = Packet(id=0, src=0, dst=1, size_bits=10, klass=PacketClass.ELASTIC, created_at=0.0)
-    assert classify(elastic) is PacketClass.ELASTIC
-    ds = Packet(
-        id=1,
-        src=0,
-        dst=1,
-        size_bits=10,
-        klass=PacketClass.DELAY_SENSITIVE,
-        created_at=0.0,
-        deadline=1.0,
-    )
-    assert classify(ds) is PacketClass.DELAY_SENSITIVE
 
 
 def test_flow_validation():
