@@ -1,9 +1,13 @@
+import copy
 import json
+from dataclasses import fields
 
 import pytest
 
-from ecsim.config import ConfigError, from_dict, parse_config
-from ecsim.engine import CoordinatedDutyCycle, PeriodicSleepWake, TrafficAware
+from ecsim.config import ConfigError, ScenarioConfig, from_dict, parse_config
+from ecsim.core import EnergyModelParams
+from ecsim.engine import AlwaysOn, CoordinatedDutyCycle, PeriodicSleepWake, TrafficAware
+from ecsim.traffic import FlowSpec
 
 
 def minimal():
@@ -155,3 +159,152 @@ def test_energy_ordering_violation_reported():
     with pytest.raises(ConfigError) as err:
         from_dict(raw)
     assert any("energy" in e for e in err.value.errors)
+
+
+# Every scenario key set away from its default. The parametrized scheme
+# covers each scheme's own keys.
+EVERY_KEY = {
+    "grid": {"width": 7, "height": 5},
+    "nodes": 12,
+    "initial_energy_j": 55.0,
+    "energy": {"p_tx": 2.0, "p_rx": 1.5, "p_idle": 0.9, "p_sleep": 0.05},
+    "round_s": 8.0,
+    "slots_per_round": 8,
+    "p_move": 0.05,
+    "mobility_step_s": 2.0,
+    "flows": [
+        {
+            "src": 1,
+            "dst": 4,
+            "rate_pps": 0.7,
+            "packet_bits": 4000,
+            "ds_fraction": 0.6,
+            "deadline_offset_s": 12.0,
+            "burst_on_s": 3.0,
+            "burst_off_s": 5.0,
+        }
+    ],
+    "cache": {"enabled": False, "capacity_bits": 5000},
+    "link_bps": 2_000_000.0,
+    "horizon_s": 80.0,
+    "seed": 9,
+    "cluster": {"policy": "grid", "partition": 2},
+    "deadline_rounds": 3.0,
+    "retry_s": 0.25,
+    "observation_window_s": 20.0,
+    "sleep_epsilon": 0.01,
+    "sleep_budget_rounds": 0.6,
+    "traffic_horizon_s": 70.0,
+}
+
+# Where each value of EVERY_KEY lands.
+EVERY_ATTR = {
+    "grid_width": 7,
+    "grid_height": 5,
+    "node_count": 12,
+    "initial_energy_j": 55.0,
+    "energy": EnergyModelParams(p_tx=2.0, p_rx=1.5, p_idle=0.9, p_sleep=0.05),
+    "round_s": 8.0,
+    "slots_per_round": 8,
+    "p_move": 0.05,
+    "mobility_step_s": 2.0,
+    "flows": [FlowSpec(1, 4, 0.7, 4000, 0.6, 12.0, 3.0, 5.0)],
+    "cache_enabled": False,
+    "cache_capacity_bits": 5000,
+    "link_bps": 2_000_000.0,
+    "horizon_s": 80.0,
+    "seed": 9,
+    "cluster_policy": "grid",
+    "cluster_partition": 2,
+    "deadline_rounds": 3.0,
+    "retry_s": 0.25,
+    "observation_window_s": 20.0,
+    "sleep_epsilon": 0.01,
+    "sleep_budget_rounds": 0.6,
+    "traffic_horizon_s": 70.0,
+}
+
+
+@pytest.mark.parametrize(
+    "scheme, parsed",
+    [
+        ({"kind": "traffic-aware"}, TrafficAware()),
+        ({"kind": "always-on"}, AlwaysOn()),
+        ({"kind": "periodic", "duty": 0.4, "period_s": 3.0}, PeriodicSleepWake(0.4, 3.0)),
+        ({"kind": "coordinated", "listen_s": 0.7, "sleep_s": 2.5}, CoordinatedDutyCycle(0.7, 2.5)),
+    ],
+)
+def test_every_key_lands_on_its_attribute_and_roundtrips(scheme, parsed):
+    raw = {**EVERY_KEY, "scheme": scheme}
+    cfg = from_dict(copy.deepcopy(raw))
+    assert cfg.to_dict() == raw
+    assert cfg.scheme == parsed
+    attrs = {f.name for f in fields(ScenarioConfig)} - {"scheme"}
+    assert set(EVERY_ATTR) == attrs
+    assert {attr: getattr(cfg, attr) for attr in attrs} == EVERY_ATTR
+    default = ScenarioConfig()
+    for attr in attrs:
+        assert getattr(cfg, attr) != getattr(default, attr), attr
+    for key in ("grid_width", "node_count", "slots_per_round", "cache_capacity_bits"):
+        assert type(getattr(cfg, key)) is int, key
+
+
+# (override of minimal(), an error message the override must give)
+MALFORMED = [
+    ({"grid": 5}, "grid: expected an object with width/height"),
+    ({"grid": {"width": 5, "depth": 2}}, "grid: expected an object with width/height"),
+    ({"energy": "low"}, "energy: expected an object with p_tx/p_rx/p_idle/p_sleep"),
+    ({"energy": {"p_tx": 2.0, "p_warp": 1}}, "energy: expected an object with p_tx/p_rx/p_idle/p_sleep"),
+    ({"cache": [1]}, "cache: expected an object with enabled/capacity_bits"),
+    ({"cache": {"size": 4}}, "cache: expected an object with enabled/capacity_bits"),
+    ({"cluster": "grid"}, "cluster: expected an object with policy/partition"),
+    ({"cluster": {"policy": "grid", "k": 2}}, "cluster: expected an object with policy/partition"),
+    ({"grid": {"width": 0}}, "width: must be >= 1, got 0"),
+    ({"grid": {"height": 0}}, "height: must be >= 1, got 0"),
+    ({"nodes": 0}, "nodes: must be >= 1, got 0"),
+    ({"initial_energy_j": -1.0}, "initial_energy_j: must be >= 0.0, got -1.0"),
+    ({"round_s": 0.0}, "round_s: must be >= 1e-09, got 0.0"),
+    ({"slots_per_round": 0}, "slots_per_round: must be >= 1, got 0"),
+    ({"p_move": -0.1}, "p_move: must be >= 0.0, got -0.1"),
+    ({"p_move": 1.5}, "p_move: must be <= 1.0, got 1.5"),
+    ({"mobility_step_s": 0}, "mobility_step_s: must be >= 1e-09, got 0"),
+    ({"link_bps": 0}, "link_bps: must be >= 1e-09, got 0"),
+    ({"horizon_s": -5.0}, "horizon_s: must be >= 0.0, got -5.0"),
+    ({"deadline_rounds": -1.0}, "deadline_rounds: must be >= 0.0, got -1.0"),
+    ({"retry_s": 0.0}, "retry_s: must be >= 1e-09, got 0.0"),
+    ({"observation_window_s": 0.0}, "observation_window_s: must be >= 1e-09, got 0.0"),
+    ({"sleep_epsilon": -0.1}, "sleep_epsilon: must be >= 0.0, got -0.1"),
+    ({"sleep_epsilon": 0.6}, "sleep_epsilon: must be <= 0.5, got 0.6"),
+    ({"sleep_budget_rounds": 0.0}, "sleep_budget_rounds: must be >= 1e-09, got 0.0"),
+    ({"sleep_budget_rounds": 1.5}, "sleep_budget_rounds: must be <= 1.0, got 1.5"),
+    ({"traffic_horizon_s": 0.0}, "traffic_horizon_s: must be >= 1e-09, got 0.0"),
+    ({"cache": {"capacity_bits": -1}}, "capacity_bits: must be >= 0, got -1"),
+    ({"cluster": {"partition": 0}}, "partition: must be >= 1, got 0"),
+    ({"cluster": {"policy": "ring"}}, "cluster.policy: must be 'component' or 'grid', got 'ring'"),
+    ({"cache": {"enabled": "yes"}}, "cache.enabled: expected a bool, got 'yes'"),
+    ({"seed": True}, "seed: expected an integer, got True"),
+    ({"nodes": True}, "nodes: expected a number, got True"),
+    ({"flows": [{"src": -1, "dst": 2}]}, "flows[0].src: must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize(
+    "override, message", MALFORMED, ids=[json.dumps(o) for o, _ in MALFORMED]
+)
+def test_malformed_input_names_its_key(override, message):
+    with pytest.raises(ConfigError) as err:
+        from_dict({**minimal(), **override})
+    assert message in err.value.errors
+
+
+def test_malformed_inputs_all_reported_in_one_error():
+    raw, expected = {}, set()
+    for override, message in MALFORMED:
+        ((key, value),) = override.items()
+        if key not in raw:
+            raw[key] = value
+            expected.add(message)
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert len(expected) >= 20
+    assert expected <= set(err.value.errors)
