@@ -7,7 +7,7 @@ are reported at once, not just the first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ecsim.core import EnergyModelParams
@@ -58,91 +58,23 @@ class ScenarioConfig:
             raise ConfigError(errors)
 
     def to_dict(self) -> dict:
-        scheme = {"kind": self.scheme.name}
+        out: dict = {}
+        for key, attr, _ in _SCHEMA:
+            group, _, name = key.rpartition(".")
+            (out.setdefault(group, {}) if group else out)[name] = getattr(self, attr)
+        out["energy"] = asdict(self.energy)
+        out["flows"] = [
+            {key: getattr(flow, attr) for key, attr in _FLOW_KEYS.items()} for flow in self.flows
+        ]
+        out["scheme"] = {"kind": self.scheme.name}
         for key, attr in self.scheme.keys:
-            scheme[key] = getattr(self.scheme, attr)
-        return {
-            "grid": {"width": self.grid_width, "height": self.grid_height},
-            "nodes": self.node_count,
-            "initial_energy_j": self.initial_energy_j,
-            "energy": {
-                "p_tx": self.energy.p_tx,
-                "p_rx": self.energy.p_rx,
-                "p_idle": self.energy.p_idle,
-                "p_sleep": self.energy.p_sleep,
-            },
-            "round_s": self.round_s,
-            "slots_per_round": self.slots_per_round,
-            "p_move": self.p_move,
-            "mobility_step_s": self.mobility_step_s,
-            "flows": [
-                {
-                    "src": f.src,
-                    "dst": f.dst,
-                    "rate_pps": f.rate_pps,
-                    "packet_bits": f.packet_bits,
-                    "ds_fraction": f.ds_fraction,
-                    "deadline_offset_s": f.deadline_offset,
-                    "burst_on_s": f.burst_on_s,
-                    "burst_off_s": f.burst_off_s,
-                }
-                for f in self.flows
-            ],
-            "cache": {"enabled": self.cache_enabled, "capacity_bits": self.cache_capacity_bits},
-            "link_bps": self.link_bps,
-            "scheme": scheme,
-            "horizon_s": self.horizon_s,
-            "seed": self.seed,
-            "cluster": {"policy": self.cluster_policy, "partition": self.cluster_partition},
-            "deadline_rounds": self.deadline_rounds,
-            "retry_s": self.retry_s,
-            "observation_window_s": self.observation_window_s,
-            "sleep_epsilon": self.sleep_epsilon,
-            "sleep_budget_rounds": self.sleep_budget_rounds,
-            "traffic_horizon_s": self.traffic_horizon_s,
-        }
+            out["scheme"][key] = getattr(self.scheme, attr)
+        return out
 
 
-_TOP_KEYS = {
-    "grid",
-    "nodes",
-    "initial_energy_j",
-    "energy",
-    "round_s",
-    "slots_per_round",
-    "p_move",
-    "mobility_step_s",
-    "flows",
-    "cache",
-    "link_bps",
-    "scheme",
-    "horizon_s",
-    "seed",
-    "cluster",
-    "deadline_rounds",
-    "retry_s",
-    "observation_window_s",
-    "sleep_epsilon",
-    "sleep_budget_rounds",
-    "traffic_horizon_s",
-}
-
-_FLOW_KEYS = {
-    "src",
-    "dst",
-    "rate_pps",
-    "packet_bits",
-    "ds_fraction",
-    "deadline_offset_s",
-    "burst_on_s",
-    "burst_off_s",
-}
-
-
-def _want_number(raw: dict, key: str, errors: list[str], default, minimum=None, maximum=None):
-    if key not in raw or raw[key] is None:
+def _want_number(key: str, value, errors: list[str], default, minimum=None, maximum=None):
+    if value is None:
         return default
-    value = raw[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{key}: expected a number, got {value!r}")
         return default
@@ -153,6 +85,96 @@ def _want_number(raw: dict, key: str, errors: list[str], default, minimum=None, 
         errors.append(f"{key}: must be <= {maximum}, got {value}")
         return default
     return value
+
+
+# Parsers for one key's value: parse(dotted key, value, default, errors)
+# returns the value, or the default after appending an error.
+
+
+def _number(minimum=None, maximum=None):
+    def parse(key, value, default, errors):
+        # Number errors name the key within its group: "width", not "grid.width".
+        return _want_number(key.rpartition(".")[2], value, errors, default, minimum, maximum)
+
+    return parse
+
+
+def _flag(key, value, default, errors):
+    if isinstance(value, bool):
+        return value
+    errors.append(f"{key}: expected a bool, got {value!r}")
+    return default
+
+
+def _integer(key, value, default, errors):
+    if value is None or (isinstance(value, int) and not isinstance(value, bool)):
+        return value
+    errors.append(f"{key}: expected an integer, got {value!r}")
+    return default
+
+
+def _one_of(*choices):
+    def parse(key, value, default, errors):
+        if value in choices:
+            return value
+        errors.append(f"{key}: must be {' or '.join(map(repr, choices))}, got {value!r}")
+        return default
+
+    return parse
+
+
+# One row per single-valued scenario key: (dotted key, ScenarioConfig
+# attribute, parser). A key's default is its attribute's dataclass default;
+# keys whose default is an int are read as ints.
+_SCHEMA = (
+    ("grid.width", "grid_width", _number(minimum=1)),
+    ("grid.height", "grid_height", _number(minimum=1)),
+    ("nodes", "node_count", _number(minimum=1)),
+    ("initial_energy_j", "initial_energy_j", _number(minimum=0.0)),
+    ("round_s", "round_s", _number(minimum=1e-9)),
+    ("slots_per_round", "slots_per_round", _number(minimum=1)),
+    ("p_move", "p_move", _number(minimum=0.0, maximum=1.0)),
+    ("mobility_step_s", "mobility_step_s", _number(minimum=1e-9)),
+    ("cache.enabled", "cache_enabled", _flag),
+    ("cache.capacity_bits", "cache_capacity_bits", _number(minimum=0)),
+    ("link_bps", "link_bps", _number(minimum=1e-9)),
+    ("horizon_s", "horizon_s", _number(minimum=0.0)),
+    ("seed", "seed", _integer),
+    ("cluster.policy", "cluster_policy", _one_of("component", "grid")),
+    ("cluster.partition", "cluster_partition", _number(minimum=1)),
+    ("deadline_rounds", "deadline_rounds", _number(minimum=0.0)),
+    ("retry_s", "retry_s", _number(minimum=1e-9)),
+    ("observation_window_s", "observation_window_s", _number(minimum=1e-9)),
+    ("sleep_epsilon", "sleep_epsilon", _number(minimum=0.0, maximum=0.5)),
+    ("sleep_budget_rounds", "sleep_budget_rounds", _number(minimum=1e-9, maximum=1.0)),
+    ("traffic_horizon_s", "traffic_horizon_s", _number(minimum=1e-9)),
+)
+
+_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
+
+# Flow entry key -> FlowSpec attribute.
+_FLOW_KEYS = {
+    ("deadline_offset_s" if f.name == "deadline_offset" else f.name): f.name
+    for f in fields(FlowSpec)
+}
+
+# Object-valued keys -> their keys, in declaration order.
+_NESTED = [key.split(".") for key, _, _ in _SCHEMA if "." in key]
+_GROUPS = {group: [name for g, name in _NESTED if g == group] for group, _ in _NESTED}
+_GROUPS["energy"] = [f.name for f in fields(EnergyModelParams)]
+
+_TOP_KEYS = {key.split(".")[0] for key, _, _ in _SCHEMA} | {"energy", "flows", "scheme"}
+
+
+def _parse_group(raw: dict, name: str, errors: list[str]) -> dict:
+    """The object under ``name``; any other value, or an unknown key in it,
+    is an error and gives {} (every key at its default)."""
+    group = raw.get(name, {})
+    keys = _GROUPS[name]
+    if not isinstance(group, dict) or set(group) - set(keys):
+        errors.append(f"{name}: expected an object with {'/'.join(keys)}")
+        return {}
+    return group
 
 
 def _parse_scheme(raw, errors: list[str]) -> Scheme:
@@ -180,7 +202,7 @@ def _parse_scheme(raw, errors: list[str]) -> Scheme:
     return scheme
 
 
-def _parse_flows(raw, node_count: int, errors: list[str]) -> list[FlowSpec]:
+def _parse_flows(raw, errors: list[str]) -> list[FlowSpec]:
     if raw is None:
         return []
     if not isinstance(raw, list):
@@ -192,35 +214,24 @@ def _parse_flows(raw, node_count: int, errors: list[str]) -> list[FlowSpec]:
         if not isinstance(item, dict):
             errors.append(f"{label}: expected an object")
             continue
-        unknown = set(item) - _FLOW_KEYS
+        unknown = set(item) - set(_FLOW_KEYS)
         if unknown:
             errors.append(f"{label}: unknown keys {sorted(unknown)}")
             continue
         local: list[str] = []
-        src = _want_number(item, "src", local, None, minimum=0)
-        dst = _want_number(item, "dst", local, None, minimum=0)
+        src = _want_number("src", item.get("src"), local, None, minimum=0)
+        dst = _want_number("dst", item.get("dst"), local, None, minimum=0)
         if src is None or dst is None:
             errors.append(f"{label}: src and dst are required")
-            errors.extend(f"{label}.{e}" for e in local)
-            continue
-        if src >= node_count or dst >= node_count:
-            errors.append(f"{label}: src/dst must reference existing nodes (< {node_count})")
-            continue
-        try:
-            flows.append(
-                FlowSpec(
-                    src=int(src),
-                    dst=int(dst),
-                    rate_pps=item.get("rate_pps", 0.0),
-                    packet_bits=item.get("packet_bits", 8_000),
-                    ds_fraction=item.get("ds_fraction", 0.3),
-                    deadline_offset=item.get("deadline_offset_s"),
-                    burst_on_s=item.get("burst_on_s"),
-                    burst_off_s=item.get("burst_off_s"),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"{label}: {exc}")
+        else:
+            # FlowSpec requires a rate; a flow entry without one has rate 0.
+            spec = {"rate_pps": 0.0}
+            spec.update((attr, item[key]) for key, attr in _FLOW_KEYS.items() if key in item)
+            spec.update(src=int(src), dst=int(dst))
+            try:
+                flows.append(FlowSpec(**spec))
+            except (TypeError, ValueError) as exc:
+                errors.append(f"{label}: {exc}")
         errors.extend(f"{label}.{e}" for e in local)
     return flows
 
@@ -242,7 +253,9 @@ def _check_semantics(cfg: ScenarioConfig) -> list[str]:
         )
     for i, flow in enumerate(cfg.flows):
         if flow.src >= cfg.node_count or flow.dst >= cfg.node_count:
-            errors.append(f"flows[{i}]: references nodes beyond node count")
+            errors.append(
+                f"flows[{i}]: src/dst must reference existing nodes (< {cfg.node_count})"
+            )
     return errors
 
 
@@ -255,105 +268,20 @@ def from_dict(raw: dict) -> ScenarioConfig:
     unknown = set(raw) - _TOP_KEYS
     if unknown:
         errors.append(f"unknown keys {sorted(unknown)}")
-
-    grid = raw.get("grid", {})
-    if not isinstance(grid, dict) or set(grid) - {"width", "height"}:
-        errors.append("grid: expected an object with width/height")
-        grid = {}
-    width = int(_want_number(grid, "width", errors, 6, minimum=1))
-    height = int(_want_number(grid, "height", errors, 6, minimum=1))
-    node_count = int(_want_number(raw, "nodes", errors, 30, minimum=1))
-    initial = _want_number(raw, "initial_energy_j", errors, 100.0, minimum=0.0)
-
-    energy_raw = raw.get("energy", {})
-    energy = EnergyModelParams()
-    if not isinstance(energy_raw, dict) or set(energy_raw) - {
-        "p_tx",
-        "p_rx",
-        "p_idle",
-        "p_sleep",
-    }:
-        errors.append("energy: expected an object with p_tx/p_rx/p_idle/p_sleep")
-    else:
-        try:
-            energy = EnergyModelParams(
-                p_tx=energy_raw.get("p_tx", 1.4),
-                p_rx=energy_raw.get("p_rx", 1.0),
-                p_idle=energy_raw.get("p_idle", 0.83),
-                p_sleep=energy_raw.get("p_sleep", 0.13),
-            )
-        except (TypeError, ValueError) as exc:
-            errors.append(f"energy: {exc}")
-
-    round_s = _want_number(raw, "round_s", errors, 10.0, minimum=1e-9)
-    slots = int(_want_number(raw, "slots_per_round", errors, 10, minimum=1))
-    p_move = _want_number(raw, "p_move", errors, 0.01, minimum=0.0, maximum=1.0)
-    mobility_step = _want_number(raw, "mobility_step_s", errors, 1.0, minimum=1e-9)
-    link_bps = _want_number(raw, "link_bps", errors, 11_000_000.0, minimum=1e-9)
-    horizon = _want_number(raw, "horizon_s", errors, 100.0, minimum=0.0)
-    deadline_rounds = _want_number(raw, "deadline_rounds", errors, 2.0, minimum=0.0)
-    retry_s = _want_number(raw, "retry_s", errors, 0.5, minimum=1e-9)
-    obs_window = _want_number(raw, "observation_window_s", errors, None, minimum=1e-9)
-    sleep_eps = _want_number(raw, "sleep_epsilon", errors, 1e-6, minimum=0.0, maximum=0.5)
-    sleep_budget = _want_number(raw, "sleep_budget_rounds", errors, 0.4, minimum=1e-9, maximum=1.0)
-    traffic_horizon = _want_number(raw, "traffic_horizon_s", errors, None, minimum=1e-9)
-
-    seed = raw.get("seed")
-    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
-        errors.append(f"seed: expected an integer, got {seed!r}")
-        seed = None
-
-    cache_raw = raw.get("cache", {})
-    cache_enabled, cache_bits = True, 10_000_000
-    if not isinstance(cache_raw, dict) or set(cache_raw) - {"enabled", "capacity_bits"}:
-        errors.append("cache: expected an object with enabled/capacity_bits")
-    else:
-        cache_enabled = cache_raw.get("enabled", True)
-        if not isinstance(cache_enabled, bool):
-            errors.append(f"cache.enabled: expected a bool, got {cache_enabled!r}")
-            cache_enabled = True
-        cache_bits = int(_want_number(cache_raw, "capacity_bits", errors, 10_000_000, minimum=0))
-
-    cluster_raw = raw.get("cluster", {})
-    policy, partition = "component", 1
-    if not isinstance(cluster_raw, dict) or set(cluster_raw) - {"policy", "partition"}:
-        errors.append("cluster: expected an object with policy/partition")
-    else:
-        policy = cluster_raw.get("policy", "component")
-        if policy not in ("component", "grid"):
-            errors.append(f"cluster.policy: must be 'component' or 'grid', got {policy!r}")
-            policy = "component"
-        partition = int(_want_number(cluster_raw, "partition", errors, 1, minimum=1))
-
-    scheme = _parse_scheme(raw.get("scheme"), errors)
-    flows = _parse_flows(raw.get("flows"), node_count, errors)
-
-    cfg = ScenarioConfig(
-        grid_width=width,
-        grid_height=height,
-        node_count=node_count,
-        initial_energy_j=initial,
-        energy=energy,
-        round_s=round_s,
-        slots_per_round=slots,
-        p_move=p_move,
-        mobility_step_s=mobility_step,
-        flows=flows,
-        cache_enabled=cache_enabled,
-        cache_capacity_bits=cache_bits,
-        link_bps=link_bps,
-        scheme=scheme,
-        horizon_s=horizon,
-        seed=seed,
-        cluster_policy=policy,
-        cluster_partition=partition,
-        deadline_rounds=deadline_rounds,
-        retry_s=retry_s,
-        observation_window_s=obs_window,
-        sleep_epsilon=sleep_eps,
-        sleep_budget_rounds=sleep_budget,
-        traffic_horizon_s=traffic_horizon,
-    )
+    groups = {"": raw} | {name: _parse_group(raw, name, errors) for name in _GROUPS}
+    values = {}
+    for key, attr, parse in _SCHEMA:
+        group, _, name = key.rpartition(".")
+        source, default = groups[group], _DEFAULTS[attr]
+        value = parse(key, source[name], default, errors) if name in source else default
+        values[attr] = int(value) if type(default) is int else value
+    try:
+        values["energy"] = EnergyModelParams(**groups["energy"])
+    except (TypeError, ValueError) as exc:
+        errors.append(f"energy: {exc}")
+    values["scheme"] = _parse_scheme(raw.get("scheme"), errors)
+    values["flows"] = _parse_flows(raw.get("flows"), errors)
+    cfg = ScenarioConfig(**values)
     errors.extend(_check_semantics(cfg))
     if errors:
         raise ConfigError(errors)
