@@ -354,6 +354,10 @@ class Simulation:
         self._push(0.0, EventKind.ROUND_SETUP)
         if config.p_move > 0 and config.node_count > 0:
             self._push(config.mobility_step_s, EventKind.MOBILITY_STEP)
+        # Deaths are predicted on each mode change; a node that keeps its
+        # first mode dies on this prediction.
+        for nid in sorted(self.nodes):
+            self._schedule_death(self.nodes[nid])
         if not isinstance(self.scheme, (TrafficAware, AlwaysOn)):
             for nid in sorted(self.nodes):
                 self._baseline_tick(self.nodes[nid])

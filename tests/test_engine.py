@@ -70,6 +70,20 @@ class TestRun:
             assert per["consumed_j"] == pytest.approx(0.83 * 10.0, abs=1e-9)
             assert per["time_in_mode_s"]["idle"] == pytest.approx(10.0, abs=1e-9)
 
+    def test_node_that_never_changes_mode_dies(self):
+        config = make_config(
+            grid={"width": 3, "height": 3}, nodes=6, initial_energy_j=60.0,
+            scheme={"kind": "always-on"}, flows=[], horizon_s=200.0,
+        )
+        report, _ = run_simulation(config, 1)
+        lifetime = 60.0 / 0.83
+        assert report.network["first_death_s"] == pytest.approx(lifetime)
+        for per in report.per_node.values():
+            assert per["lifetime_s"] == pytest.approx(lifetime)
+            idle = per["time_in_mode_s"]["idle"]
+            assert idle == pytest.approx(lifetime)
+            assert per["consumed_j"] == pytest.approx(idle * 0.83, abs=1e-6)
+
     def test_same_seed_reports_byte_identical(self):
         config = make_config(horizon_s=60.0, p_move=0.2)
         r1, t1 = run_simulation(config, 9, collect_trace=True)

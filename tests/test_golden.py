@@ -91,13 +91,13 @@ GOLDEN_DEATHS = {
         "48cdf7489e622f956dd03a0a5ddc46c8cdcf0244b1a734e91f902e2d2eba9f49"
     ),
     "always-on/report.json": (
-        "e2571cadb4c9205f0a08f25df0daaec6673bd96d2fbaa81ebba9fc825fa3ed8d"
+        "01a9f86b441278122116c0e7c1f120548f8427e76718a57978f290411fac9b62"
     ),
     "always-on/timeseries.csv": (
-        "65a7e045cf7a893989717278396da230ed6f3484ff95141627e7aceb8c2225cb"
+        "12ffac0a509e8b2062c79ee0e35adb42d5472366801639b2a17361920b924231"
     ),
     "always-on/trace.csv": (
-        "e941e8c22da551602433c728fed2527ce097bc15e0eb35a2c6c337a817907c76"
+        "d6267bd2efe5b42bdd1e09dfe4bbb6004dfb7b6ececbf324ce6fc9c45e102fa3"
     ),
 }
 
