@@ -93,28 +93,17 @@ class CacheStore:
         return handed
 
     def evict_expired(self, now: float) -> list[Packet]:
-        """Drop delay-sensitive entries past deadline, then oldest elastic ones
-        while over capacity."""
+        """Drop delay-sensitive entries past deadline."""
         dropped: list[Packet] = []
         kept: list[CacheEntry] = []
         for entry in self._entries:
             packet = entry.packet
             if packet.klass is PacketClass.DELAY_SENSITIVE and packet.deadline is not None and now > packet.deadline:
                 dropped.append(packet)
-                # Forget before the pressure loop below reads used_bits.
                 self._forget(packet)
             else:
                 kept.append(entry)
         self._entries = kept
-        while self.used_bits > self.capacity_bits:
-            victim = next(
-                (e for e in self._entries if e.packet.klass is PacketClass.ELASTIC), None
-            )
-            if victim is None:
-                break
-            self._entries.remove(victim)
-            self._forget(victim.packet)
-            dropped.append(victim.packet)
         return dropped
 
     def _forget(self, packet: Packet) -> None:

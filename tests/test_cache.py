@@ -75,16 +75,6 @@ def test_evict_expired_nothing_to_do():
     assert store.entry_count() == 1
 
 
-def test_evict_pressure_drops_oldest_elastic():
-    store = CacheStore(holder=1, capacity_bits=20_000)
-    store.store(packet(1), now=0.0)
-    store.store(packet(2), now=1.0)
-    store.capacity_bits = 10_000  # capacity reduced under us
-    dropped = store.evict_expired(now=2.0)
-    assert [p.id for p in dropped] == [1]
-    assert store.used_bits <= store.capacity_bits
-
-
 def test_volume_matches_recompute_through_churn():
     store = CacheStore(holder=1, capacity_bits=100_000)
     store.store(packet(1, dst=4), now=0.0)
@@ -99,18 +89,6 @@ def test_volume_matches_recompute_through_churn():
     for dst in (4, 5):
         assert store.volume_for(dst) == recomputed.get(dst, 0)
     assert store.used_bits == sum(store.recomputed_volumes().values())
-
-
-def test_evict_deadline_drop_relieves_pressure_before_elastic():
-    store = CacheStore(holder=1, capacity_bits=30_000)
-    store.store(packet(1), now=0.0)
-    store.store(packet(2, created=0.0, deadline=5.0), now=0.5)
-    store.store(packet(3), now=1.0)
-    store.capacity_bits = 16_000  # the deadline drop alone fits usage back in
-    dropped = store.evict_expired(now=6.0)
-    assert [p.id for p in dropped] == [2]
-    assert store.entry_count() == 2
-    assert store.used_bits == 16_000 == sum(store.recomputed_volumes().values())
 
 
 def test_hosting_delay_tracks_oldest_entry():
