@@ -12,6 +12,7 @@ from pathlib import Path
 
 from ecsim.core import EnergyModelParams
 from ecsim.engine import SCHEMES, Scheme, TrafficAware
+from ecsim.scheduler import SLEEP_EPSILON
 from ecsim.traffic import FlowSpec
 
 MAX_NODES_PER_CLUSTER = 50
@@ -48,7 +49,7 @@ class ScenarioConfig:
     deadline_rounds: float = 2.0
     retry_s: float = 0.5
     observation_window_s: float | None = None
-    sleep_epsilon: float = 1e-6
+    sleep_epsilon: float = SLEEP_EPSILON
     sleep_budget_rounds: float = 0.4
     traffic_horizon_s: float | None = None
 

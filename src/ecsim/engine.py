@@ -861,7 +861,9 @@ class Simulation:
         if sp_node is None or not sp_node.awake:
             return
         history = self.sp_history.get(idx, [])
-        interval = sp_sleep(history, self.slots_per_round, self.round_length)
+        interval = sp_sleep(
+            history, self.slots_per_round, self.round_length, self.config.sleep_epsilon
+        )
         if interval <= 1e-9:
             return
         if sp_node.tx_active or sp_node.rx_active or sp_node.outbox:

@@ -14,6 +14,10 @@ from typing import Sequence
 from ecsim.core import NodeId
 from ecsim.topology import ConnectivityGraph
 
+# Every sleep interval stays below (1 - SLEEP_EPSILON) of its bound, so a
+# sleeper wakes strictly before the round or cache hosting delay ends.
+SLEEP_EPSILON = 1e-6
+
 
 class InsufficientHistory(Exception):
     """Raised when a backward difference is requested without enough slots."""
@@ -175,7 +179,7 @@ class SleepInputs:
             raise ValueError("cached volume exceeds the channel window volume")
 
 
-def compute_sleep(inputs: SleepInputs, epsilon: float = 1e-6) -> float:
+def compute_sleep(inputs: SleepInputs, epsilon: float = SLEEP_EPSILON) -> float:
     """Sleep interval ((sum C - sum V) / sup C)^n * d_p, with hard clamps.
 
     The capacity ratio clamps to [0, 1] before exponentiation (backlog beyond
@@ -194,14 +198,17 @@ def compute_sleep(inputs: SleepInputs, epsilon: float = 1e-6) -> float:
 
 
 def sp_sleep(
-    history: Sequence[float], n_evals: int, round_length: float | None = None
+    history: Sequence[float],
+    n_evals: int,
+    round_length: float | None = None,
+    epsilon: float = SLEEP_EPSILON,
 ) -> float:
     """Sleep-proxy sleep interval: supremum of running prefix means.
 
     Each prefix sum of the assigned sleep intervals is divided by the number
     of evaluations ``n_evals``; the supremum over prefixes is returned,
-    optionally clamped below the round length. An empty history keeps the SP
-    active (0).
+    optionally clamped below ``(1 - epsilon)`` times the round length. An
+    empty history keeps the SP active (0).
     """
     if n_evals < 1:
         raise ValueError("n_evals must be >= 1")
@@ -215,5 +222,5 @@ def sp_sleep(
         running += value
         best = max(best, running / n_evals)
     if round_length is not None:
-        best = min(best, (1.0 - 1e-6) * round_length)
+        best = min(best, (1.0 - epsilon) * round_length)
     return max(0.0, best)

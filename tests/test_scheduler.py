@@ -234,6 +234,9 @@ class TestSpSleep:
     def test_clamped_below_round(self):
         assert sp_sleep([30.0], 1, round_length=10.0) < 10.0
 
+    def test_clamp_uses_epsilon(self):
+        assert sp_sleep([100.0], 1, 10.0, 0.1) == 9.0
+
     @given(st.lists(st.floats(0.0, 9.0), min_size=1, max_size=12))
     def test_bounds_vs_mean_and_max(self, history):
         n = len(history)
