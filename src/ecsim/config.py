@@ -68,8 +68,7 @@ class ScenarioConfig:
             {key: getattr(flow, attr) for key, attr in _FLOW_KEYS.items()} for flow in self.flows
         ]
         out["scheme"] = {"kind": self.scheme.name}
-        for key, attr in self.scheme.keys:
-            out["scheme"][key] = getattr(self.scheme, attr)
+        out["scheme"].update((key, getattr(self.scheme, attr)) for key, attr in self.scheme.keys)
         return out
 
 
@@ -203,38 +202,39 @@ def _parse_scheme(raw, errors: list[str]) -> Scheme:
     return scheme
 
 
-def _parse_flows(raw, errors: list[str]) -> list[FlowSpec]:
+def _parse_flows(raw, errors: list[str]) -> list[FlowSpec | None]:
+    """The flow entries in order, a rejected one as None so that
+    _check_semantics names each entry by its own index."""
     if raw is None:
         return []
     if not isinstance(raw, list):
         errors.append(f"flows: expected a list, got {raw!r}")
         return []
-    flows: list[FlowSpec] = []
-    for i, item in enumerate(raw):
-        label = f"flows[{i}]"
-        if not isinstance(item, dict):
-            errors.append(f"{label}: expected an object")
-            continue
-        unknown = set(item) - set(_FLOW_KEYS)
-        if unknown:
-            errors.append(f"{label}: unknown keys {sorted(unknown)}")
-            continue
-        local: list[str] = []
-        src = _want_number("src", item.get("src"), local, None, minimum=0)
-        dst = _want_number("dst", item.get("dst"), local, None, minimum=0)
-        if src is None or dst is None:
-            errors.append(f"{label}: src and dst are required")
-        else:
-            # FlowSpec requires a rate; a flow entry without one has rate 0.
-            spec = {"rate_pps": 0.0}
-            spec.update((attr, item[key]) for key, attr in _FLOW_KEYS.items() if key in item)
-            spec.update(src=int(src), dst=int(dst))
-            try:
-                flows.append(FlowSpec(**spec))
-            except (TypeError, ValueError) as exc:
-                errors.append(f"{label}: {exc}")
-        errors.extend(f"{label}.{e}" for e in local)
-    return flows
+    return [_parse_flow(item, f"flows[{i}]", errors) for i, item in enumerate(raw)]
+
+
+def _parse_flow(item, label: str, errors: list[str]) -> FlowSpec | None:
+    if not isinstance(item, dict):
+        errors.append(f"{label}: expected an object")
+        return None
+    unknown = set(item) - set(_FLOW_KEYS)
+    if unknown:
+        errors.append(f"{label}: unknown keys {sorted(unknown)}")
+        return None
+    src = _want_number(f"{label}.src", item.get("src"), errors, None, minimum=0)
+    dst = _want_number(f"{label}.dst", item.get("dst"), errors, None, minimum=0)
+    if src is None or dst is None:
+        errors.append(f"{label}: src and dst are required")
+        return None
+    # FlowSpec requires a rate; a flow entry without one has rate 0.
+    spec = {"rate_pps": 0.0}
+    spec.update((attr, item[key]) for key, attr in _FLOW_KEYS.items() if key in item)
+    spec.update(src=int(src), dst=int(dst))
+    try:
+        return FlowSpec(**spec)
+    except (TypeError, ValueError) as exc:
+        errors.append(f"{label}: {exc}")
+        return None
 
 
 def _check_semantics(cfg: ScenarioConfig) -> list[str]:
@@ -253,7 +253,7 @@ def _check_semantics(cfg: ScenarioConfig) -> list[str]:
             f"(limit {limit} here), got {cfg.node_count}"
         )
     for i, flow in enumerate(cfg.flows):
-        if flow.src >= cfg.node_count or flow.dst >= cfg.node_count:
+        if flow is not None and (flow.src >= cfg.node_count or flow.dst >= cfg.node_count):
             errors.append(
                 f"flows[{i}]: src/dst must reference existing nodes (< {cfg.node_count})"
             )

@@ -285,6 +285,10 @@ MALFORMED = [
     ({"seed": True}, "seed: expected an integer, got True"),
     ({"nodes": True}, "nodes: expected a number, got True"),
     ({"flows": [{"src": -1, "dst": 2}]}, "flows[0].src: must be >= 0, got -1"),
+    (
+        {"flows": [{"src": 1, "dst": 1}, {"src": 0, "dst": 99}]},
+        "flows[1]: src/dst must reference existing nodes (< 10)",
+    ),
 ]
 
 
