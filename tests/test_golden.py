@@ -1,10 +1,12 @@
 """Byte contract: the demo scenario's outputs under every scheme are pinned.
 
 `ecsim compare` runs `scenarios/demo.json`, seed 42, under all four schemes
-with traces on, in two variants: cut to a 60 s horizon (no node dies), and
+with traces on, in three variants: cut to a 60 s horizon (no node dies);
 with 25 J batteries over 100 s with faster mobility, so that nodes die under
 every scheme and traffic-aware repairs the roles of dead cluster heads and
-proxies. The sha256 of every file it writes must match the digests below. A
+proxies; and split into a 2x2 grid of clusters with 40 J batteries and
+frequent moves, so that traffic-aware wakes moved nodes and repairs roles
+across several clusters. The sha256 of every file it writes must match the digests below. A
 change that is meant only to make the simulator faster or smaller must leave
 them as they are. A change that alters behaviour on purpose records the new
 digests and says why in CHANGES.md.
@@ -102,6 +104,48 @@ GOLDEN_DEATHS = {
 }
 
 
+# Traffic-aware forms 4 clusters and sees 66 moves, 12 deaths and 897 sleep grants.
+GOLDEN_GRID = {
+    "compare.csv": "c9a8cf7719637b98746715a44a3af64cd2c9db8c3d7962f7be14909292d5c2e5",
+    "traffic-aware/report.json": (
+        "284c9093a432072bfdd84f4609241015edd8795f97683037aa8ab513f7c9b4e0"
+    ),
+    "traffic-aware/timeseries.csv": (
+        "9bfc8c028d95ec305f69679e61659347ef65b2a581be1b2051254ded9690210f"
+    ),
+    "traffic-aware/trace.csv": (
+        "a9038de1d1776a2a04506f131ee821ff1a551767d0c528f8914a5c957d1f42a1"
+    ),
+    "periodic/report.json": (
+        "d43ff5ab84a0deb9ece9f5ce8cdb93dd0892cd0687f0557e50d688194737f17d"
+    ),
+    "periodic/timeseries.csv": (
+        "eebb868969273b3487285adc3546792516a2675386939a0d4d74457e2917126f"
+    ),
+    "periodic/trace.csv": (
+        "eb6328f4dab906e9a145d2d79b5447be35495c6a1d12f8486608dd2513ffadc2"
+    ),
+    "coordinated/report.json": (
+        "0d143e97bc2e60ca8e09e352da7ae048141b02c097e169e80e5eb50e16606008"
+    ),
+    "coordinated/timeseries.csv": (
+        "be2d5a5abb3fd404ded39ad81ed06ba71e9a31f4db4f84fcf1ebbd548521ec90"
+    ),
+    "coordinated/trace.csv": (
+        "0a4a31a9fa1a29c7437058c914eb31cba492577911bc6362b61f423b71e2679c"
+    ),
+    "always-on/report.json": (
+        "f8b34d0ee1909a129bdd2b0b328adccbc782983446a7b6b76ac924755ca18fe4"
+    ),
+    "always-on/timeseries.csv": (
+        "eccbb97fe1dae2963af35bc07f133f4111019ba258c2992a3ae4c79261c21c8a"
+    ),
+    "always-on/trace.csv": (
+        "63727f50497b15e6a47e75cf32b5bd5ff4ebfba5e3234de0f1786ed9079a0b86"
+    ),
+}
+
+
 def compare_digests(tmp_path, **overrides) -> dict[str, str]:
     """sha256 of every file `ecsim compare` writes for the demo scenario
     with ``overrides`` applied, keyed by path under the output directory."""
@@ -131,3 +175,15 @@ def test_death_outputs_match_golden_digests(tmp_path):
         tmp_path, initial_energy_j=25.0, horizon_s=100.0, traffic_horizon_s=90.0, p_move=0.01
     )
     assert digests == GOLDEN_DEATHS
+
+
+def test_grid_cluster_outputs_match_golden_digests(tmp_path):
+    digests = compare_digests(
+        tmp_path,
+        cluster={"policy": "grid", "partition": 2},
+        p_move=0.02,
+        initial_energy_j=40.0,
+        horizon_s=120.0,
+        traffic_horizon_s=110.0,
+    )
+    assert digests == GOLDEN_GRID
