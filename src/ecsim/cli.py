@@ -78,9 +78,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     for value in values:
         for seed in seeds:
             run_raw = copy.deepcopy(raw)
-            _set_by_path(run_raw, args.param, value)
             if args.scheme:
                 run_raw["scheme"] = {"kind": args.scheme}
+            _set_by_path(run_raw, args.param, value)
             from_dict(run_raw)  # validate before launching anything
             outdir = Path(args.out) / f"{args.param.replace('.', '_')}={value}" / f"seed={seed}"
             jobs.append((run_raw, seed, str(outdir), args.trace, args.quiet))

@@ -153,3 +153,20 @@ def test_sweep_parallel_env(scenario_file, tmp_path, monkeypatch):
     ])
     assert code == 0
     assert len(list(out.glob("nodes=*/seed=*/report.json"))) == 4
+
+
+def test_sweep_with_scheme_keeps_swept_scheme_parameter(scenario_file, tmp_path):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--config", str(scenario_file), "--scheme", "coordinated",
+        "--param", "scheme.listen_s", "--values", "0.1,0.4", "--out", str(out), "--quiet",
+    ])
+    assert code == 0
+    schemes = {
+        p.parent.parent.name: json.loads(p.read_text())["meta"]["config"]["scheme"]
+        for p in out.glob("scheme_listen_s=*/seed=1/report.json")
+    }
+    assert schemes == {
+        "scheme_listen_s=0.1": {"kind": "coordinated", "listen_s": 0.1, "sleep_s": 1.5},
+        "scheme_listen_s=0.4": {"kind": "coordinated", "listen_s": 0.4, "sleep_s": 1.5},
+    }
