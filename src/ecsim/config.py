@@ -93,8 +93,7 @@ def _want_number(key: str, value, errors: list[str], default, minimum=None, maxi
 
 def _number(minimum=None, maximum=None):
     def parse(key, value, default, errors):
-        # Number errors name the key within its group: "width", not "grid.width".
-        return _want_number(key.rpartition(".")[2], value, errors, default, minimum, maximum)
+        return _want_number(key, value, errors, default, minimum, maximum)
 
     return parse
 

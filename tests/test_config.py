@@ -259,8 +259,8 @@ MALFORMED = [
     ({"cache": {"size": 4}}, "cache: expected an object with enabled/capacity_bits"),
     ({"cluster": "grid"}, "cluster: expected an object with policy/partition"),
     ({"cluster": {"policy": "grid", "k": 2}}, "cluster: expected an object with policy/partition"),
-    ({"grid": {"width": 0}}, "width: must be >= 1, got 0"),
-    ({"grid": {"height": 0}}, "height: must be >= 1, got 0"),
+    ({"grid": {"width": 0}}, "grid.width: must be >= 1, got 0"),
+    ({"grid": {"height": 0}}, "grid.height: must be >= 1, got 0"),
     ({"nodes": 0}, "nodes: must be >= 1, got 0"),
     ({"initial_energy_j": -1.0}, "initial_energy_j: must be >= 0.0, got -1.0"),
     ({"round_s": 0.0}, "round_s: must be >= 1e-09, got 0.0"),
@@ -278,8 +278,8 @@ MALFORMED = [
     ({"sleep_budget_rounds": 0.0}, "sleep_budget_rounds: must be >= 1e-09, got 0.0"),
     ({"sleep_budget_rounds": 1.5}, "sleep_budget_rounds: must be <= 1.0, got 1.5"),
     ({"traffic_horizon_s": 0.0}, "traffic_horizon_s: must be >= 1e-09, got 0.0"),
-    ({"cache": {"capacity_bits": -1}}, "capacity_bits: must be >= 0, got -1"),
-    ({"cluster": {"partition": 0}}, "partition: must be >= 1, got 0"),
+    ({"cache": {"capacity_bits": -1}}, "cache.capacity_bits: must be >= 0, got -1"),
+    ({"cluster": {"partition": 0}}, "cluster.partition: must be >= 1, got 0"),
     ({"cluster": {"policy": "ring"}}, "cluster.policy: must be 'component' or 'grid', got 'ring'"),
     ({"cache": {"enabled": "yes"}}, "cache.enabled: expected a bool, got 'yes'"),
     ({"seed": True}, "seed: expected an integer, got True"),
