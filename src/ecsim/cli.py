@@ -15,8 +15,9 @@ from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 from ecsim.config import ConfigError, ScenarioConfig, from_dict, parse_config
-from ecsim.engine import SCHEMES, run_simulation
+from ecsim.engine import run_simulation
 from ecsim.report import compare, compare_csv, trace_csv
+from ecsim.schemes import SCHEMES
 
 
 def _write_outputs(outdir: Path, report, trace_rows, quiet: bool) -> None:

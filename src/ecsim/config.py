@@ -11,7 +11,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from ecsim.core import EnergyModelParams
-from ecsim.engine import SCHEMES, Scheme, TrafficAware
+from ecsim.schemes import SCHEMES, Scheme, TrafficAware
 from ecsim.scheduler import SLEEP_EPSILON
 from ecsim.traffic import FlowSpec
 

@@ -23,6 +23,26 @@ class RadioMode(Enum):
     SLEEP = "sleep"
 
 
+class NodePhase(Enum):
+    """Duty-cycle phase a scheme puts a node in; the radio mode follows it."""
+
+    ACTIVE = "active"
+    IDLE = "idle"
+    SLEEP = "sleep"
+
+
+class EventKind(Enum):
+    PACKET_ARRIVAL = "packet-arrival"
+    TX_COMPLETE = "tx-complete"
+    SLOT_BOUNDARY = "slot-boundary"
+    ROUND_SETUP = "round-setup"
+    SLEEP_EXPIRY = "sleep-expiry"
+    IDLE_EXPIRY = "idle-expiry"
+    MOBILITY_STEP = "mobility-step"
+    NODE_DEATH = "node-death"
+    CACHE_DELIVERY = "cache-delivery"
+
+
 @dataclass(frozen=True)
 class EnergyModelParams:
     """Per-mode power draw in watts.

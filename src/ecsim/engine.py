@@ -1,5 +1,6 @@
-"""Deterministic discrete-event loop: node radio/role state machine, scheme
-dispatch and round orchestration.
+"""Deterministic discrete-event loop: event core, energy accounting,
+store-and-forward and the neighbour cache. Where schemes differ, the engine
+calls the run's scheme plane (``ecsim.schemes``).
 
 One simulation owns one heap of ``Event`` tuples ordered by (time, seq), its
 own RNG streams and all mutable world state, so identical (config, seed)
@@ -14,27 +15,14 @@ import heapq
 import math
 import random
 from collections import deque
-from dataclasses import dataclass
-from enum import Enum
-from typing import TYPE_CHECKING, NamedTuple, Union
+from typing import TYPE_CHECKING, NamedTuple
 
 from ecsim import cluster as cluster_mod
 from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
-from ecsim.core import EnergyAccount, EnergyModelParams, NodeId, RadioMode, consume
-from ecsim.scheduler import (
-    ActivityLedger,
-    IdleDecision,
-    InsufficientHistory,
-    NoCapacityError,
-    SleepInputs,
-    backward_diff,
-    compute_idle,
-    compute_sleep,
-    pairwise_idle_decision,
-    path_delay,
-    sp_sleep,
-)
+from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume
+from ecsim.scheduler import ActivityLedger
+from ecsim.schemes import RELAY_QUIET_SLOTS, Scheme, SchemePlane
 from ecsim.topology import (
     ConnectivityGraph,
     Grid,
@@ -51,18 +39,6 @@ if TYPE_CHECKING:
     from ecsim.config import ScenarioConfig
 
 
-class EventKind(Enum):
-    PACKET_ARRIVAL = "packet-arrival"
-    TX_COMPLETE = "tx-complete"
-    SLOT_BOUNDARY = "slot-boundary"
-    ROUND_SETUP = "round-setup"
-    SLEEP_EXPIRY = "sleep-expiry"
-    IDLE_EXPIRY = "idle-expiry"
-    MOBILITY_STEP = "mobility-step"
-    NODE_DEATH = "node-death"
-    CACHE_DELIVERY = "cache-delivery"
-
-
 class Event(NamedTuple):
     """One queued event.
 
@@ -76,102 +52,6 @@ class Event(NamedTuple):
     kind: EventKind
     node: NodeId | None
     payload: dict
-
-
-class NodePhase(Enum):
-    ACTIVE = "active"
-    IDLE = "idle"
-    SLEEP = "sleep"
-
-
-# --------------------------------------------------------------------------
-# Schemes
-#
-# Each scheme class declares its kind string (``name``), its parameters with
-# their defaults, and the scenario keys that set them (``keys``, pairs of
-# scenario key and attribute). ``SCHEMES`` is the only list of kinds.
-
-
-@dataclass(frozen=True)
-class TrafficAware:
-    """The traffic-aware sleep-proxy scheme; intervals come from the scheduler."""
-
-    name = "traffic-aware"
-    keys = ()
-
-
-@dataclass(frozen=True)
-class AlwaysOn:
-    name = "always-on"
-    keys = ()
-
-
-@dataclass(frozen=True)
-class PeriodicSleepWake:
-    """Staggered duty cycle: each node listens for the first ``duty`` share
-    of every period, shifted by its own offset."""
-
-    duty: float = 0.25
-    period: float = 2.0
-    name = "periodic"
-    keys = (("duty", "duty"), ("period_s", "period"))
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.duty <= 1.0:
-            raise ValueError("duty must lie in (0, 1]")
-        if self.period <= 0:
-            raise ValueError("period must be > 0")
-
-    @property
-    def listen(self) -> float:
-        return self.duty * self.period
-
-
-@dataclass(frozen=True)
-class CoordinatedDutyCycle:
-    """Synchronized listen/sleep windows shared by all cluster members."""
-
-    listen: float = 0.5
-    sleep: float = 1.5
-    name = "coordinated"
-    keys = (("listen_s", "listen"), ("sleep_s", "sleep"))
-
-    def __post_init__(self) -> None:
-        if self.listen <= 0 or self.sleep <= 0:
-            raise ValueError("listen and sleep windows must be > 0")
-
-    @property
-    def period(self) -> float:
-        return self.listen + self.sleep
-
-
-Scheme = Union[TrafficAware, AlwaysOn, PeriodicSleepWake, CoordinatedDutyCycle]
-
-SCHEMES: dict[str, type] = {
-    cls.name: cls for cls in (TrafficAware, AlwaysOn, PeriodicSleepWake, CoordinatedDutyCycle)
-}
-
-
-@dataclass(frozen=True)
-class PhaseDirective:
-    phase: NodePhase
-    until: float  # next scheduled transition
-
-
-def dispatch_scheme(
-    scheme: PeriodicSleepWake | CoordinatedDutyCycle, now: float, offset: float = 0.0
-) -> PhaseDirective:
-    """Phase directive at time ``now`` for a node under a duty-cycle
-    baseline: awake for ``listen`` seconds at the start of every ``period``
-    after ``offset``."""
-    period = scheme.period
-    listen = scheme.listen
-    rel = now - offset
-    cycle = math.floor(rel / period + 1e-9)
-    within = rel - cycle * period
-    if within < listen - 1e-9:
-        return PhaseDirective(NodePhase.ACTIVE, offset + cycle * period + listen)
-    return PhaseDirective(NodePhase.SLEEP, offset + (cycle + 1) * period)
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +91,6 @@ class SimNode:
         "cache",
         "time_in_mode",
         "death_time",
-        "offset",
         "wake_at",
         "last_relay_slot",
         "retry_heap",
@@ -234,7 +113,6 @@ class SimNode:
         self.cache = CacheStore(nid, cache_capacity)
         self.time_in_mode = {mode: 0.0 for mode in RadioMode}
         self.death_time: float | None = None
-        self.offset = 0.0  # phase offset for staggered periodic schedules
         self.wake_at: float | None = None  # scheduled sleep exit, while sleeping
         self.last_relay_slot = -(10**9)  # absolute slot of last forwarding work
         self.retry_heap: list[float] = []  # retry times of packets deferred here
@@ -252,11 +130,6 @@ LOST_DEAD = "lost-dead"
 LOST_NO_CACHE = "lost-no-cache"
 
 
-# Slots a node stays grant-ineligible after receiving forwarding work for
-# others: it must stay up long enough to move the packet onward, while a
-# sleeping destination's traffic is recovered by the neighbor cache.
-RELAY_QUIET_SLOTS = 1
-
 # Random placements tried before a scenario is declared unable to connect.
 PLACEMENT_ATTEMPTS = 200
 
@@ -273,7 +146,6 @@ class Simulation:
         self.round_length = config.round_s
         self.slots_per_round = config.slots_per_round
         self.slot_width = config.round_s / config.slots_per_round
-        self.obs_window = config.observation_window_s or config.round_s
         self.params = config.energy
         self.link_bps = config.link_bps
         self.retry_s = config.retry_s
@@ -287,18 +159,14 @@ class Simulation:
         # placements are rejection-sampled (deterministically) until the
         # topology is one component.
         self.grid, self.graph = self._place_connected(config, placement_rng)
-        self.nodes = {}
-        for nid in range(config.node_count):
-            node = SimNode(nid, config.initial_energy_j, config.cache_capacity_bits)
-            if isinstance(self.scheme, PeriodicSleepWake):
-                node.offset = (nid * self.scheme.period) / max(1, config.node_count)
-            self.nodes[nid] = node
+        self.nodes = {
+            nid: SimNode(nid, config.initial_energy_j, config.cache_capacity_bits)
+            for nid in range(config.node_count)
+        }
+        self.plane: SchemePlane = self.scheme.plane(self)
 
         self.ledger = ActivityLedger(self.slot_width, self.slots_per_round)
         self.service_ledger = cluster_mod.ServiceLedger()
-        self.clusters: list[cluster_mod.Cluster] = []
-        self.sp_history: dict[int, list[float]] = {}
-        self.ch_ids: set[NodeId] = set()
 
         self.now = 0.0
         self.round_index = -1
@@ -312,12 +180,6 @@ class Simulation:
         self._dist_cache: dict[NodeId, tuple[int, dict[NodeId, int]]] = {}
         self.terminal: dict[int, str] = {}
         self.holders_by_dst: dict[NodeId, set[NodeId]] = {}
-        self.dp_samples: dict[NodeId, deque[tuple[float, float, int]]] = {
-            nid: deque() for nid in self.nodes
-        }
-        self.cap_samples: dict[NodeId, deque[tuple[float, float]]] = {
-            nid: deque() for nid in self.nodes
-        }
 
         self.generated = 0
         self.generated_sleeping_dst = 0
@@ -334,8 +196,6 @@ class Simulation:
         }
         self.first_death: float | None = None
         self.timeseries: list[tuple[float, float, float]] = []
-        self.sleep_audit: list[dict] = []  # member sleep grants
-        self.sp_sleep_audit: list[dict] = []  # SP self-sleeps
         self.trace: list[tuple[float, int, str, str]] | None = [] if collect_trace else None
 
         deadline_offset = config.deadline_rounds * config.round_s
@@ -347,20 +207,18 @@ class Simulation:
         )
         self._sleeping_at_creation: dict[int, bool] = {}
         for packet in self.packets:
-            self._push(packet.created_at, EventKind.PACKET_ARRIVAL, packet.src,
+            self.push(packet.created_at, EventKind.PACKET_ARRIVAL, packet.src,
                        packet_id=packet.id, fresh=True)
         self._packet_by_id = {p.id: p for p in self.packets}
 
-        self._push(0.0, EventKind.ROUND_SETUP)
+        self.push(0.0, EventKind.ROUND_SETUP)
         if config.p_move > 0 and config.node_count > 0:
-            self._push(config.mobility_step_s, EventKind.MOBILITY_STEP)
+            self.push(config.mobility_step_s, EventKind.MOBILITY_STEP)
         # Deaths are predicted on each mode change; a node that keeps its
         # first mode dies on this prediction.
         for nid in sorted(self.nodes):
             self._schedule_death(self.nodes[nid])
-        if not isinstance(self.scheme, (TrafficAware, AlwaysOn)):
-            for nid in sorted(self.nodes):
-                self._baseline_tick(self.nodes[nid])
+        self.plane.start(self)
 
     @staticmethod
     def _place_connected(config, rng: random.Random) -> tuple[Grid, ConnectivityGraph]:
@@ -381,7 +239,7 @@ class Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _push(self, time: float, kind: EventKind, node: NodeId | None = None, **payload) -> None:
+    def push(self, time: float, kind: EventKind, node: NodeId | None = None, **payload) -> None:
         heapq.heappush(self._heap, Event(time, self._seq, kind, node, payload))
         self._seq += 1
 
@@ -422,7 +280,7 @@ class Simulation:
         residual = sum(n.account.e_residual for n in self.nodes.values())
         return (self.now, alive / max(1, len(self.nodes)), residual)
 
-    def _trace_event(self, node: NodeId | None, kind: str, detail: str) -> None:
+    def trace_event(self, node: NodeId | None, kind: str, detail: str) -> None:
         if self.trace is not None:
             self.trace.append((self.now, -1 if node is None else node, kind, detail))
 
@@ -486,9 +344,9 @@ class Simulation:
             return
         eta = self.now + node.account.e_residual / power
         if eta <= self.horizon + 1e-9:
-            self._push(eta, EventKind.NODE_DEATH, node.nid, epoch=node.mode_epoch)
+            self.push(eta, EventKind.NODE_DEATH, node.nid, epoch=node.mode_epoch)
 
-    def _set_phase(self, node: SimNode, phase: NodePhase) -> None:
+    def set_phase(self, node: SimNode, phase: NodePhase) -> None:
         self._touch(node)
         node.phase = phase
         node.phase_epoch += 1
@@ -516,7 +374,7 @@ class Simulation:
         self.counts[state] += 1
         if state == DELIVERED and self._sleeping_at_creation.get(pid):
             self.delivered_sleeping_dst += 1
-        self._trace_event(work.packet.dst, "packet-" + state, f"pid={pid}")
+        self.trace_event(work.packet.dst, "packet-" + state, f"pid={pid}")
 
     # -- handlers ------------------------------------------------------------
 
@@ -557,7 +415,7 @@ class Simulation:
         dst_node = self.nodes[packet.dst]
         if dst_node.alive and dst_node.phase is NodePhase.IDLE:
             # Incoming traffic moves the destination into the active state.
-            self._set_phase(dst_node, NodePhase.ACTIVE)
+            self.set_phase(dst_node, NodePhase.ACTIVE)
         delay = self.now - packet.created_at
         on_time = (
             packet.klass is PacketClass.ELASTIC
@@ -569,14 +427,7 @@ class Simulation:
         self.delay_count += 1
         if on_time:
             self.delivered_bits_ok += packet.size_bits
-        if work.hops:
-            record = path_delay(work.hops)
-            sample = (self.now, record.total, record.hop_count)
-            seen = set()
-            for nid in work.visited:
-                if nid not in seen and nid in self.dp_samples:
-                    self.dp_samples[nid].append(sample)
-                    seen.add(nid)
+        self.plane.delivered(self, work)
 
     def _try_transmit(self, node: SimNode) -> None:
         """Store-and-forward: move each queued packet one hop closer to its
@@ -638,7 +489,7 @@ class Simulation:
         bucket = int(10 * node.account.e_residual / node.initial_energy) if node.initial_energy else 0
         abs_slot = self.round_index * self.slots_per_round + self.current_slot
         recent = abs_slot - node.last_relay_slot < RELAY_QUIET_SLOTS
-        return (0 if v in self.ch_ids else 1, -bucket, 0 if recent else 1, v)
+        return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
 
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
         """Hop counts to ``dst`` over the full alive topology (cached until
@@ -656,7 +507,7 @@ class Simulation:
         result = node.cache.store(packet, self.now)
         if result in (StoreResult.ACCEPTED, StoreResult.DUPLICATE):
             self.holders_by_dst.setdefault(packet.dst, set()).add(node.nid)
-            self._trace_event(node.nid, "cache-store", f"pid={packet.id};dst={packet.dst}")
+            self.trace_event(node.nid, "cache-store", f"pid={packet.id};dst={packet.dst}")
             return True
         return False
 
@@ -700,7 +551,7 @@ class Simulation:
             backoff = min(self.retry_s * 2.0 ** (work.defer_count - 3), self.round_length)
             retry_at = max(retry_at, self.now + backoff)
         heapq.heappush(node.retry_heap, retry_at)
-        self._push(retry_at, EventKind.PACKET_ARRIVAL, node.nid,
+        self.push(retry_at, EventKind.PACKET_ARRIVAL, node.nid,
                    packet_id=work.packet.id, retry=True)
 
     def _start_tx(self, sender: SimNode, receiver_id: NodeId, work: PacketWork) -> None:
@@ -719,9 +570,9 @@ class Simulation:
         end = self.now + duration
         sender.radio_busy_until = max(sender.radio_busy_until, end)
         receiver.radio_busy_until = max(receiver.radio_busy_until, end)
-        self._push(end, EventKind.TX_COMPLETE, receiver_id,
+        self.push(end, EventKind.TX_COMPLETE, receiver_id,
                    packet_id=work.packet.id, sender=sender.nid)
-        self._trace_event(
+        self.trace_event(
             sender.nid, "tx-start", f"pid={work.packet.id};to={receiver_id}"
         )
 
@@ -760,8 +611,7 @@ class Simulation:
                     self._touch(node)
                 self.ledger.record_active(nid, slot, 0.0)
         self._evict_caches()
-        if self.round_index >= 1:
-            self._sp_evaluation(slot)
+        self.plane.slot_boundary(self, slot)
         self.current_slot = slot + 1
 
     def _evict_caches(self) -> None:
@@ -777,253 +627,32 @@ class Simulation:
                 if holders and node.cache.volume_for(packet.dst) == 0:
                     holders.discard(nid)
 
-    def _imminent_bits(self, m: NodeId) -> int:
-        """Traffic about to reach ``m``: bits cached for it or queued at its
-        neighbors. Packets further away are the cache mechanism's job."""
-        total = 0
-        for nb in sorted(self.graph.neighbors_of(m)):
-            neighbor = self.nodes[nb]
-            if not neighbor.alive:
-                continue
-            total += neighbor.cache.volume_for(m)
-            for work in neighbor.outbox:
-                if work.packet.dst == m and work.packet.id not in self.terminal:
-                    total += work.packet.size_bits
-        return total
-
-    def _sp_evaluation(self, closed_slot: int) -> None:
-        """Per-slot proxy duties: pairwise idling, sleep grants, SP self-sleep."""
-        for idx, cluster in enumerate(self.clusters):
-            sp_node = self.nodes.get(cluster.sp)
-            if sp_node is None or not sp_node.awake:
-                continue
-            members = [m for m in sorted(cluster.members) if self.nodes[m].alive]
-            member_set = set(members)
-            for m in members:
-                node = self.nodes[m]
-                if m in (cluster.ch, cluster.sp) or node.phase is not NodePhase.ACTIVE:
-                    continue
-                incoming = self._imminent_bits(m)
-                if incoming > 0:
-                    continue
-                for other in sorted(self.graph.neighbors_of(m)):
-                    if other not in member_set or not self.nodes[other].awake:
-                        continue
-                    decision = pairwise_idle_decision(
-                        self.ledger, m, other, incoming, self.graph
-                    )
-                    if decision is IdleDecision.GO_IDLE:
-                        self._enter_idle(node)
-                        self._trace_event(m, "inform-sp", f"sp={cluster.sp}")
-                        break
-            for m in members:
-                # Idle assignment: an active member with no activity in the
-                # closed slot and nothing inbound returns to idle listening.
-                node = self.nodes[m]
-                if m == cluster.sp or node.phase is not NodePhase.ACTIVE:
-                    continue
-                if node.tx_active or node.rx_active or node.outbox:
-                    continue
-                if self.ledger.slot_value(m, closed_slot) == 0.0 and self._imminent_bits(m) == 0:
-                    self._enter_idle(node)
-            for m in members:
-                node = self.nodes[m]
-                if m == cluster.sp or node.phase is not NodePhase.IDLE:
-                    continue
-                if node.tx_active or node.rx_active or node.outbox:
-                    continue
-                if not self._sleep_eligible(m, closed_slot):
-                    continue
-                if self._imminent_bits(m) > 0:
-                    continue
-                interval, cache_delays = self._grant_sleep(m)
-                if m == cluster.ch:
-                    # The head naps only between its boundary duties.
-                    interval = min(interval, self.slot_width)
-                if interval > 1e-9 and self._enter_sleep(node, interval):
-                    self.sleep_audit.append(
-                        {
-                            "node": m,
-                            "time": self.now,
-                            "t_sleep": interval,
-                            "round_length": self.round_length,
-                            "min_cache_delay": min(cache_delays, default=None),
-                        }
-                    )
-                    self.sp_history.setdefault(idx, []).append(interval)
-            self._sp_self_sleep(idx, cluster, closed_slot == self.slots_per_round - 1)
-
-    def _sp_self_sleep(self, idx: int, cluster: cluster_mod.Cluster, last_duty: bool) -> None:
-        """The proxy sleeps on its own running-mean interval: between duties it
-        naps at most one boundary gap; after its last duty of the round it
-        takes the full interval."""
-        sp_node = self.nodes.get(cluster.sp)
-        if sp_node is None or not sp_node.awake:
-            return
-        history = self.sp_history.get(idx, [])
-        interval = sp_sleep(
-            history, self.slots_per_round, self.round_length, self.config.sleep_epsilon
-        )
-        if interval <= 1e-9:
-            return
-        if sp_node.tx_active or sp_node.rx_active or sp_node.outbox:
-            return
-        if self._imminent_bits(cluster.sp) > 0:
-            return
-        realized = interval if last_duty else min(interval, self.slot_width)
-        if not last_duty and realized < self.slot_width - 1e-9:
-            return  # nap would not fill the gap to the next duty
-        if sp_node.phase is NodePhase.ACTIVE:
-            self._enter_idle(sp_node)
-        if self._enter_sleep(sp_node, realized):
-            self.sp_sleep_audit.append(
-                {"node": cluster.sp, "time": self.now, "t_sleep": interval}
-            )
-
-    def _sleep_eligible(self, nid: NodeId, closed_slot: int) -> bool:
-        node = self.nodes[nid]
-        closed_abs = self.round_index * self.slots_per_round + closed_slot
-        if closed_abs - node.last_relay_slot < RELAY_QUIET_SLOTS:
-            return False  # recently carried traffic for others
-        latest = self.ledger.slot_value(nid, closed_slot)
-        if latest is None:
-            return False
-        if latest == 0.0:
-            # No traffic activity at all in the latest slot: sleep is enforced.
-            return True
-        try:
-            return backward_diff(self.ledger, nid, closed_slot) < 0.0
-        except InsufficientHistory:
-            return False
-
-    def _window_prune(self, samples: deque) -> None:
-        cutoff = self.now - self.obs_window
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
-
-    def _max_dp(self, nid: NodeId) -> tuple[float, int] | None:
-        samples = self.dp_samples[nid]
-        self._window_prune(samples)
-        if not samples:
-            return None
-        best = max(samples, key=lambda s: (s[1], s[0]))
-        return best[1], best[2]
-
-    def _grant_sleep(self, nid: NodeId) -> tuple[float, list[float]]:
-        """Sleep interval for one member, from current capacities, cached
-        backlog and the recent path-delay window, with the hosting delays of
-        the member's cached packets that went into it."""
-        neighbors = sorted(self.graph.neighbors_of(nid))
-        capacities = tuple(float(self.link_bps) for _ in neighbors)
-        cap_sum = sum(capacities)
-        samples = self.cap_samples[nid]
-        samples.append((self.now, cap_sum))
-        self._window_prune(samples)
-        sup = max(v for _, v in samples)
-        if sup <= 0:
-            return 0.0, []  # isolated node: stays awake
-        volumes = []
-        delays = []
-        for holder_id in sorted(self.holders_by_dst.get(nid, ())):
-            holder = self.nodes[holder_id]
-            if not holder.alive:
-                continue
-            vol = holder.cache.volume_for(nid)
-            if vol > 0:
-                volumes.append(float(vol))
-                age = holder.cache.hosting_delay(nid, self.now)
-                if age is not None:
-                    delays.append(age)
-        # The delay budget is a round fraction: it bounds how long a chunk of
-        # sleep may defer traffic. Cached backlog, capacity dips and hosting
-        # delays shorten it; measured path delays feed the idle window and
-        # the hop exponent.
-        dp = self._max_dp(nid)
-        hops = dp[1] if dp is not None else 1
-        inputs = SleepInputs(
-            capacities=capacities,
-            volumes=tuple(volumes),
-            sup_capacity=sup,
-            n_hops=hops,
-            path_delay=self.config.sleep_budget_rounds * self.round_length,
-            round_length=self.round_length,
-            cache_delays=tuple(delays),
-        )
-        try:
-            return compute_sleep(inputs, self.config.sleep_epsilon), delays
-        except NoCapacityError:
-            return 0.0, delays
-
-    def _idle_interval(self, nid: NodeId) -> float:
-        dp = self._max_dp(nid)
-        if dp is None:
-            # Cold-start default: no recorded path delay.
-            return compute_idle(self.round_length, 0.0, 1)
-        return compute_idle(self.round_length, min(dp[0], self.round_length), dp[1])
-
-    def _enter_idle(self, node: SimNode) -> None:
-        self._set_phase(node, NodePhase.IDLE)
-        interval = self._idle_interval(node.nid)
-        self._push(self.now + interval, EventKind.IDLE_EXPIRY, node.nid,
-                   epoch=node.phase_epoch)
-
-    def _enter_sleep(self, node: SimNode, interval: float) -> bool:
-        """Put the node to sleep for at most ``interval`` seconds, with the
-        wake-up aligned just before a slot boundary.
-
-        Alignment clusters wake-ups so forwarding progresses in bursts at
-        boundaries; the realized interval never exceeds the assigned one.
-        Returns False when less than one slot would remain.
-        """
-        wake_raw = self.now + interval
-        aligned = math.floor(wake_raw / self.slot_width + 1e-9) * self.slot_width - 1e-6
-        if node.retry_heap:
-            # Packets deferred here: sleep only until just before the earliest
-            # retry, so the handover happens the moment both ends are awake.
-            aligned = min(aligned, node.retry_heap[0] - 1e-6)
-        if aligned <= self.now + 1e-9:
-            return False
-        self._set_phase(node, NodePhase.SLEEP)
-        node.wake_at = aligned
-        self._push(node.wake_at, EventKind.SLEEP_EXPIRY, node.nid,
-                   epoch=node.phase_epoch)
-        self._trace_event(node.nid, "sleep-grant",
-                          f"assigned={interval!r};realized={aligned - self.now!r}")
-        return True
-
-    def _wake_to_idle(self, node: SimNode) -> None:
-        """Sleep ends (expiry or location change): node re-enters idle."""
-        self._enter_idle(node)
-        self._cache_pickups(node.nid)
-        self._try_transmit(node)
-
-    def _cache_pickups(self, woken: NodeId) -> None:
-        """Schedule handovers of cached packets after a wake-up.
+    def after_wake(self, node: SimNode) -> None:
+        """Resume a node that woke: schedule handovers of cached packets,
+        then forward its queue.
 
         When the counterpart is asleep, the delivery is scheduled at its known
         wake time so entries cannot starve on missed coincidences. Entries
         whose holder drifted away from the destination re-enter the normal
         forwarding pipeline instead.
         """
+        woken = node.nid
         for holder_id in sorted(self.holders_by_dst.get(woken, ())):
             holder = self.nodes[holder_id]
-            if not holder.alive:
-                continue
-            if holder.awake:
-                self._push(self.now, EventKind.CACHE_DELIVERY, holder_id, woken=woken)
-            elif holder.wake_at is not None:
-                self._push(max(self.now, holder.wake_at), EventKind.CACHE_DELIVERY,
-                           holder_id, woken=woken)
-        node = self.nodes[woken]
+            if holder.alive:
+                self._hand_over(holder_id, woken, None if holder.awake else holder)
         for dst in node.cache.destinations():
             other = self.nodes.get(dst)
             if other is None or not other.alive:
                 continue
-            if other.awake or not self.graph.has_edge(woken, dst):
-                self._push(self.now, EventKind.CACHE_DELIVERY, woken, woken=dst)
-            elif other.wake_at is not None:
-                self._push(max(self.now, other.wake_at), EventKind.CACHE_DELIVERY,
-                           woken, woken=dst)
+            now = other.awake or not self.graph.has_edge(woken, dst)
+            self._hand_over(woken, dst, None if now else other)
+        self._try_transmit(node)
+
+    def _hand_over(self, holder: NodeId, woken: NodeId, sleeper: SimNode | None) -> None:
+        """Hand ``holder``'s entries for ``woken`` over now, or when ``sleeper`` wakes."""
+        at = self.now if sleeper is None else max(self.now, sleeper.wake_at)
+        self.push(at, EventKind.CACHE_DELIVERY, holder, woken=woken)
 
     def _on_sleep_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
@@ -1031,41 +660,14 @@ class Simulation:
             return
         if event.payload["epoch"] != node.phase_epoch:
             return
-        if isinstance(self.scheme, TrafficAware):
-            self._enter_idle(node)
-        else:
-            self._baseline_tick(node)
-        self._cache_pickups(node.nid)
-        self._try_transmit(node)
+        self.plane.sleep_expiry(self, node)
+        self.after_wake(node)
 
     def _on_idle_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
         if not node.alive or event.payload["epoch"] != node.phase_epoch:
             return
-        # Under traffic-aware only _enter_idle schedules this event, so a
-        # matching epoch means the node is still idle.
-        if isinstance(self.scheme, TrafficAware):
-            self._set_phase(node, NodePhase.ACTIVE)
-        else:
-            self._baseline_tick(node)
-
-    def _baseline_tick(self, node: SimNode) -> None:
-        """Apply the scheme's current window to a node under a duty-cycle
-        baseline scheme."""
-        directive = dispatch_scheme(self.scheme, self.now, node.offset)
-        if directive.phase is NodePhase.ACTIVE:
-            if node.phase is not NodePhase.ACTIVE:
-                self._set_phase(node, NodePhase.ACTIVE)
-            self._push(directive.until, EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
-        else:
-            if node.tx_active or node.rx_active:
-                # Let the transfer finish; re-check at the radio's free time.
-                self._push(max(self.now, node.radio_busy_until) + 1e-9,
-                           EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
-                return
-            self._set_phase(node, NodePhase.SLEEP)
-            node.wake_at = directive.until
-            self._push(directive.until, EventKind.SLEEP_EXPIRY, node.nid, epoch=node.phase_epoch)
+        self.plane.idle_expiry(self, node)
 
     def _on_mobility_step(self, event: Event) -> None:
         p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
@@ -1080,13 +682,8 @@ class Simulation:
                 refresh_node(self.graph, self.grid, nid)
                 moved.append(nid)
                 self._topology_version += 1
-        if isinstance(self.scheme, TrafficAware):
-            for nid in moved:
-                node = self.nodes[nid]
-                self._trace_event(nid, "moved", "")
-                if node.phase is NodePhase.SLEEP:
-                    self._wake_to_idle(node)  # location change wakes the node
-        self._push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
+        self.plane.moved(self, moved)
+        self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
 
     def _on_round_setup(self, event: Event) -> None:
         # Flush ongoing activity into the closing round before the ledger reset.
@@ -1098,50 +695,12 @@ class Simulation:
         self.round_start = self.now
         self.current_slot = 0
         self.ledger.start_round()
-        self.sp_history = {}
         self.timeseries.append(self._timeseries_row())
-        if isinstance(self.scheme, TrafficAware):
-            self._form_round_clusters()
-            self._assign_round_idle()
+        self.plane.round_setup(self)
         for j in range(1, self.slots_per_round + 1):
-            self._push(self.round_start + j * self.slot_width, EventKind.SLOT_BOUNDARY,
+            self.push(self.round_start + j * self.slot_width, EventKind.SLOT_BOUNDARY,
                        slot=j - 1)
-        self._push(self.round_start + self.round_length, EventKind.ROUND_SETUP)
-
-    def _form_round_clusters(self) -> None:
-        alive = [nid for nid in sorted(self.nodes) if self.nodes[nid].alive]
-        if not alive:
-            self.clusters = []
-            return
-        energies = {nid: self.nodes[nid].account for nid in alive}
-        groups = None
-        if self.config.cluster_policy == "grid":
-            k = self.config.cluster_partition
-            block_w = math.ceil(self.config.grid_width / k)
-            block_h = math.ceil(self.config.grid_height / k)
-            blocks: dict[tuple[int, int], set[NodeId]] = {}
-            for nid in alive:
-                pos = self.grid.position_of(nid)
-                blocks.setdefault((pos.x // block_w, pos.y // block_h), set()).add(nid)
-            groups = [blocks[key] for key in sorted(blocks)]
-        self.clusters = cluster_mod.form_clusters(
-            self.graph, energies, self.service_ledger, self.round_index,
-            self.round_length, groups=groups,
-        )
-        self.ch_ids = {cl.ch for cl in self.clusters}
-        for cl in self.clusters:
-            for role_node in {cl.ch, cl.sp}:
-                node = self.nodes[role_node]
-                if node.phase is NodePhase.SLEEP:
-                    self._wake_to_idle(node)  # control-plane wake at set-up
-
-    def _assign_round_idle(self) -> None:
-        """Set-up phase idle assignment: every awake member re-enters idle
-        listening for its computed idle interval."""
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            if node.alive and node.phase is NodePhase.ACTIVE:
-                self._enter_idle(node)
+        self.push(self.round_start + self.round_length, EventKind.ROUND_SETUP)
 
     def _on_node_death(self, event: Event) -> None:
         node = self.nodes[event.node]
@@ -1160,56 +719,28 @@ class Simulation:
         node.phase_epoch += 1
         if self.first_death is None:
             self.first_death = self.now
-        self._trace_event(node.nid, "death", "")
+        self.trace_event(node.nid, "death", "")
         while node.outbox:
             self._finish(node.outbox.popleft(), LOST_DEAD)
         for dst in list(node.cache.destinations()):
-            for entry in node.cache.deliver_on_wake(dst, self.now):
-                work = self.in_flight.get(entry.packet.id)
-                if work is not None:
-                    self._finish(work, LOST_DEAD)
+            self._lose_cached(node, dst)
             holders = self.holders_by_dst.get(dst)
             if holders:
                 holders.discard(node.nid)
         # Cached copies elsewhere destined for the dead node can never deliver.
         for holder_id in sorted(self.holders_by_dst.pop(node.nid, set())):
-            holder = self.nodes[holder_id]
-            for entry in holder.cache.deliver_on_wake(node.nid, self.now):
-                work = self.in_flight.get(entry.packet.id)
-                if work is not None:
-                    self._finish(work, LOST_DEAD)
+            self._lose_cached(self.nodes[holder_id], node.nid)
         self.grid.remove(node.nid)
         self.graph.remove_node(node.nid)
         self._topology_version += 1
-        self._replace_dead_roles(node.nid)
+        self.plane.death(self, node.nid)
 
-    def _replace_dead_roles(self, dead: NodeId) -> None:
-        refreshed = []
-        for cl in self.clusters:
-            if dead not in cl.members:
-                refreshed.append(cl)
-                continue
-            members = {m for m in cl.members if self.nodes[m].alive}
-            if not members:
-                continue
-            if dead in (cl.ch, cl.sp):
-                energies = {m: self.nodes[m].account for m in members}
-                new_cl = cluster_mod.elect_roles(
-                    members, energies, self.service_ledger, cl.round_index, cl.round_length
-                )
-                for role_node in {new_cl.ch, new_cl.sp}:
-                    if self.nodes[role_node].phase is NodePhase.SLEEP:
-                        self._wake_to_idle(self.nodes[role_node])
-                refreshed.append(new_cl)
-            else:
-                refreshed.append(
-                    cluster_mod.Cluster(
-                        members=frozenset(members), ch=cl.ch, sp=cl.sp,
-                        round_index=cl.round_index, round_length=cl.round_length,
-                    )
-                )
-        self.clusters = refreshed
-        self.ch_ids = {cl.ch for cl in self.clusters}
+    def _lose_cached(self, holder: SimNode, dst: NodeId) -> None:
+        """Drop ``holder``'s entries for ``dst``: a dead node can never pass them on."""
+        for entry in holder.cache.deliver_on_wake(dst, self.now):
+            work = self.in_flight.get(entry.packet.id)
+            if work is not None:
+                self._finish(work, LOST_DEAD)
 
     def _on_cache_delivery(self, event: Event) -> None:
         holder = self.nodes[event.node]
@@ -1217,9 +748,8 @@ class Simulation:
         if not holder.alive:
             return
         if not holder.awake:
-            if holder.wake_at is not None and holder.cache.volume_for(woken) > 0:
-                self._push(max(self.now, holder.wake_at), EventKind.CACHE_DELIVERY,
-                           holder.nid, woken=woken)
+            if holder.cache.volume_for(woken) > 0:
+                self._hand_over(holder.nid, woken, holder)
             return
         entries = holder.cache.deliver_on_wake(woken, self.now)
         if not entries:

@@ -120,7 +120,7 @@ def finalize(sim: "Simulation") -> MetricsReport:
             "delivered": sim.delivered_sleeping_dst,
         },
         "sleeping_dst_delivery_ratio": sleeping_ratio,
-        "sleep_assignments": len(sim.sleep_audit),
+        "sleep_assignments": len(sim.plane.sleep_audit),
     }
     meta = {
         "seed": sim.seed,

@@ -1,0 +1,542 @@
+"""Schemes: each scheme's parsed parameters and its run-time behaviour.
+
+Each scheme class declares its kind string (``name``), its parameters with
+their defaults, the scenario keys that set them (``keys``, pairs of scenario
+key and attribute) and ``plane``, the class of the per-run object that
+carries the scheme out. ``SCHEMES`` is the only list of kinds.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import defaultdict, deque
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Union
+
+from ecsim import cluster as cluster_mod
+from ecsim.core import EventKind, NodeId, NodePhase
+from ecsim.scheduler import (
+    IdleDecision,
+    InsufficientHistory,
+    NoCapacityError,
+    SleepInputs,
+    backward_diff,
+    compute_idle,
+    compute_sleep,
+    pairwise_idle_decision,
+    path_delay,
+    sp_sleep,
+)
+
+if TYPE_CHECKING:
+    from ecsim.engine import PacketWork, SimNode, Simulation
+
+# Slots a node stays grant-ineligible after receiving forwarding work for
+# others: it must stay up long enough to move the packet onward, while a
+# sleeping destination's traffic is recovered by the neighbor cache.
+RELAY_QUIET_SLOTS = 1
+
+
+class SchemePlane:
+    """Per-run behaviour of a scheme. The engine calls these hooks where
+    schemes differ:
+
+    - ``start(sim)``: start-up, after every node's first death prediction;
+    - ``round_setup(sim)``: a round has begun; its slots are not queued yet;
+    - ``slot_boundary(sim, closed_slot)``: a slot closed, caches are evicted;
+    - ``sleep_expiry(sim, node)``: a sleep ran out; cache pickups follow;
+    - ``idle_expiry(sim, node)``: an idle expiry of the current phase epoch;
+    - ``moved(sim, nids)``: these nodes changed position in a mobility step;
+    - ``delivered(sim, work)``: a packet reached its destination;
+    - ``death(sim, nid)``: a node died and left the topology.
+
+    Every hook does nothing here, which is all always-on needs. A plane acts
+    through the simulation's ``push``, ``set_phase``, ``trace_event`` and
+    ``after_wake`` and keeps no reference to it (each hook is handed it), so
+    a finished run is freed without the cyclic collector.
+    """
+
+    # Without a control plane there are no clusters, heads or sleep grants.
+    clusters: tuple = ()
+    ch_ids: frozenset = frozenset()
+    sleep_audit: tuple = ()
+
+    def __init__(self, sim: Simulation) -> None:
+        pass
+
+    def _nothing(self, sim: Simulation, *args) -> None:
+        pass
+
+    start = round_setup = slot_boundary = sleep_expiry = idle_expiry = _nothing
+    moved = delivered = death = _nothing
+
+
+@dataclass(frozen=True)
+class PhaseDirective:
+    phase: NodePhase
+    until: float  # next scheduled transition
+
+
+def dispatch_scheme(
+    scheme: PeriodicSleepWake | CoordinatedDutyCycle, now: float, offset: float = 0.0
+) -> PhaseDirective:
+    """Phase directive at time ``now`` for a node under a duty-cycle
+    baseline: awake for ``listen`` seconds at the start of every ``period``
+    after ``offset``."""
+    period = scheme.period
+    listen = scheme.listen
+    rel = now - offset
+    cycle = math.floor(rel / period + 1e-9)
+    within = rel - cycle * period
+    if within < listen - 1e-9:
+        return PhaseDirective(NodePhase.ACTIVE, offset + cycle * period + listen)
+    return PhaseDirective(NodePhase.SLEEP, offset + (cycle + 1) * period)
+
+
+class DutyCyclePlane(SchemePlane):
+    """Duty-cycle baselines: each expiry re-applies the window the node is
+    in. Coordinated windows are shared by every node; periodic (staggered)
+    ones start i/N of a period late for node i."""
+
+    staggered = False
+
+    def __init__(self, sim: Simulation) -> None:
+        self.scheme = sim.scheme
+        count = max(1, sim.config.node_count)
+        self.offset = {
+            nid: (nid * self.scheme.period) / count if self.staggered else 0.0
+            for nid in sim.nodes
+        }
+
+    def tick(self, sim: Simulation, node: SimNode) -> None:
+        """Apply the scheme's current window to ``node``."""
+        directive = dispatch_scheme(self.scheme, sim.now, self.offset[node.nid])
+        if directive.phase is NodePhase.ACTIVE:
+            if node.phase is not NodePhase.ACTIVE:
+                sim.set_phase(node, NodePhase.ACTIVE)
+            sim.push(directive.until, EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
+        else:
+            if node.tx_active or node.rx_active:
+                # Let the transfer finish; re-check at the radio's free time.
+                sim.push(max(sim.now, node.radio_busy_until) + 1e-9,
+                          EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
+                return
+            sim.set_phase(node, NodePhase.SLEEP)
+            node.wake_at = directive.until
+            sim.push(directive.until, EventKind.SLEEP_EXPIRY, node.nid, epoch=node.phase_epoch)
+
+    sleep_expiry = idle_expiry = tick
+
+    def start(self, sim: Simulation) -> None:
+        for nid in sorted(sim.nodes):
+            self.tick(sim, sim.nodes[nid])
+
+
+class StaggeredPlane(DutyCyclePlane):
+    staggered = True
+
+
+def _busy(node: SimNode) -> bool:
+    """The node's radio is in use or it still has packets to forward."""
+    return bool(node.tx_active or node.rx_active or node.outbox)
+
+
+class TrafficAwarePlane(SchemePlane):
+    """The paper's control plane. Each round, clusters elect a cluster head
+    (CH) and a sleep proxy (SP); at every slot boundary the proxy idles
+    members whose traffic has stopped and grants sleep from a
+    backward-difference traffic estimate, then sleeps on its own running
+    mean."""
+
+    def __init__(self, sim: Simulation) -> None:
+        config = sim.config
+        self.obs_window = config.observation_window_s or config.round_s
+        self.clusters: list[cluster_mod.Cluster] = []
+        self.ch_ids: set[NodeId] = set()
+        self.sp_history: dict[int, list[float]] = {}
+        # Path-delay (time, delay, hops) and capacity (time, sum) windows.
+        self.dp_samples: defaultdict[NodeId, deque] = defaultdict(deque)
+        self.cap_samples: defaultdict[NodeId, deque] = defaultdict(deque)
+        self.sleep_audit: list[dict] = []  # member sleep grants
+        self.sp_sleep_audit: list[dict] = []  # SP self-sleeps
+
+    # -- hooks ---------------------------------------------------------------
+
+    def round_setup(self, sim: Simulation) -> None:
+        self.sp_history = {}
+        self._form_round_clusters(sim)
+        # Set-up phase idle assignment: every awake member re-enters idle
+        # listening for its computed idle interval.
+        for nid in sorted(sim.nodes):
+            node = sim.nodes[nid]
+            if node.alive and node.phase is NodePhase.ACTIVE:
+                self._enter_idle(sim, node)
+
+    def slot_boundary(self, sim: Simulation, closed_slot: int) -> None:
+        if sim.round_index >= 1:
+            self._sp_evaluation(sim, closed_slot)
+
+    def sleep_expiry(self, sim: Simulation, node: SimNode) -> None:
+        self._enter_idle(sim, node)
+
+    def idle_expiry(self, sim: Simulation, node: SimNode) -> None:
+        # Only _enter_idle schedules this event, so a matching epoch means
+        # the node is still idle.
+        sim.set_phase(node, NodePhase.ACTIVE)
+
+    def moved(self, sim: Simulation, moved: list[NodeId]) -> None:
+        for nid in moved:
+            node = sim.nodes[nid]
+            sim.trace_event(nid, "moved", "")
+            if node.phase is NodePhase.SLEEP:
+                self._wake_to_idle(sim, node)  # location change wakes the node
+
+    def delivered(self, sim: Simulation, work: PacketWork) -> None:
+        if not work.hops:
+            return
+        record = path_delay(work.hops)
+        sample = (sim.now, record.total, record.hop_count)
+        for nid in dict.fromkeys(work.visited):  # each visited node once
+            self.dp_samples[nid].append(sample)
+
+    def death(self, sim: Simulation, dead: NodeId) -> None:
+        refreshed = []
+        for cl in self.clusters:
+            if dead not in cl.members:
+                refreshed.append(cl)
+                continue
+            members = {m for m in cl.members if sim.nodes[m].alive}
+            if not members:
+                continue
+            if dead in (cl.ch, cl.sp):
+                energies = {m: sim.nodes[m].account for m in members}
+                new_cl = cluster_mod.elect_roles(
+                    members, energies, sim.service_ledger, cl.round_index, cl.round_length
+                )
+                self._wake_roles(sim, new_cl)
+                refreshed.append(new_cl)
+            else:
+                refreshed.append(
+                    cluster_mod.Cluster(
+                        members=frozenset(members), ch=cl.ch, sp=cl.sp,
+                        round_index=cl.round_index, round_length=cl.round_length,
+                    )
+                )
+        self.clusters = refreshed
+        self.ch_ids = {cl.ch for cl in self.clusters}
+
+    # -- round set-up ----------------------------------------------------------
+
+    def _form_round_clusters(self, sim: Simulation) -> None:
+        alive = [nid for nid in sorted(sim.nodes) if sim.nodes[nid].alive]
+        if not alive:
+            self.clusters = []
+            return
+        energies = {nid: sim.nodes[nid].account for nid in alive}
+        groups = None
+        config = sim.config
+        if config.cluster_policy == "grid":
+            k = config.cluster_partition
+            block_w = math.ceil(config.grid_width / k)
+            block_h = math.ceil(config.grid_height / k)
+            blocks: dict[tuple[int, int], set[NodeId]] = {}
+            for nid in alive:
+                pos = sim.grid.position_of(nid)
+                blocks.setdefault((pos.x // block_w, pos.y // block_h), set()).add(nid)
+            groups = [blocks[key] for key in sorted(blocks)]
+        self.clusters = cluster_mod.form_clusters(
+            sim.graph, energies, sim.service_ledger, sim.round_index,
+            sim.round_length, groups=groups,
+        )
+        self.ch_ids = {cl.ch for cl in self.clusters}
+        for cl in self.clusters:
+            self._wake_roles(sim, cl)
+
+    def _wake_roles(self, sim: Simulation, cl: cluster_mod.Cluster) -> None:
+        """Control-plane wake: a sleeping head or proxy re-enters idle."""
+        for role_node in {cl.ch, cl.sp}:
+            node = sim.nodes[role_node]
+            if node.phase is NodePhase.SLEEP:
+                self._wake_to_idle(sim, node)
+
+    # -- proxy duties ----------------------------------------------------------
+
+    def _imminent_bits(self, sim: Simulation, m: NodeId) -> int:
+        """Traffic about to reach ``m``: bits cached for it or queued at its
+        neighbors. Packets further away are the cache mechanism's job."""
+        total = 0
+        for nb in sorted(sim.graph.neighbors_of(m)):
+            neighbor = sim.nodes[nb]  # the graph holds alive nodes only
+            total += neighbor.cache.volume_for(m)
+            for work in neighbor.outbox:
+                if work.packet.dst == m and work.packet.id not in sim.terminal:
+                    total += work.packet.size_bits
+        return total
+
+    def _sp_evaluation(self, sim: Simulation, closed_slot: int) -> None:
+        """Per-slot proxy duties: pairwise idling, sleep grants, SP self-sleep."""
+        for idx, cluster in enumerate(self.clusters):
+            sp_node = sim.nodes.get(cluster.sp)
+            if sp_node is None or not sp_node.awake:
+                continue
+            members = [m for m in sorted(cluster.members) if sim.nodes[m].alive]
+            member_set = set(members)
+            for m in members:
+                node = sim.nodes[m]
+                if m in (cluster.ch, cluster.sp) or node.phase is not NodePhase.ACTIVE:
+                    continue
+                incoming = self._imminent_bits(sim, m)
+                if incoming > 0:
+                    continue
+                for other in sorted(sim.graph.neighbors_of(m)):
+                    if other not in member_set or not sim.nodes[other].awake:
+                        continue
+                    decision = pairwise_idle_decision(
+                        sim.ledger, m, other, incoming, sim.graph
+                    )
+                    if decision is IdleDecision.GO_IDLE:
+                        self._enter_idle(sim, node)
+                        sim.trace_event(m, "inform-sp", f"sp={cluster.sp}")
+                        break
+            for m in members:
+                # Idle assignment: an active member with no activity in the
+                # closed slot and nothing inbound returns to idle listening.
+                node = sim.nodes[m]
+                if m == cluster.sp or node.phase is not NodePhase.ACTIVE or _busy(node):
+                    continue
+                if (
+                    sim.ledger.slot_value(m, closed_slot) == 0.0
+                    and self._imminent_bits(sim, m) == 0
+                ):
+                    self._enter_idle(sim, node)
+            for m in members:
+                node = sim.nodes[m]
+                if m == cluster.sp or node.phase is not NodePhase.IDLE or _busy(node):
+                    continue
+                if not self._sleep_eligible(sim, m, closed_slot):
+                    continue
+                if self._imminent_bits(sim, m) > 0:
+                    continue
+                interval, cache_delays = self._grant_sleep(sim, m)
+                if m == cluster.ch:
+                    # The head naps only between its boundary duties.
+                    interval = min(interval, sim.slot_width)
+                if interval > 1e-9 and self._enter_sleep(sim, node, interval):
+                    self.sleep_audit.append(
+                        {
+                            "node": m,
+                            "time": sim.now,
+                            "t_sleep": interval,
+                            "round_length": sim.round_length,
+                            "min_cache_delay": min(cache_delays, default=None),
+                        }
+                    )
+                    self.sp_history.setdefault(idx, []).append(interval)
+            # The loops above change no phase of the proxy: it is still awake.
+            self._sp_self_sleep(sim, idx, sp_node, closed_slot == sim.slots_per_round - 1)
+
+    def _sp_self_sleep(self, sim: Simulation, idx: int, sp_node: SimNode, last_duty: bool) -> None:
+        """The proxy sleeps on its own running-mean interval: between duties it
+        naps at most one boundary gap; after its last duty of the round it
+        takes the full interval."""
+        history = self.sp_history.get(idx, [])
+        interval = sp_sleep(
+            history, sim.slots_per_round, sim.round_length, sim.config.sleep_epsilon
+        )
+        if interval <= 1e-9 or _busy(sp_node):
+            return
+        if self._imminent_bits(sim, sp_node.nid) > 0:
+            return
+        realized = interval if last_duty else min(interval, sim.slot_width)
+        if not last_duty and realized < sim.slot_width - 1e-9:
+            return  # nap would not fill the gap to the next duty
+        if sp_node.phase is NodePhase.ACTIVE:
+            self._enter_idle(sim, sp_node)
+        if self._enter_sleep(sim, sp_node, realized):
+            self.sp_sleep_audit.append(
+                {"node": sp_node.nid, "time": sim.now, "t_sleep": interval}
+            )
+
+    def _sleep_eligible(self, sim: Simulation, nid: NodeId, closed_slot: int) -> bool:
+        node = sim.nodes[nid]
+        closed_abs = sim.round_index * sim.slots_per_round + closed_slot
+        if closed_abs - node.last_relay_slot < RELAY_QUIET_SLOTS:
+            return False  # recently carried traffic for others
+        # Every alive node's closed slot is recorded, if only as 0.0.
+        latest = sim.ledger.slot_value(nid, closed_slot)
+        if latest == 0.0:
+            # No traffic activity at all in the latest slot: sleep is enforced.
+            return True
+        try:
+            return backward_diff(sim.ledger, nid, closed_slot) < 0.0
+        except InsufficientHistory:
+            return False
+
+    # -- intervals -------------------------------------------------------------
+
+    def _window_prune(self, sim: Simulation, samples: deque) -> None:
+        cutoff = sim.now - self.obs_window
+        while samples and samples[0][0] < cutoff:
+            samples.popleft()
+
+    def _max_dp(self, sim: Simulation, nid: NodeId) -> tuple[float, int] | None:
+        samples = self.dp_samples[nid]
+        self._window_prune(sim, samples)
+        if not samples:
+            return None
+        best = max(samples, key=lambda s: (s[1], s[0]))
+        return best[1], best[2]
+
+    def _grant_sleep(self, sim: Simulation, nid: NodeId) -> tuple[float, list[float]]:
+        """Sleep interval for one member, from current capacities, cached
+        backlog and the recent path-delay window, with the hosting delays of
+        the member's cached packets that went into it."""
+        neighbors = sorted(sim.graph.neighbors_of(nid))
+        capacities = tuple(float(sim.link_bps) for _ in neighbors)
+        cap_sum = sum(capacities)
+        samples = self.cap_samples[nid]
+        samples.append((sim.now, cap_sum))
+        self._window_prune(sim, samples)
+        sup = max(v for _, v in samples)
+        if sup <= 0:
+            return 0.0, []  # isolated node: stays awake
+        volumes = []
+        delays = []
+        for holder_id in sorted(sim.holders_by_dst.get(nid, ())):
+            holder = sim.nodes[holder_id]
+            if not holder.alive:
+                continue
+            vol = holder.cache.volume_for(nid)
+            if vol > 0:
+                volumes.append(float(vol))
+                age = holder.cache.hosting_delay(nid, sim.now)
+                if age is not None:
+                    delays.append(age)
+        # The delay budget is a round fraction: it bounds how long a chunk of
+        # sleep may defer traffic. Cached backlog, capacity dips and hosting
+        # delays shorten it; measured path delays feed the idle window and
+        # the hop exponent.
+        dp = self._max_dp(sim, nid)
+        hops = dp[1] if dp is not None else 1
+        inputs = SleepInputs(
+            capacities=capacities,
+            volumes=tuple(volumes),
+            sup_capacity=sup,
+            n_hops=hops,
+            path_delay=sim.config.sleep_budget_rounds * sim.round_length,
+            round_length=sim.round_length,
+            cache_delays=tuple(delays),
+        )
+        try:
+            return compute_sleep(inputs, sim.config.sleep_epsilon), delays
+        except NoCapacityError:
+            return 0.0, delays
+
+    # -- phase changes ---------------------------------------------------------
+
+    def _enter_idle(self, sim: Simulation, node: SimNode) -> None:
+        sim.set_phase(node, NodePhase.IDLE)
+        dp = self._max_dp(sim, node.nid)
+        if dp is None:
+            # Cold-start default: no recorded path delay.
+            interval = compute_idle(sim.round_length, 0.0, 1)
+        else:
+            interval = compute_idle(sim.round_length, min(dp[0], sim.round_length), dp[1])
+        sim.push(sim.now + interval, EventKind.IDLE_EXPIRY, node.nid,
+                  epoch=node.phase_epoch)
+
+    def _enter_sleep(self, sim: Simulation, node: SimNode, interval: float) -> bool:
+        """Put the node to sleep for at most ``interval`` seconds, with the
+        wake-up aligned just before a slot boundary.
+
+        Alignment clusters wake-ups so forwarding progresses in bursts at
+        boundaries; the realized interval never exceeds the assigned one.
+        Returns False when less than one slot would remain.
+        """
+        wake_raw = sim.now + interval
+        aligned = math.floor(wake_raw / sim.slot_width + 1e-9) * sim.slot_width - 1e-6
+        if node.retry_heap:
+            # Packets deferred here: sleep only until just before the earliest
+            # retry, so the handover happens the moment both ends are awake.
+            aligned = min(aligned, node.retry_heap[0] - 1e-6)
+        if aligned <= sim.now + 1e-9:
+            return False
+        sim.set_phase(node, NodePhase.SLEEP)
+        node.wake_at = aligned
+        sim.push(node.wake_at, EventKind.SLEEP_EXPIRY, node.nid,
+                  epoch=node.phase_epoch)
+        sim.trace_event(node.nid, "sleep-grant",
+                         f"assigned={interval!r};realized={aligned - sim.now!r}")
+        return True
+
+    def _wake_to_idle(self, sim: Simulation, node: SimNode) -> None:
+        """Sleep ends early (location change or role duty): node re-enters idle."""
+        self._enter_idle(sim, node)
+        sim.after_wake(node)
+
+
+# Scheme definitions: the parsed ``scheme`` value of a scenario.
+
+
+@dataclass(frozen=True)
+class TrafficAware:
+    """The traffic-aware sleep-proxy scheme; intervals come from the scheduler."""
+
+    name = "traffic-aware"
+    keys = ()
+    plane = TrafficAwarePlane
+
+
+@dataclass(frozen=True)
+class AlwaysOn:
+    name = "always-on"
+    keys = ()
+    plane = SchemePlane
+
+
+@dataclass(frozen=True)
+class PeriodicSleepWake:
+    """Staggered duty cycle: each node listens for the first ``duty`` share
+    of every period, shifted by its own offset."""
+
+    duty: float = 0.25
+    period: float = 2.0
+    name = "periodic"
+    keys = (("duty", "duty"), ("period_s", "period"))
+    plane = StaggeredPlane
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.duty <= 1.0:
+            raise ValueError("duty must lie in (0, 1]")
+        if self.period <= 0:
+            raise ValueError("period must be > 0")
+
+    @property
+    def listen(self) -> float:
+        return self.duty * self.period
+
+
+@dataclass(frozen=True)
+class CoordinatedDutyCycle:
+    """Synchronized listen/sleep windows shared by all cluster members."""
+
+    listen: float = 0.5
+    sleep: float = 1.5
+    name = "coordinated"
+    keys = (("listen_s", "listen"), ("sleep_s", "sleep"))
+    plane = DutyCyclePlane
+
+    def __post_init__(self) -> None:
+        if self.listen <= 0 or self.sleep <= 0:
+            raise ValueError("listen and sleep windows must be > 0")
+
+    @property
+    def period(self) -> float:
+        return self.listen + self.sleep
+
+
+Scheme = Union[TrafficAware, AlwaysOn, PeriodicSleepWake, CoordinatedDutyCycle]
+
+SCHEMES: dict[str, type] = {
+    cls.name: cls for cls in (TrafficAware, AlwaysOn, PeriodicSleepWake, CoordinatedDutyCycle)
+}

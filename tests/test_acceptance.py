@@ -164,8 +164,8 @@ def test_criterion_2_sleep_constraint_audit():
             sim.step()
             total_events += 1
         sim._finalize()
-        total_grants += len(sim.sleep_audit)
-        for grant in sim.sleep_audit:
+        total_grants += len(sim.plane.sleep_audit)
+        for grant in sim.plane.sleep_audit:
             if not grant["t_sleep"] < grant["round_length"]:
                 violations += 1
             if grant["min_cache_delay"] is not None and not (

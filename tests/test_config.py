@@ -6,7 +6,7 @@ import pytest
 
 from ecsim.config import ConfigError, ScenarioConfig, from_dict, parse_config
 from ecsim.core import EnergyModelParams
-from ecsim.engine import AlwaysOn, CoordinatedDutyCycle, PeriodicSleepWake, TrafficAware
+from ecsim.schemes import AlwaysOn, CoordinatedDutyCycle, PeriodicSleepWake, TrafficAware
 from ecsim.traffic import FlowSpec
 
 

@@ -5,15 +5,9 @@ import weakref
 import pytest
 
 from ecsim.config import from_dict
-from ecsim.engine import (
-    CoordinatedDutyCycle,
-    EventKind,
-    NodePhase,
-    PeriodicSleepWake,
-    Simulation,
-    dispatch_scheme,
-    run_simulation,
-)
+from ecsim.core import EventKind, NodePhase
+from ecsim.engine import Simulation, run_simulation
+from ecsim.schemes import CoordinatedDutyCycle, PeriodicSleepWake, dispatch_scheme
 
 
 def make_config(**overrides):
@@ -132,8 +126,8 @@ class TestStepTransitions:
         sim = Simulation(make_config(horizon_s=40.0), 4)
         node = sim.nodes[1]
         sim.now = 12.0
-        sim._set_phase(node, NodePhase.IDLE)
-        assert sim._enter_sleep(node, 3.0)
+        sim.set_phase(node, NodePhase.IDLE)
+        assert sim.plane._enter_sleep(sim, node, 3.0)
         assert node.phase is NodePhase.SLEEP
         wake = node.wake_at
         assert wake <= 15.0
@@ -149,10 +143,10 @@ class TestStepTransitions:
         sim = Simulation(make_config(horizon_s=40.0), 4)
         node = sim.nodes[2]
         sim.now = 11.0
-        sim._set_phase(node, NodePhase.IDLE)
-        assert sim._enter_sleep(node, 4.0)
+        sim.set_phase(node, NodePhase.IDLE)
+        assert sim.plane._enter_sleep(sim, node, 4.0)
         old_epoch = node.phase_epoch
-        sim._wake_to_idle(node)  # e.g. location change woke it early
+        sim.plane._wake_to_idle(sim, node)  # e.g. location change woke it early
         assert node.phase is NodePhase.IDLE
         sim._on_sleep_expiry(type("E", (), {"node": 2, "payload": {"epoch": old_epoch}})())
         assert node.phase is NodePhase.IDLE  # stale event changed nothing
@@ -162,8 +156,8 @@ class TestStepTransitions:
         sim = Simulation(config, 4)
         node = sim.nodes[3]
         sim.now = 11.0
-        sim._set_phase(node, NodePhase.IDLE)
-        assert sim._enter_sleep(node, 5.0)
+        sim.set_phase(node, NodePhase.IDLE)
+        assert sim.plane._enter_sleep(sim, node, 5.0)
         assert node.phase is NodePhase.SLEEP
         sim._on_mobility_step(type("E", (), {"node": None, "payload": {}})())
         assert node.phase is NodePhase.IDLE  # woken by the move
@@ -183,8 +177,8 @@ class TestStepTransitions:
         sim._packet_by_id[990] = packet
         sim.now = 12.0
         dnode = sim.nodes[dst]
-        sim._set_phase(dnode, NodePhase.IDLE)
-        assert sim._enter_sleep(dnode, 6.0)
+        sim.set_phase(dnode, NodePhase.IDLE)
+        assert sim.plane._enter_sleep(sim, dnode, 6.0)
         sim._on_packet_arrival(
             type("E", (), {"node": src, "payload": {"packet_id": 990, "fresh": True}})()
         )
@@ -205,8 +199,8 @@ class TestStepTransitions:
         config = make_config(horizon_s=100.0, flows=[{"src": 0, "dst": 5, "rate_pps": 1.0}])
         sim = Simulation(config, 8)
         sim.run()
-        assert sim.sleep_audit, "expected at least one sleep assignment"
-        for entry in sim.sleep_audit:
+        assert sim.plane.sleep_audit, "expected at least one sleep assignment"
+        for entry in sim.plane.sleep_audit:
             assert entry["t_sleep"] < entry["round_length"]
             if entry["min_cache_delay"] is not None:
                 assert entry["t_sleep"] < entry["min_cache_delay"]
@@ -237,7 +231,7 @@ class TestEventQueue:
         ]
         first = len(sim.pending())
         for kind, node, payload in pushed:
-            sim._push(0.0, kind, node, **payload)
+            sim.push(0.0, kind, node, **payload)
         ours = sorted(e.seq for e in sim.pending())[first:]
         seen = []
         while sim.peek_time() == 0.0:

@@ -3,7 +3,8 @@
 import pytest
 
 from ecsim.config import from_dict
-from ecsim.engine import NodePhase, Simulation
+from ecsim.core import NodePhase
+from ecsim.engine import Simulation
 from ecsim.scheduler import path_delay
 
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
@@ -72,13 +73,13 @@ def test_no_packet_silently_vanishes():
 # Traffic-aware only: the baselines sleep on fixed windows, not on grants.
 def test_sleep_intervals_all_come_from_grants():
     sim = run_sim()
-    assert sim.sleep_audit
-    for grant in sim.sleep_audit:
+    assert sim.plane.sleep_audit
+    for grant in sim.plane.sleep_audit:
         assert grant["t_sleep"] < grant["round_length"]
     # realized sleep time per node never exceeds what was assigned in total
     for nid, node in sim.nodes.items():
-        assigned = sum(g["t_sleep"] for g in sim.sleep_audit if g["node"] == nid)
-        assigned += sum(g["t_sleep"] for g in sim.sp_sleep_audit if g["node"] == nid)
+        assigned = sum(g["t_sleep"] for g in sim.plane.sleep_audit if g["node"] == nid)
+        assigned += sum(g["t_sleep"] for g in sim.plane.sp_sleep_audit if g["node"] == nid)
         from ecsim.core import RadioMode
 
         slept = node.time_in_mode[RadioMode.SLEEP]
@@ -88,7 +89,7 @@ def test_sleep_intervals_all_come_from_grants():
 def test_roles_are_alive_members():
     for scheme in SCHEMES:
         sim = run_sim(scheme=scheme)
-        for cluster in sim.clusters:
+        for cluster in sim.plane.clusters:
             assert cluster.ch in cluster.members, scheme
             assert cluster.sp in cluster.members, scheme
             assert sim.nodes[cluster.ch].alive, scheme
