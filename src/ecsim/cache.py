@@ -31,10 +31,9 @@ class CacheEntry:
 class CacheStore:
     """FIFO packet cache of one holder node, bounded in bits."""
 
-    def __init__(self, holder: NodeId, capacity_bits: int):
+    def __init__(self, capacity_bits: int):
         if capacity_bits < 0:
             raise ValueError("cache capacity must be >= 0")
-        self.holder = holder
         self.capacity_bits = capacity_bits
         self._entries: list[CacheEntry] = []
         self._ids: set[int] = set()

@@ -88,10 +88,6 @@ class EnergyAccount:
                 f"e_residual must lie in [0, e_max]: got {self.e_residual} with e_max={self.e_max}"
             )
 
-    @property
-    def is_dead(self) -> bool:
-        return self.e_residual <= 0.0
-
 
 def consume(
     account: EnergyAccount,

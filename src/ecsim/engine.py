@@ -22,7 +22,7 @@ from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
 from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume
 from ecsim.scheduler import ActivityLedger
-from ecsim.schemes import RELAY_QUIET_SLOTS, Scheme, SchemePlane
+from ecsim.schemes import RELAY_QUIET_SLOTS, SchemePlane
 from ecsim.topology import (
     ConnectivityGraph,
     Grid,
@@ -59,12 +59,16 @@ class Event(NamedTuple):
 
 
 class PacketWork:
-    """In-flight state of one packet: current hop timing and visited nodes."""
+    """Everything a run records about one generated packet: its terminal
+    state (None while in flight), whether its destination was asleep at
+    creation, current hop timing and visited nodes."""
 
-    __slots__ = ("packet", "hop_arrived", "hops", "visited", "defer_count")
+    __slots__ = ("packet", "state", "dst_asleep", "hop_arrived", "hops", "visited", "defer_count")
 
-    def __init__(self, packet: Packet, created_at: float):
+    def __init__(self, packet: Packet, created_at: float, dst_asleep: bool):
         self.packet = packet
+        self.state: str | None = None
+        self.dst_asleep = dst_asleep
         self.hop_arrived = created_at
         self.hops: list[tuple[float, float]] = []
         self.visited: list[NodeId] = [packet.src]
@@ -77,7 +81,6 @@ class SimNode:
     __slots__ = (
         "nid",
         "account",
-        "initial_energy",
         "alive",
         "phase",
         "phase_epoch",
@@ -99,7 +102,6 @@ class SimNode:
     def __init__(self, nid: NodeId, initial_energy: float, cache_capacity: int):
         self.nid = nid
         self.account = EnergyAccount(initial_energy, initial_energy)
-        self.initial_energy = initial_energy
         self.alive = True
         self.phase = NodePhase.ACTIVE
         self.phase_epoch = 0
@@ -110,7 +112,7 @@ class SimNode:
         self.last_touch = 0.0
         self.outbox: deque[PacketWork] = deque()
         self.radio_busy_until = 0.0
-        self.cache = CacheStore(nid, cache_capacity)
+        self.cache = CacheStore(cache_capacity)
         self.time_in_mode = {mode: 0.0 for mode in RadioMode}
         self.death_time: float | None = None
         self.wake_at: float | None = None  # scheduled sleep exit, while sleeping
@@ -141,7 +143,6 @@ class Simulation:
         config.validate_runtime()
         self.config = config
         self.seed = seed
-        self.scheme: Scheme = config.scheme
         self.horizon = config.horizon_s
         self.round_length = config.round_s
         self.slots_per_round = config.slots_per_round
@@ -163,7 +164,7 @@ class Simulation:
             nid: SimNode(nid, config.initial_energy_j, config.cache_capacity_bits)
             for nid in range(config.node_count)
         }
-        self.plane: SchemePlane = self.scheme.plane(self)
+        self.plane: SchemePlane = config.scheme.plane(self)
 
         self.ledger = ActivityLedger(self.slot_width, self.slots_per_round)
         self.service_ledger = cluster_mod.ServiceLedger()
@@ -175,26 +176,17 @@ class Simulation:
         self._heap: list[Event] = []
         self._seq = 0
 
-        self.in_flight: dict[int, PacketWork] = {}
+        # Every generated packet by id, ended or not.
+        self.work: dict[int, PacketWork] = {}
         self._topology_version = 0
         self._dist_cache: dict[NodeId, tuple[int, dict[NodeId, int]]] = {}
-        self.terminal: dict[int, str] = {}
         self.holders_by_dst: dict[NodeId, set[NodeId]] = {}
 
-        self.generated = 0
-        self.generated_sleeping_dst = 0
-        self.delivered_sleeping_dst = 0
+        # Running sums: adding them up later in another order would change
+        # the reported floats.
         self.delivered_bits_ok = 0
         self.delay_sum = 0.0
         self.delay_count = 0
-        self.counts = {
-            DELIVERED: 0,
-            DELIVERED_LATE: 0,
-            LOST_DEADLINE: 0,
-            LOST_DEAD: 0,
-            LOST_NO_CACHE: 0,
-        }
-        self.first_death: float | None = None
         self.timeseries: list[tuple[float, float, float]] = []
         self.trace: list[tuple[float, int, str, str]] | None = [] if collect_trace else None
 
@@ -205,19 +197,18 @@ class Simulation:
             if config.flows and traffic_until > 0
             else []
         )
-        self._sleeping_at_creation: dict[int, bool] = {}
+        # Packet ids are list indexes, so ``self.packets[pid]`` finds a packet.
         for packet in self.packets:
             self.push(packet.created_at, EventKind.PACKET_ARRIVAL, packet.src,
                        packet_id=packet.id, fresh=True)
-        self._packet_by_id = {p.id: p for p in self.packets}
 
         self.push(0.0, EventKind.ROUND_SETUP)
         if config.p_move > 0 and config.node_count > 0:
             self.push(config.mobility_step_s, EventKind.MOBILITY_STEP)
         # Deaths are predicted on each mode change; a node that keeps its
         # first mode dies on this prediction.
-        for nid in sorted(self.nodes):
-            self._schedule_death(self.nodes[nid])
+        for node in self.nodes.values():
+            self._schedule_death(node)
         self.plane.start(self)
 
     @staticmethod
@@ -269,8 +260,7 @@ class Simulation:
 
     def _finalize(self) -> None:
         self.now = self.horizon
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for node in self.nodes.values():
             if node.alive:
                 self._touch(node)
         self.timeseries.append(self._timeseries_row())
@@ -367,14 +357,10 @@ class Simulation:
     # -- packet terminal accounting -----------------------------------------
 
     def _finish(self, work: PacketWork, state: str) -> None:
-        pid = work.packet.id
-        if pid in self.terminal:
+        if work.state is not None:
             return
-        self.terminal[pid] = state
-        self.counts[state] += 1
-        if state == DELIVERED and self._sleeping_at_creation.get(pid):
-            self.delivered_sleeping_dst += 1
-        self.trace_event(work.packet.dst, "packet-" + state, f"pid={pid}")
+        work.state = state
+        self.trace_event(work.packet.dst, "packet-" + state, f"pid={work.packet.id}")
 
     # -- handlers ------------------------------------------------------------
 
@@ -385,22 +371,18 @@ class Simulation:
         if event.payload.get("retry"):
             while node.retry_heap and node.retry_heap[0] <= self.now + 1e-9:
                 heapq.heappop(node.retry_heap)
-        if pid in self.terminal:
-            return
         if event.payload.get("fresh"):
-            packet = self._packet_by_id[pid]
-            work = PacketWork(packet, self.now)
-            self.in_flight[pid] = work
-            self.generated += 1
-            dst_sleeping = not self.nodes[packet.dst].awake and self.nodes[packet.dst].alive
-            self._sleeping_at_creation[pid] = dst_sleeping
-            if dst_sleeping:
-                self.generated_sleeping_dst += 1
-            if not node.alive or not self.nodes[packet.dst].alive:
+            packet = self.packets[pid]
+            dst = self.nodes[packet.dst]
+            work = PacketWork(packet, self.now, not dst.awake and dst.alive)
+            self.work[pid] = work
+            if not node.alive or not dst.alive:
                 self._finish(work, LOST_DEAD)
                 return
         else:
-            work = self.in_flight[pid]
+            # A deferred packet is held by its retry event alone, so nothing
+            # has ended it in the meantime.
+            work = self.work[pid]
             if not node.alive:
                 self._finish(work, LOST_DEAD)
                 return
@@ -434,10 +416,10 @@ class Simulation:
         destination via an awake neighbor, cache it next to a sleeping
         destination, or defer until a blocking neighbor's wake-up."""
         while node.outbox and node.awake and not node.tx_active:
+            # A queued packet is held by this outbox alone, and only this
+            # loop or the node's death takes it out: it has not ended.
             work = node.outbox.popleft()
             packet = work.packet
-            if packet.id in self.terminal:
-                continue
             if (
                 packet.klass is PacketClass.DELAY_SENSITIVE
                 and packet.deadline is not None
@@ -486,7 +468,7 @@ class Simulation:
         anyway), then healthy batteries, then already-active relays; the
         battery bucket rotates the role as a relay drains."""
         node = self.nodes[v]
-        bucket = int(10 * node.account.e_residual / node.initial_energy) if node.initial_energy else 0
+        bucket = int(10 * node.account.e_residual / node.account.e_max) if node.account.e_max else 0
         abs_slot = self.round_index * self.slots_per_round + self.current_slot
         recent = abs_slot - node.last_relay_slot < RELAY_QUIET_SLOTS
         return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
@@ -584,8 +566,8 @@ class Simulation:
             self._set_tx(sender, False)
         if receiver.alive:
             self._bump_rx(receiver, -1)
-        work = self.in_flight[pid]
-        if pid not in self.terminal:
+        work = self.work[pid]
+        if work.state is None:
             if not sender.alive or not receiver.alive:
                 self._finish(work, LOST_DEAD)
             else:
@@ -597,13 +579,12 @@ class Simulation:
                     receiver.outbox.append(work)
         if sender.alive:
             self._try_transmit(sender)
-        if receiver.alive and pid not in self.terminal:
+        if receiver.alive and work.state is None:
             self._try_transmit(receiver)
 
     def _on_slot_boundary(self, event: Event) -> None:
         slot = event.payload["slot"]
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if node.alive:
                 # Flush ongoing radio activity so the closing slot is fully
                 # recorded, then mark the slot observed.
@@ -615,14 +596,12 @@ class Simulation:
         self.current_slot = slot + 1
 
     def _evict_caches(self) -> None:
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if not node.alive:
                 continue
             for packet in node.cache.evict_expired(self.now):
-                work = self.in_flight.get(packet.id)
-                if work is not None:
-                    self._finish(work, LOST_DEADLINE)
+                # Only packets with a record are cached.
+                self._finish(self.work[packet.id], LOST_DEADLINE)
                 holders = self.holders_by_dst.get(packet.dst)
                 if holders and node.cache.volume_for(packet.dst) == 0:
                     holders.discard(nid)
@@ -637,13 +616,13 @@ class Simulation:
         forwarding pipeline instead.
         """
         woken = node.nid
+        # Holders are exactly the alive nodes caching something for ``woken``.
         for holder_id in sorted(self.holders_by_dst.get(woken, ())):
             holder = self.nodes[holder_id]
-            if holder.alive:
-                self._hand_over(holder_id, woken, None if holder.awake else holder)
+            self._hand_over(holder_id, woken, None if holder.awake else holder)
         for dst in node.cache.destinations():
-            other = self.nodes.get(dst)
-            if other is None or not other.alive:
+            other = self.nodes[dst]
+            if not other.alive:
                 continue
             now = other.awake or not self.graph.has_edge(woken, dst)
             self._hand_over(woken, dst, None if now else other)
@@ -672,8 +651,7 @@ class Simulation:
     def _on_mobility_step(self, event: Event) -> None:
         p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
         moved: list[NodeId] = []
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for nid, node in self.nodes.items():
             if not node.alive:
                 continue
             old = self.grid.position_of(nid)
@@ -687,8 +665,7 @@ class Simulation:
 
     def _on_round_setup(self, event: Event) -> None:
         # Flush ongoing activity into the closing round before the ledger reset.
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
+        for node in self.nodes.values():
             if node.alive:
                 self._touch(node)
         self.round_index += 1
@@ -717,8 +694,6 @@ class Simulation:
         node.account = EnergyAccount(0.0, node.account.e_max)
         node.mode_epoch += 1
         node.phase_epoch += 1
-        if self.first_death is None:
-            self.first_death = self.now
         self.trace_event(node.nid, "death", "")
         while node.outbox:
             self._finish(node.outbox.popleft(), LOST_DEAD)
@@ -738,9 +713,7 @@ class Simulation:
     def _lose_cached(self, holder: SimNode, dst: NodeId) -> None:
         """Drop ``holder``'s entries for ``dst``: a dead node can never pass them on."""
         for entry in holder.cache.deliver_on_wake(dst, self.now):
-            work = self.in_flight.get(entry.packet.id)
-            if work is not None:
-                self._finish(work, LOST_DEAD)
+            self._finish(self.work[entry.packet.id], LOST_DEAD)
 
     def _on_cache_delivery(self, event: Event) -> None:
         holder = self.nodes[event.node]
@@ -757,11 +730,9 @@ class Simulation:
         holders = self.holders_by_dst.get(woken)
         if holders:
             holders.discard(holder.nid)
+        # A cached packet is held by this cache alone and has not ended.
         for entry in entries:
-            work = self.in_flight.get(entry.packet.id)
-            if work is None or entry.packet.id in self.terminal:
-                continue
-            holder.outbox.append(work)
+            holder.outbox.append(self.work[entry.packet.id])
         self._try_transmit(holder)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from statistics import NormalDist
 from typing import TYPE_CHECKING, Iterable
@@ -61,16 +62,15 @@ def finalize(sim: "Simulation") -> MetricsReport:
     config_dict = sim.config.to_dict()
     per_node: dict[str, dict] = {}
     total_consumed = 0.0
-    for nid in sorted(sim.nodes):
-        node = sim.nodes[nid]
-        consumed = node.initial_energy - node.account.e_residual
+    for nid, node in sim.nodes.items():
+        consumed = node.account.e_max - node.account.e_residual
         total_consumed += consumed
         lifetime = node.death_time if node.death_time is not None else sim.horizon
         per_node[str(nid)] = {
             "consumed_j": consumed,
             "residual_j": node.account.e_residual,
             "fraction_remaining": (
-                fraction_remaining(node.account) if node.initial_energy > 0 else 0.0
+                fraction_remaining(node.account) if node.account.e_max > 0 else 0.0
             ),
             "lifetime_s": lifetime,
             "time_in_mode_s": {
@@ -84,19 +84,19 @@ def finalize(sim: "Simulation") -> MetricsReport:
         }
 
     node_count = max(1, len(sim.nodes))
-    delivered = sim.counts["delivered"]
-    ratio = delivered / sim.generated if sim.generated else 0.0
-    sleeping_ratio = (
-        sim.delivered_sleeping_dst / sim.generated_sleeping_dst
-        if sim.generated_sleeping_dst
-        else None
-    )
-    in_flight_at_end = sim.generated - len(sim.terminal)
+    generated = len(sim.work)
+    counts = Counter(work.state for work in sim.work.values())  # None: in flight
+    delivered = counts["delivered"]
+    ratio = delivered / generated if generated else 0.0
+    sleeping = [work.state for work in sim.work.values() if work.dst_asleep]
+    sleeping_delivered = sleeping.count("delivered")
+    sleeping_ratio = sleeping_delivered / len(sleeping) if sleeping else None
+    deaths = [n.death_time for n in sim.nodes.values() if n.death_time is not None]
     alive = sum(1 for n in sim.nodes.values() if n.alive)
     network = {
-        "generated_packets": sim.generated,
+        "generated_packets": generated,
         "delivered_packets": delivered,
-        "delivered_late_packets": sim.counts["delivered-late"],
+        "delivered_late_packets": counts["delivered-late"],
         "delivery_ratio": ratio,
         "throughput_bps": sim.delivered_bits_ok / sim.horizon if sim.horizon > 0 else 0.0,
         "mean_end_to_end_delay_s": (
@@ -107,24 +107,24 @@ def finalize(sim: "Simulation") -> MetricsReport:
         "mean_network_power_uw": (
             total_consumed / sim.horizon * 1e6 if sim.horizon > 0 else 0.0
         ),
-        "first_death_s": sim.first_death,
+        "first_death_s": min(deaths, default=None),
         "alive_fraction_end": alive / node_count,
         "lost": {
-            "deadline": sim.counts["lost-deadline"],
-            "dead": sim.counts["lost-dead"],
-            "no_cache": sim.counts["lost-no-cache"],
+            "deadline": counts["lost-deadline"],
+            "dead": counts["lost-dead"],
+            "no_cache": counts["lost-no-cache"],
         },
-        "in_flight_at_end": in_flight_at_end,
+        "in_flight_at_end": counts[None],
         "sleeping_dst": {
-            "generated": sim.generated_sleeping_dst,
-            "delivered": sim.delivered_sleeping_dst,
+            "generated": len(sleeping),
+            "delivered": sleeping_delivered,
         },
         "sleeping_dst_delivery_ratio": sleeping_ratio,
         "sleep_assignments": len(sim.plane.sleep_audit),
     }
     meta = {
         "seed": sim.seed,
-        "scheme": sim.scheme.name,
+        "scheme": sim.config.scheme.name,
         "horizon_s": sim.horizon,
         "node_count": len(sim.nodes),
         "scenario_fingerprint": scenario_fingerprint(config_dict),

@@ -101,7 +101,7 @@ class DutyCyclePlane(SchemePlane):
     staggered = False
 
     def __init__(self, sim: Simulation) -> None:
-        self.scheme = sim.scheme
+        self.scheme = sim.config.scheme
         count = max(1, sim.config.node_count)
         self.offset = {
             nid: (nid * self.scheme.period) / count if self.staggered else 0.0
@@ -128,8 +128,8 @@ class DutyCyclePlane(SchemePlane):
     sleep_expiry = idle_expiry = tick
 
     def start(self, sim: Simulation) -> None:
-        for nid in sorted(sim.nodes):
-            self.tick(sim, sim.nodes[nid])
+        for node in sim.nodes.values():
+            self.tick(sim, node)
 
 
 class StaggeredPlane(DutyCyclePlane):
@@ -167,8 +167,7 @@ class TrafficAwarePlane(SchemePlane):
         self._form_round_clusters(sim)
         # Set-up phase idle assignment: every awake member re-enters idle
         # listening for its computed idle interval.
-        for nid in sorted(sim.nodes):
-            node = sim.nodes[nid]
+        for node in sim.nodes.values():
             if node.alive and node.phase is NodePhase.ACTIVE:
                 self._enter_idle(sim, node)
 
@@ -228,7 +227,7 @@ class TrafficAwarePlane(SchemePlane):
     # -- round set-up ----------------------------------------------------------
 
     def _form_round_clusters(self, sim: Simulation) -> None:
-        alive = [nid for nid in sorted(sim.nodes) if sim.nodes[nid].alive]
+        alive = [nid for nid, node in sim.nodes.items() if node.alive]
         if not alive:
             self.clusters = []
             return
@@ -268,16 +267,17 @@ class TrafficAwarePlane(SchemePlane):
         for nb in sorted(sim.graph.neighbors_of(m)):
             neighbor = sim.nodes[nb]  # the graph holds alive nodes only
             total += neighbor.cache.volume_for(m)
+            # Queued packets have not ended: only the outbox holds them.
             for work in neighbor.outbox:
-                if work.packet.dst == m and work.packet.id not in sim.terminal:
+                if work.packet.dst == m:
                     total += work.packet.size_bits
         return total
 
     def _sp_evaluation(self, sim: Simulation, closed_slot: int) -> None:
         """Per-slot proxy duties: pairwise idling, sleep grants, SP self-sleep."""
         for idx, cluster in enumerate(self.clusters):
-            sp_node = sim.nodes.get(cluster.sp)
-            if sp_node is None or not sp_node.awake:
+            sp_node = sim.nodes[cluster.sp]  # every id keeps its node, dead or alive
+            if not sp_node.awake:
                 continue
             members = [m for m in sorted(cluster.members) if sim.nodes[m].alive]
             member_set = set(members)
@@ -402,16 +402,11 @@ class TrafficAwarePlane(SchemePlane):
             return 0.0, []  # isolated node: stays awake
         volumes = []
         delays = []
+        # Holders are exactly the alive nodes with bits cached for ``nid``.
         for holder_id in sorted(sim.holders_by_dst.get(nid, ())):
-            holder = sim.nodes[holder_id]
-            if not holder.alive:
-                continue
-            vol = holder.cache.volume_for(nid)
-            if vol > 0:
-                volumes.append(float(vol))
-                age = holder.cache.hosting_delay(nid, sim.now)
-                if age is not None:
-                    delays.append(age)
+            cache = sim.nodes[holder_id].cache
+            volumes.append(float(cache.volume_for(nid)))
+            delays.append(cache.hosting_delay(nid, sim.now))
         # The delay budget is a round fraction: it bounds how long a chunk of
         # sleep may defer traffic. Cached backlog, capacity dips and hosting
         # delays shorten it; measured path delays feed the idle window and

@@ -143,9 +143,6 @@ class ConnectivityGraph:
     def neighbors_of(self, node: NodeId) -> set[NodeId]:
         return set(self._adj.get(node, set()))
 
-    def degree(self, node: NodeId) -> int:
-        return len(self._adj.get(node, ()))
-
     def has_edge(self, a: NodeId, b: NodeId) -> bool:
         return b in self._adj.get(a, set())
 

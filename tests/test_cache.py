@@ -12,20 +12,20 @@ def packet(pid, dst=9, bits=8_000, created=0.0, deadline=None):
 
 
 def test_store_accept_updates_volume():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     assert store.store(packet(1), now=0.0) is StoreResult.ACCEPTED
     assert store.volume_for(9) == 8_000
 
 
 def test_store_rejects_when_full():
-    store = CacheStore(holder=1, capacity_bits=10_000)
+    store = CacheStore(capacity_bits=10_000)
     assert store.store(packet(1), now=0.0) is StoreResult.ACCEPTED
     assert store.store(packet(2), now=0.0) is StoreResult.REJECTED_FULL
     assert store.entry_count() == 1
 
 
 def test_store_idempotent_per_packet_id():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     pkt = packet(1)
     assert store.store(pkt, now=0.0) is StoreResult.ACCEPTED
     assert store.store(pkt, now=1.0) is StoreResult.DUPLICATE
@@ -34,7 +34,7 @@ def test_store_idempotent_per_packet_id():
 
 
 def test_deliver_on_wake_fifo_order():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     for pid in (3, 1, 2):
         store.store(packet(pid), now=float(pid))
     entries = store.deliver_on_wake(9, now=10.0)
@@ -44,7 +44,7 @@ def test_deliver_on_wake_fifo_order():
 
 
 def test_deliver_on_wake_other_destinations_untouched():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     store.store(packet(1, dst=9), now=0.0)
     store.store(packet(2, dst=5), now=0.0)
     assert store.deliver_on_wake(7, now=1.0) == []
@@ -54,14 +54,14 @@ def test_deliver_on_wake_other_destinations_untouched():
 
 
 def test_no_double_delivery():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     store.store(packet(1), now=0.0)
     assert len(store.deliver_on_wake(9, now=1.0)) == 1
     assert store.deliver_on_wake(9, now=2.0) == []
 
 
 def test_evict_expired_deadline():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     store.store(packet(1, created=0.0, deadline=5.0), now=0.0)
     dropped = store.evict_expired(now=6.0)
     assert [p.id for p in dropped] == [1]
@@ -69,14 +69,14 @@ def test_evict_expired_deadline():
 
 
 def test_evict_expired_nothing_to_do():
-    store = CacheStore(holder=1, capacity_bits=1_000_000)
+    store = CacheStore(capacity_bits=1_000_000)
     store.store(packet(1, created=0.0, deadline=5.0), now=0.0)
     assert store.evict_expired(now=4.0) == []
     assert store.entry_count() == 1
 
 
 def test_volume_matches_recompute_through_churn():
-    store = CacheStore(holder=1, capacity_bits=100_000)
+    store = CacheStore(capacity_bits=100_000)
     store.store(packet(1, dst=4), now=0.0)
     store.store(packet(2, dst=5), now=0.5)
     store.store(packet(3, dst=4, deadline=2.0, created=0.0), now=1.0)
@@ -92,7 +92,7 @@ def test_volume_matches_recompute_through_churn():
 
 
 def test_hosting_delay_tracks_oldest_entry():
-    store = CacheStore(holder=1, capacity_bits=100_000)
+    store = CacheStore(capacity_bits=100_000)
     store.store(packet(1), now=2.0)
     store.store(packet(2), now=5.0)
     assert store.hosting_delay(9, now=7.0) == pytest.approx(5.0)

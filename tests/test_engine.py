@@ -104,12 +104,13 @@ class TestRun:
     def test_packet_conservation(self):
         config = make_config(horizon_s=80.0)
         sim = Simulation(config, 5)
-        sim.run()
+        net = sim.run().network
         # every generated packet is in exactly one terminal state or in flight
-        terminal = len(sim.terminal)
-        in_flight = sim.generated - terminal
-        assert in_flight >= 0
-        assert sum(sim.counts.values()) == terminal
+        terminal = (
+            net["delivered_packets"] + net["delivered_late_packets"] + sum(net["lost"].values())
+        )
+        assert net["in_flight_at_end"] >= 0
+        assert terminal + net["in_flight_at_end"] == net["generated_packets"] == len(sim.work)
 
     def test_energy_monotone_and_closed(self):
         config = make_config(horizon_s=60.0)
@@ -166,21 +167,21 @@ class TestStepTransitions:
         config = make_config(horizon_s=40.0, flows=[])
         sim = Simulation(config, 4)
         # pick any adjacent pair
-        src = next(n for n in sorted(sim.nodes) if sim.graph.degree(n) > 0)
+        src = next(n for n in sorted(sim.nodes) if sim.graph.neighbors_of(n))
         dst = min(sim.graph.neighbors_of(src))
         from ecsim.traffic import Packet, PacketClass
 
         packet = Packet(
-            id=990, src=src, dst=dst, size_bits=8_000,
+            id=len(sim.packets), src=src, dst=dst, size_bits=8_000,
             klass=PacketClass.ELASTIC, created_at=12.0,
         )
-        sim._packet_by_id[990] = packet
+        sim.packets.append(packet)
         sim.now = 12.0
         dnode = sim.nodes[dst]
         sim.set_phase(dnode, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, dnode, 6.0)
         sim._on_packet_arrival(
-            type("E", (), {"node": src, "payload": {"packet_id": 990, "fresh": True}})()
+            type("E", (), {"node": src, "payload": {"packet_id": packet.id, "fresh": True}})()
         )
         assert sim.nodes[src].cache.volume_for(dst) == 8_000
 
@@ -213,7 +214,7 @@ class TestStepTransitions:
         )
         sim = Simulation(config, 8)
         sim.run()
-        assert sim.counts["lost-no-cache"] > 0
+        assert any(work.state == "lost-no-cache" for work in sim.work.values())
 
 
 class TestEventQueue:
