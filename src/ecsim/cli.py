@@ -85,13 +85,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             from_dict(run_raw)  # validate before launching anything
             outdir = Path(args.out) / f"{args.param.replace('.', '_')}={value}" / f"seed={seed}"
             jobs.append((run_raw, seed, str(outdir), args.trace, args.quiet))
-    workers = int(os.environ.get("ECSIM_THREADS", "1"))
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(_run_worker, jobs))
-    else:
-        for job in jobs:
-            _run_worker(job)
+    with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
+        list(pool.map(_run_worker, jobs))
     if not args.quiet:
         print(f"sweep complete: {len(jobs)} runs under {args.out}")
     return 0

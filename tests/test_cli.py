@@ -144,8 +144,7 @@ def test_sweep_multiple_seeds(scenario_file, tmp_path):
     assert len(list(out.glob("p_move=*/seed=*/report.json"))) == 4
 
 
-def test_sweep_parallel_env(scenario_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("ECSIM_THREADS", "2")
+def test_sweep_outputs_match_run(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--config", str(scenario_file), "--param", "nodes",
@@ -153,6 +152,18 @@ def test_sweep_parallel_env(scenario_file, tmp_path, monkeypatch):
     ])
     assert code == 0
     assert len(list(out.glob("nodes=*/seed=*/report.json"))) == 4
+    for nodes in (6, 8):
+        config = tmp_path / f"nodes={nodes}.json"
+        config.write_text(json.dumps({**SCENARIO, "nodes": nodes}))
+        for seed in (1, 2):
+            single = tmp_path / f"run-{nodes}-{seed}"
+            assert main([
+                "run", "--config", str(config), "--seed", str(seed),
+                "--out", str(single), "--quiet",
+            ]) == 0
+            swept = out / f"nodes={nodes}" / f"seed={seed}"
+            for name in ("report.json", "timeseries.csv"):
+                assert (swept / name).read_bytes() == (single / name).read_bytes()
 
 
 def test_sweep_with_scheme_keeps_swept_scheme_parameter(scenario_file, tmp_path):
