@@ -1,9 +1,12 @@
 """Cross-module invariants that need a full simulation to exercise."""
 
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ecsim.config import from_dict
-from ecsim.core import NodePhase
+from ecsim.core import EventKind, NodePhase
 from ecsim.engine import Simulation
 from ecsim.scheduler import path_delay
 
@@ -60,9 +63,8 @@ def test_no_packet_silently_vanishes():
         for node in sim.nodes.values():
             for work in node.outbox:
                 accounted.add(work.packet.id)
-            for dst in node.cache.destinations():
-                for entry in node.cache._entries:
-                    accounted.add(entry.packet.id)
+            for entry in node.cache._entries:
+                accounted.add(entry.packet.id)
         pending_retries = {
             e.payload["packet_id"]
             for e in sim.pending()
@@ -137,3 +139,95 @@ def test_phase_gates_sleeping_nodes_process_no_radio():
             if node.phase is NodePhase.SLEEP:
                 assert not node.tx_active, scheme
                 assert node.rx_active == 0, scheme
+
+
+@st.composite
+def small_scenarios(draw):
+    """Small scenarios in which nodes die, caches fill and nodes move."""
+    nodes = draw(st.integers(4, 12))
+    flows = []
+    for _ in range(draw(st.integers(1, 3))):
+        src = draw(st.integers(0, nodes - 1))
+        dst = draw(st.integers(0, nodes - 2))
+        flows.append(
+            {"src": src, "dst": dst + (dst >= src), "rate_pps": draw(st.floats(0.2, 1.5))}
+        )
+    raw = {
+        "grid": {"width": draw(st.integers(2, 4)), "height": draw(st.integers(2, 4))},
+        "nodes": nodes,
+        "initial_energy_j": draw(st.floats(10.0, 80.0)),
+        "round_s": 10.0,
+        "horizon_s": 100.0,
+        "traffic_horizon_s": 90.0,
+        "p_move": draw(st.floats(0.0, 0.05)),
+        "flows": flows,
+        # A few packets of 8,000 bits fill the cache.
+        "cache": {"enabled": draw(st.booleans()), "capacity_bits": draw(st.integers(0, 40_000))},
+    }
+    if draw(st.booleans()):
+        raw["cluster"] = {"policy": "grid", "partition": draw(st.integers(1, 2))}
+    return raw, draw(st.integers(0, 10_000))
+
+
+PACKET_ARRIVAL, TX_COMPLETE, NODE_DEATH = (
+    EventKind.PACKET_ARRIVAL, EventKind.TX_COMPLETE, EventKind.NODE_DEATH
+)
+IDLE_EXPIRY, SLEEP = EventKind.IDLE_EXPIRY, NodePhase.SLEEP
+TIMERS = (EventKind.SLEEP_EXPIRY, IDLE_EXPIRY)
+
+
+def assert_structural_invariants(sim):
+    nodes = sim.nodes
+    # (a) The holder index lists exactly the caches with volume for each
+    # destination, and holders and destinations are alive.
+    cached = {}
+    held = []  # one packet id per holding
+    for nid, node in nodes.items():
+        for dst in node.cache.destinations():
+            assert node.cache.volume_for(dst) > 0
+            cached.setdefault(dst, set()).add(nid)
+        held.extend(work.packet.id for work in node.outbox)
+        held.extend(entry.packet.id for entry in node.cache._entries)
+    assert {dst: h for dst, h in sim.holders_by_dst.items() if h} == cached
+    for dst, holders in cached.items():
+        assert nodes[dst].alive and all(nodes[h].alive for h in holders)
+    # (b) Cluster members are alive.
+    for cluster in sim.plane.clusters:
+        assert all(nodes[m].alive for m in cluster.members)
+    pending = sim.pending()
+    held += [
+        p["packet_id"]
+        for _, _, kind, _, p in pending
+        if kind is TX_COMPLETE or (kind is PACKET_ARRIVAL and "retry" in p)
+    ]
+    # (d) A timer whose epoch matches is for an alive node, and a sleep
+    # expiry for a sleeping one.
+    assert not [
+        nid
+        for _, _, kind, nid, p in pending
+        if kind in TIMERS
+        and p["epoch"] == nodes[nid].phase_epoch
+        and not (nodes[nid].alive and (kind is IDLE_EXPIRY or nodes[nid].phase is SLEEP))
+    ]
+    assert not [
+        nid
+        for _, _, kind, nid, p in pending
+        if kind is NODE_DEATH and p["epoch"] == nodes[nid].mode_epoch and not nodes[nid].alive
+    ]
+    # (c) An unended packet is held in exactly one place, an ended one nowhere:
+    # outboxes, caches, pending retry arrivals and pending transmissions.
+    counts = Counter(held)
+    assert set(counts.values()) <= {1}, counts.most_common(1)
+    assert counts.keys() == {pid for pid, work in sim.work.items() if work.state is None}
+
+
+@settings(max_examples=12, deadline=None)
+@given(small_scenarios())
+def test_structural_invariants_after_every_event(scenario):
+    raw, seed = scenario
+    for scheme in SCHEMES:
+        sim = Simulation(from_dict({**raw, "scheme": scheme}), seed)
+        assert_structural_invariants(sim)
+        while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
+            sim.step()
+            assert_structural_invariants(sim)
