@@ -12,8 +12,8 @@ do not differ:
 
 from __future__ import annotations
 
+import ast
 import hashlib
-import importlib.util
 import json
 import os
 import sys
@@ -32,12 +32,15 @@ COMPARE_SCHEMES = "traffic-aware,periodic,coordinated,always-on"
 
 
 def _acceptance_scenario() -> dict:
-    spec = importlib.util.spec_from_file_location(
-        "test_acceptance", ROOT / "tests" / "test_acceptance.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.SCENARIO
+    """``SCENARIO`` from the acceptance tests, read from their source so that
+    an interpreter without pytest can run this script."""
+    tree = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "SCENARIO" for t in node.targets
+        ):
+            return ast.literal_eval(node.value)
+    raise LookupError("tests/test_acceptance.py assigns no SCENARIO")
 
 
 def _run(argv: list[str]) -> None:

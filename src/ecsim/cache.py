@@ -62,7 +62,8 @@ class CacheStore:
         return out
 
     def destinations(self) -> list[NodeId]:
-        return sorted(d for d, v in self._volume_by_dst.items() if v > 0)
+        # _bump pops a volume that reaches zero: every listed one is positive.
+        return sorted(self._volume_by_dst)
 
     def hosting_delay(self, dst: NodeId, now: float) -> float | None:
         """Current hosting delay of the oldest entry for ``dst``, if any."""
@@ -82,7 +83,7 @@ class CacheStore:
         self._bump(packet.dst, packet.size_bits)
         return StoreResult.ACCEPTED
 
-    def deliver_on_wake(self, woken: NodeId, now: float) -> list[CacheEntry]:
+    def deliver_on_wake(self, woken: NodeId) -> list[CacheEntry]:
         """Pop all entries destined for the woken node, in stored (FIFO) order."""
         handed = [e for e in self._entries if e.packet.dst == woken]
         if handed:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from ecsim.core import EnergyAccount, NodeId
+from ecsim.core import EnergyAccount, NodeId, sum_in_order
 from ecsim.topology import ConnectivityGraph, connected_components
 
 
@@ -36,12 +36,8 @@ class Cluster:
     members: frozenset[NodeId]
     ch: NodeId
     sp: NodeId
-    round_index: int
-    round_length: float
 
     def __post_init__(self) -> None:
-        if self.round_length <= 0:
-            raise ValueError("round_length must be > 0")
         if self.ch not in self.members or self.sp not in self.members:
             raise ValueError("CH and SP must be cluster members")
 
@@ -89,7 +85,7 @@ def candidacy_shares(
     ordered = sorted(members)
     if not ordered:
         raise ValueError("cannot score an empty member set")
-    total = sum(energies[n].e_residual for n in ordered)
+    total = sum_in_order(energies[n].e_residual for n in ordered)
     if total <= 0.0:
         return {n: 1.0 / len(ordered) for n in ordered}
     return {n: energies[n].e_residual / total for n in ordered}
@@ -133,8 +129,6 @@ def elect_roles(
     members: Iterable[NodeId],
     energies: Mapping[NodeId, EnergyAccount],
     ledger: ServiceLedger,
-    round_index: int,
-    round_length: float,
 ) -> Cluster:
     """Run CH election then SP assignment for one cluster for one round."""
     member_set = frozenset(members)
@@ -143,17 +137,13 @@ def elect_roles(
     scores = {n: compute_sp_score(shares[n], energies[n]) for n in sorted(member_set)}
     sp = assign_sp(member_set, ch, scores, ledger)
     ledger.record_ch(ch)
-    return Cluster(
-        members=member_set, ch=ch, sp=sp, round_index=round_index, round_length=round_length
-    )
+    return Cluster(members=member_set, ch=ch, sp=sp)
 
 
 def form_clusters(
     graph: ConnectivityGraph,
     energies: Mapping[NodeId, EnergyAccount],
     ledger: ServiceLedger,
-    round_index: int,
-    round_length: float,
     groups: list[set[NodeId]] | None = None,
 ) -> list[Cluster]:
     """Form clusters for a round and elect roles in each.
@@ -165,5 +155,5 @@ def form_clusters(
         groups = connected_components(graph)
     clusters: list[Cluster] = []
     for group in sorted((g for g in groups if g), key=min):
-        clusters.append(elect_roles(group, energies, ledger, round_index, round_length))
+        clusters.append(elect_roles(group, energies, ledger))
     return clusters

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
 # Node identifiers are plain non-negative ints with total order (used for
 # deterministic tie-breaking throughout).
@@ -110,3 +111,11 @@ def fraction_remaining(account: EnergyAccount) -> float:
     if account.e_max <= 0:
         raise ValueError("fraction_remaining requires e_max > 0")
     return account.e_residual / account.e_max
+
+
+def sum_in_order(values: Iterable[float]) -> float:
+    """Add from 0, left to right: ``sum()`` compensates float rounding since 3.12."""
+    total = 0
+    for value in values:
+        total += value
+    return total

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from ecsim import cluster as cluster_mod
 from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
-from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume
+from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume, sum_in_order
 from ecsim.scheduler import ActivityLedger
 from ecsim.schemes import RELAY_QUIET_SLOTS, SchemePlane
 from ecsim.topology import (
@@ -178,8 +178,7 @@ class Simulation:
 
         # Every generated packet by id, ended or not.
         self.work: dict[int, PacketWork] = {}
-        self._topology_version = 0
-        self._dist_cache: dict[NodeId, tuple[int, dict[NodeId, int]]] = {}
+        self._dist_cache: dict[NodeId, dict[NodeId, int]] = {}
         self.holders_by_dst: dict[NodeId, set[NodeId]] = {}
 
         # Running sums: adding them up later in another order would change
@@ -200,7 +199,7 @@ class Simulation:
         # Packet ids are list indexes, so ``self.packets[pid]`` finds a packet.
         for packet in self.packets:
             self.push(packet.created_at, EventKind.PACKET_ARRIVAL, packet.src,
-                       packet_id=packet.id, fresh=True)
+                       packet_id=packet.id)
 
         self.push(0.0, EventKind.ROUND_SETUP)
         if config.p_move > 0 and config.node_count > 0:
@@ -267,7 +266,7 @@ class Simulation:
 
     def _timeseries_row(self) -> tuple[float, float, float]:
         alive = sum(1 for n in self.nodes.values() if n.alive)
-        residual = sum(n.account.e_residual for n in self.nodes.values())
+        residual = sum_in_order(n.account.e_residual for n in self.nodes.values())
         return (self.now, alive / max(1, len(self.nodes)), residual)
 
     def trace_event(self, node: NodeId | None, kind: str, detail: str) -> None:
@@ -371,19 +370,19 @@ class Simulation:
         if event.payload.get("retry"):
             while node.retry_heap and node.retry_heap[0] <= self.now + 1e-9:
                 heapq.heappop(node.retry_heap)
-        if event.payload.get("fresh"):
+            # A deferred packet is held by its retry event alone, so nothing
+            # has ended it in the meantime.
+            work = self.work[pid]
+            if not node.alive:
+                self._finish(work, LOST_DEAD)
+                return
+        else:
+            # An arrival without ``retry`` is the packet's first.
             packet = self.packets[pid]
             dst = self.nodes[packet.dst]
             work = PacketWork(packet, self.now, not dst.awake and dst.alive)
             self.work[pid] = work
             if not node.alive or not dst.alive:
-                self._finish(work, LOST_DEAD)
-                return
-        else:
-            # A deferred packet is held by its retry event alone, so nothing
-            # has ended it in the meantime.
-            work = self.work[pid]
-            if not node.alive:
                 self._finish(work, LOST_DEAD)
                 return
         if nid == work.packet.dst:
@@ -476,11 +475,9 @@ class Simulation:
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
         """Hop counts to ``dst`` over the full alive topology (cached until
         the next topology change)."""
-        cached = self._dist_cache.get(dst)
-        if cached is not None and cached[0] == self._topology_version:
-            return cached[1]
-        dist = hop_distances(self.graph, dst)
-        self._dist_cache[dst] = (self._topology_version, dist)
+        dist = self._dist_cache.get(dst)
+        if dist is None:
+            dist = self._dist_cache[dst] = hop_distances(self.graph, dst)
         return dist
 
     def _cache_here(self, node: SimNode, work: PacketWork) -> bool:
@@ -566,17 +563,17 @@ class Simulation:
             self._set_tx(sender, False)
         if receiver.alive:
             self._bump_rx(receiver, -1)
+        # A packet on the air is held by this event alone: it has not ended.
         work = self.work[pid]
-        if work.state is None:
-            if not sender.alive or not receiver.alive:
-                self._finish(work, LOST_DEAD)
+        if not sender.alive or not receiver.alive:
+            self._finish(work, LOST_DEAD)
+        else:
+            work.hop_arrived = self.now
+            work.visited.append(receiver.nid)
+            if receiver.nid == work.packet.dst:
+                self._deliver(work)
             else:
-                work.hop_arrived = self.now
-                work.visited.append(receiver.nid)
-                if receiver.nid == work.packet.dst:
-                    self._deliver(work)
-                else:
-                    receiver.outbox.append(work)
+                receiver.outbox.append(work)
         if sender.alive:
             self._try_transmit(sender)
         if receiver.alive and work.state is None:
@@ -602,9 +599,9 @@ class Simulation:
             for packet in node.cache.evict_expired(self.now):
                 # Only packets with a record are cached.
                 self._finish(self.work[packet.id], LOST_DEADLINE)
-                holders = self.holders_by_dst.get(packet.dst)
-                if holders and node.cache.volume_for(packet.dst) == 0:
-                    holders.discard(nid)
+                # This node held volume for the destination, so it is indexed.
+                if node.cache.volume_for(packet.dst) == 0:
+                    self.holders_by_dst[packet.dst].discard(nid)
 
     def after_wake(self, node: SimNode) -> None:
         """Resume a node that woke: schedule handovers of cached packets,
@@ -620,10 +617,9 @@ class Simulation:
         for holder_id in sorted(self.holders_by_dst.get(woken, ())):
             holder = self.nodes[holder_id]
             self._hand_over(holder_id, woken, None if holder.awake else holder)
+        # Entries for a destination are dropped when it dies: ``other`` is alive.
         for dst in node.cache.destinations():
             other = self.nodes[dst]
-            if not other.alive:
-                continue
             now = other.awake or not self.graph.has_edge(woken, dst)
             self._hand_over(woken, dst, None if now else other)
         self._try_transmit(node)
@@ -635,8 +631,7 @@ class Simulation:
 
     def _on_sleep_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
-        if not node.alive or node.phase is not NodePhase.SLEEP:
-            return
+        # Phase changes and death bump the epoch: a match means alive and asleep.
         if event.payload["epoch"] != node.phase_epoch:
             return
         self.plane.sleep_expiry(self, node)
@@ -644,7 +639,8 @@ class Simulation:
 
     def _on_idle_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
-        if not node.alive or event.payload["epoch"] != node.phase_epoch:
+        # Death bumps the epoch: a matching one means the node is alive.
+        if event.payload["epoch"] != node.phase_epoch:
             return
         self.plane.idle_expiry(self, node)
 
@@ -659,7 +655,7 @@ class Simulation:
             if new != old:
                 refresh_node(self.graph, self.grid, nid)
                 moved.append(nid)
-                self._topology_version += 1
+                self._dist_cache.clear()
         self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
 
@@ -681,7 +677,8 @@ class Simulation:
 
     def _on_node_death(self, event: Event) -> None:
         node = self.nodes[event.node]
-        if not node.alive or event.payload["epoch"] != node.mode_epoch:
+        # Death bumps the mode epoch: a matching one means the node is alive.
+        if event.payload["epoch"] != node.mode_epoch:
             return
         self._touch(node)
         if node.account.e_residual > 1e-9:
@@ -697,22 +694,21 @@ class Simulation:
         self.trace_event(node.nid, "death", "")
         while node.outbox:
             self._finish(node.outbox.popleft(), LOST_DEAD)
-        for dst in list(node.cache.destinations()):
+        for dst in node.cache.destinations():
             self._lose_cached(node, dst)
-            holders = self.holders_by_dst.get(dst)
-            if holders:
-                holders.discard(node.nid)
+            # This node held volume for ``dst``, so it is indexed.
+            self.holders_by_dst[dst].discard(node.nid)
         # Cached copies elsewhere destined for the dead node can never deliver.
         for holder_id in sorted(self.holders_by_dst.pop(node.nid, set())):
             self._lose_cached(self.nodes[holder_id], node.nid)
         self.grid.remove(node.nid)
         self.graph.remove_node(node.nid)
-        self._topology_version += 1
+        self._dist_cache.clear()
         self.plane.death(self, node.nid)
 
     def _lose_cached(self, holder: SimNode, dst: NodeId) -> None:
         """Drop ``holder``'s entries for ``dst``: a dead node can never pass them on."""
-        for entry in holder.cache.deliver_on_wake(dst, self.now):
+        for entry in holder.cache.deliver_on_wake(dst):
             self._finish(self.work[entry.packet.id], LOST_DEAD)
 
     def _on_cache_delivery(self, event: Event) -> None:
@@ -724,12 +720,11 @@ class Simulation:
             if holder.cache.volume_for(woken) > 0:
                 self._hand_over(holder.nid, woken, holder)
             return
-        entries = holder.cache.deliver_on_wake(woken, self.now)
+        entries = holder.cache.deliver_on_wake(woken)
         if not entries:
             return
-        holders = self.holders_by_dst.get(woken)
-        if holders:
-            holders.discard(holder.nid)
+        # The holder had volume for ``woken``, so it is indexed.
+        self.holders_by_dst[woken].discard(holder.nid)
         # A cached packet is held by this cache alone and has not ended.
         for entry in entries:
             holder.outbox.append(self.work[entry.packet.id])

@@ -6,8 +6,7 @@ import hashlib
 import json
 from collections import Counter
 from dataclasses import dataclass
-from statistics import NormalDist
-from typing import TYPE_CHECKING, Iterable
+from typing import TYPE_CHECKING
 
 from ecsim.core import RadioMode, fraction_remaining
 
@@ -24,8 +23,6 @@ COMPARE_METRICS = (
     "first_death_s",
     "sleeping_dst_delivery_ratio",
 )
-
-_Z95 = NormalDist().inv_cdf(0.975)
 
 
 @dataclass
@@ -179,19 +176,6 @@ def compare_csv(rows: list[dict]) -> str:
         delta = "" if row["delta_vs_baseline_pct"] is None else repr(row["delta_vs_baseline_pct"])
         lines.append(f"{row['metric']},{row['scheme']},{value},{delta}")
     return "\n".join(lines) + "\n"
-
-
-def summarize_batch(values: Iterable[float]) -> dict:
-    """Mean with the half-width of a 95% normal-approximation CI."""
-    data = list(values)
-    if not data:
-        return {"mean": None, "ci95_half_width": None, "n": 0}
-    mean = sum(data) / len(data)
-    if len(data) < 2:
-        return {"mean": mean, "ci95_half_width": None, "n": len(data)}
-    var = sum((x - mean) ** 2 for x in data) / (len(data) - 1)
-    half = _Z95 * (var**0.5) / (len(data) ** 0.5)
-    return {"mean": mean, "ci95_half_width": half, "n": len(data)}
 
 
 def trace_csv(rows: list[tuple[float, int, str, str]]) -> str:

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
-from ecsim.core import NodeId
+from ecsim.core import NodeId, sum_in_order
 from ecsim.topology import ConnectivityGraph
 
 # Every sleep interval stays below (1 - SLEEP_EPSILON) of its bound, so a
@@ -60,7 +60,7 @@ class ActivityLedger:
 
     def cumulative_active(self, node: NodeId) -> float:
         """Total recorded traffic-active seconds in the current round window."""
-        return sum(self._slots.get(node, {}).values())
+        return sum_in_order(self._slots.get(node, {}).values())
 
 
 def backward_diff(ledger: ActivityLedger, node: NodeId, slot: int) -> float:
@@ -128,7 +128,7 @@ class PathDelayRecord:
 
     @property
     def total(self) -> float:
-        return sum(self.hosting_delays) + sum(self.tx_delays)
+        return sum_in_order(self.hosting_delays) + sum_in_order(self.tx_delays)
 
 
 def path_delay(hops: Sequence[tuple[float, float]]) -> PathDelayRecord:
@@ -172,10 +172,10 @@ class SleepInputs:
             raise ValueError("path_delay must be >= 0")
         if any(c < 0 for c in self.capacities) or any(v < 0 for v in self.volumes):
             raise ValueError("capacities and volumes must be >= 0")
-        if self.sup_capacity < sum(self.capacities) - 1e-9:
+        if self.sup_capacity < sum_in_order(self.capacities) - 1e-9:
             raise ValueError("sup_capacity must dominate the current capacity sum")
         # Cached volume can never exceed what the channel window could carry.
-        if self.sup_capacity > 0 and sum(self.volumes) > self.sup_capacity * self.round_length + 1e-9:
+        if self.sup_capacity > 0 and sum_in_order(self.volumes) > self.sup_capacity * self.round_length + 1e-9:
             raise ValueError("cached volume exceeds the channel window volume")
 
 
@@ -188,7 +188,7 @@ def compute_sleep(inputs: SleepInputs, epsilon: float = SLEEP_EPSILON) -> float:
     """
     if inputs.sup_capacity <= 0:
         raise NoCapacityError("sleep interval undefined without channel capacity")
-    ratio = (sum(inputs.capacities) - sum(inputs.volumes)) / inputs.sup_capacity
+    ratio = (sum_in_order(inputs.capacities) - sum_in_order(inputs.volumes)) / inputs.sup_capacity
     ratio = min(1.0, max(0.0, ratio))
     raw = (ratio ** inputs.n_hops) * inputs.path_delay
     bound = (1.0 - epsilon) * inputs.round_length

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from ecsim import cluster as cluster_mod
-from ecsim.core import EventKind, NodeId, NodePhase
+from ecsim.core import EventKind, NodeId, NodePhase, sum_in_order
 from ecsim.scheduler import (
     IdleDecision,
     InsufficientHistory,
@@ -204,23 +204,17 @@ class TrafficAwarePlane(SchemePlane):
             if dead not in cl.members:
                 refreshed.append(cl)
                 continue
-            members = {m for m in cl.members if sim.nodes[m].alive}
+            # This hook runs inside the engine's kill: every other member is alive.
+            members = cl.members - {dead}
             if not members:
                 continue
             if dead in (cl.ch, cl.sp):
                 energies = {m: sim.nodes[m].account for m in members}
-                new_cl = cluster_mod.elect_roles(
-                    members, energies, sim.service_ledger, cl.round_index, cl.round_length
-                )
+                new_cl = cluster_mod.elect_roles(members, energies, sim.service_ledger)
                 self._wake_roles(sim, new_cl)
                 refreshed.append(new_cl)
             else:
-                refreshed.append(
-                    cluster_mod.Cluster(
-                        members=frozenset(members), ch=cl.ch, sp=cl.sp,
-                        round_index=cl.round_index, round_length=cl.round_length,
-                    )
-                )
+                refreshed.append(cluster_mod.Cluster(members=members, ch=cl.ch, sp=cl.sp))
         self.clusters = refreshed
         self.ch_ids = {cl.ch for cl in self.clusters}
 
@@ -244,8 +238,7 @@ class TrafficAwarePlane(SchemePlane):
                 blocks.setdefault((pos.x // block_w, pos.y // block_h), set()).add(nid)
             groups = [blocks[key] for key in sorted(blocks)]
         self.clusters = cluster_mod.form_clusters(
-            sim.graph, energies, sim.service_ledger, sim.round_index,
-            sim.round_length, groups=groups,
+            sim.graph, energies, sim.service_ledger, groups=groups
         )
         self.ch_ids = {cl.ch for cl in self.clusters}
         for cl in self.clusters:
@@ -279,8 +272,8 @@ class TrafficAwarePlane(SchemePlane):
             sp_node = sim.nodes[cluster.sp]  # every id keeps its node, dead or alive
             if not sp_node.awake:
                 continue
-            members = [m for m in sorted(cluster.members) if sim.nodes[m].alive]
-            member_set = set(members)
+            # The death hook drops a dying member at once: every member is alive.
+            members = sorted(cluster.members)
             for m in members:
                 node = sim.nodes[m]
                 if m in (cluster.ch, cluster.sp) or node.phase is not NodePhase.ACTIVE:
@@ -289,7 +282,7 @@ class TrafficAwarePlane(SchemePlane):
                 if incoming > 0:
                     continue
                 for other in sorted(sim.graph.neighbors_of(m)):
-                    if other not in member_set or not sim.nodes[other].awake:
+                    if other not in cluster.members or not sim.nodes[other].awake:
                         continue
                     decision = pairwise_idle_decision(
                         sim.ledger, m, other, incoming, sim.graph
@@ -393,7 +386,7 @@ class TrafficAwarePlane(SchemePlane):
         the member's cached packets that went into it."""
         neighbors = sorted(sim.graph.neighbors_of(nid))
         capacities = tuple(float(sim.link_bps) for _ in neighbors)
-        cap_sum = sum(capacities)
+        cap_sum = sum_in_order(capacities)
         samples = self.cap_samples[nid]
         samples.append((sim.now, cap_sum))
         self._window_prune(sim, samples)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from ecsim.core import NodeId
 
@@ -147,23 +147,21 @@ class ConnectivityGraph:
         return b in self._adj.get(a, set())
 
 
-def build_connectivity(grid: Grid, nodes: Iterable[NodeId] | None = None) -> ConnectivityGraph:
+def build_connectivity(grid: Grid) -> ConnectivityGraph:
     """Full rebuild of the connectivity graph from current positions."""
     graph = ConnectivityGraph()
-    members = sorted(nodes) if nodes is not None else grid.nodes()
-    member_set = set(members)
-    for node in members:
+    for node in grid.nodes():
         graph.add_node(node)
         for other in grid.neighbors(node):
-            if other in member_set:
-                graph.add_edge(node, other)
+            graph.add_edge(node, other)
     return graph
 
 
 def refresh_node(graph: ConnectivityGraph, grid: Grid, node: NodeId) -> None:
     """Incrementally re-derive one node's edges after it moved."""
     current = graph.neighbors_of(node)
-    fresh = {n for n in grid.neighbors(node) if n in set(graph.nodes())}
+    # The grid and the graph hold the same nodes: a death leaves both.
+    fresh = grid.neighbors(node)
     for gone in current - fresh:
         graph.remove_edge(node, gone)
     for new in fresh - current:

@@ -197,8 +197,8 @@ def test_criterion_4_sp_fairness():
     members = set(range(10))
     energies = {m: EnergyAccount(50.0 - m, 100.0) for m in members}
     ledger = ServiceLedger()
-    for round_index in range(50):
-        elect_roles(members, energies, ledger, round_index, 10.0)
+    for _ in range(50):
+        elect_roles(members, energies, ledger)
     counts = [ledger.sp_count(m) for m in sorted(members)]
     assert min(counts) >= 1
     assert max(counts) - min(counts) <= 1

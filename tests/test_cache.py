@@ -37,7 +37,7 @@ def test_deliver_on_wake_fifo_order():
     store = CacheStore(capacity_bits=1_000_000)
     for pid in (3, 1, 2):
         store.store(packet(pid), now=float(pid))
-    entries = store.deliver_on_wake(9, now=10.0)
+    entries = store.deliver_on_wake(9)
     assert [e.packet.id for e in entries] == [3, 1, 2]
     assert store.volume_for(9) == 0
     assert store.entry_count() == 0
@@ -47,8 +47,8 @@ def test_deliver_on_wake_other_destinations_untouched():
     store = CacheStore(capacity_bits=1_000_000)
     store.store(packet(1, dst=9), now=0.0)
     store.store(packet(2, dst=5), now=0.0)
-    assert store.deliver_on_wake(7, now=1.0) == []
-    entries = store.deliver_on_wake(9, now=1.0)
+    assert store.deliver_on_wake(7) == []
+    entries = store.deliver_on_wake(9)
     assert [e.packet.id for e in entries] == [1]
     assert store.volume_for(5) == 8_000
 
@@ -56,8 +56,8 @@ def test_deliver_on_wake_other_destinations_untouched():
 def test_no_double_delivery():
     store = CacheStore(capacity_bits=1_000_000)
     store.store(packet(1), now=0.0)
-    assert len(store.deliver_on_wake(9, now=1.0)) == 1
-    assert store.deliver_on_wake(9, now=2.0) == []
+    assert len(store.deliver_on_wake(9)) == 1
+    assert store.deliver_on_wake(9) == []
 
 
 def test_evict_expired_deadline():
@@ -84,7 +84,7 @@ def test_volume_matches_recompute_through_churn():
         assert store.volume_for(dst) == vol
     assert store.used_bits == sum(store.recomputed_volumes().values())
     store.evict_expired(now=3.0)
-    store.deliver_on_wake(4, now=4.0)
+    store.deliver_on_wake(4)
     recomputed = store.recomputed_volumes()
     for dst in (4, 5):
         assert store.volume_for(dst) == recomputed.get(dst, 0)

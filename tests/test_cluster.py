@@ -126,8 +126,8 @@ def test_rotation_every_node_serves_once_per_n_rounds():
     members = set(range(10))
     energies = {n: EnergyAccount(10.0 - n * 0.1, 10.0) for n in members}
     ledger = ServiceLedger()
-    for round_index in range(10):
-        elect_roles(members, energies, ledger, round_index, 10.0)
+    for _ in range(10):
+        elect_roles(members, energies, ledger)
     counts = [ledger.sp_count(n) for n in sorted(members)]
     assert counts == [1] * 10
 
@@ -136,8 +136,8 @@ def test_rotation_50_rounds_is_fair():
     members = set(range(10))
     energies = {n: EnergyAccount(10.0 - n * 0.1, 10.0) for n in members}
     ledger = ServiceLedger()
-    for round_index in range(50):
-        elect_roles(members, energies, ledger, round_index, 10.0)
+    for _ in range(50):
+        elect_roles(members, energies, ledger)
     counts = [ledger.sp_count(n) for n in sorted(members)]
     assert min(counts) >= 1
     assert max(counts) - min(counts) <= 1
@@ -151,7 +151,7 @@ def test_form_clusters_single_component():
         for b in range(a + 1, 5):
             graph.add_edge(a, b)
     energies = {n: EnergyAccount(5.0 + n, 10.0) for n in range(5)}
-    clusters = form_clusters(graph, energies, ServiceLedger(), 0, 10.0)
+    clusters = form_clusters(graph, energies, ServiceLedger())
     assert len(clusters) == 1
     assert clusters[0].members == frozenset(range(5))
     assert clusters[0].ch == 4  # highest residual
@@ -165,7 +165,7 @@ def test_form_clusters_two_components():
     graph.add_edge(1, 2)
     graph.add_edge(3, 4)
     energies = {n: EnergyAccount(5.0, 10.0) for n in range(5)}
-    clusters = form_clusters(graph, energies, ServiceLedger(), 0, 10.0)
+    clusters = form_clusters(graph, energies, ServiceLedger())
     assert [c.members for c in clusters] == [frozenset({0, 1, 2}), frozenset({3, 4})]
     for cluster in clusters:
         assert cluster.ch in cluster.members
@@ -201,5 +201,5 @@ def test_form_clusters_component_count_matches_union_find(seed):
                 parent[ra] = rb
     oracle_count = len({find(i) for i in range(n)})
 
-    clusters = form_clusters(graph, energies, ServiceLedger(), 0, 10.0)
+    clusters = form_clusters(graph, energies, ServiceLedger())
     assert len(clusters) == oracle_count

@@ -1,7 +1,14 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from ecsim.core import EnergyAccount, EnergyModelParams, RadioMode, consume, fraction_remaining
+from ecsim.core import (
+    EnergyAccount,
+    EnergyModelParams,
+    RadioMode,
+    consume,
+    fraction_remaining,
+    sum_in_order,
+)
 
 PARAMS = EnergyModelParams()
 
@@ -97,3 +104,9 @@ def test_consume_additive_in_duration(a, b, mode):
     joined = consume(acct, mode, a + b, PARAMS)
     split = consume(consume(acct, mode, a, PARAMS), mode, b, PARAMS)
     assert split.e_residual == pytest.approx(joined.e_residual, abs=1e-9)
+
+
+def test_sum_in_order_rounds_after_every_addition():
+    # Compensated summation (sum() since Python 3.12, math.fsum) gives 1.0.
+    assert sum_in_order([0.1] * 10) == 0.9999999999999999
+    assert sum_in_order([]) == 0

@@ -181,7 +181,7 @@ class TestStepTransitions:
         sim.set_phase(dnode, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, dnode, 6.0)
         sim._on_packet_arrival(
-            type("E", (), {"node": src, "payload": {"packet_id": packet.id, "fresh": True}})()
+            type("E", (), {"node": src, "payload": {"packet_id": packet.id}})()
         )
         assert sim.nodes[src].cache.volume_for(dst) == 8_000
 

@@ -4,7 +4,7 @@ import pytest
 
 from ecsim.config import from_dict
 from ecsim.engine import Simulation, run_simulation
-from ecsim.report import compare, compare_csv, finalize, summarize_batch, trace_csv
+from ecsim.report import compare, compare_csv, finalize, trace_csv
 
 
 def small_config(**overrides):
@@ -123,15 +123,6 @@ def test_compare_csv_shape():
     lines = text.strip().split("\n")
     assert lines[0] == "metric,scheme,value,delta_vs_baseline_pct"
     assert len(lines) == len(rows) + 1
-
-
-def test_summarize_batch_ci():
-    out = summarize_batch([10.0, 12.0, 11.0, 9.0, 13.0])
-    assert out["mean"] == pytest.approx(11.0)
-    assert out["n"] == 5
-    assert out["ci95_half_width"] > 0
-    assert summarize_batch([]) == {"mean": None, "ci95_half_width": None, "n": 0}
-    assert summarize_batch([4.2])["ci95_half_width"] is None
 
 
 def test_timeseries_csv_header_and_rows():
