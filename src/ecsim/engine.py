@@ -17,11 +17,9 @@ import random
 from collections import deque
 from typing import TYPE_CHECKING, NamedTuple
 
-from ecsim import cluster as cluster_mod
 from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
 from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume, sum_in_order
-from ecsim.scheduler import ActivityLedger
 from ecsim.schemes import RELAY_QUIET_SLOTS, SchemePlane
 from ecsim.topology import (
     ConnectivityGraph,
@@ -166,9 +164,6 @@ class Simulation:
         }
         self.plane: SchemePlane = config.scheme.plane(self)
 
-        self.ledger = ActivityLedger(self.slot_width, self.slots_per_round)
-        self.service_ledger = cluster_mod.ServiceLedger()
-
         self.now = 0.0
         self.round_index = -1
         self.round_start = 0.0
@@ -285,7 +280,7 @@ class Simulation:
         node.account = consume(node.account, node.mode, duration, self.params)
         node.time_in_mode[node.mode] += duration
         if node.mode in (RadioMode.ACTIVE_TX, RadioMode.ACTIVE_RX):
-            self._record_activity(node.nid, node.last_touch, self.now)
+            self.plane.radio_busy(self, node.nid, node.last_touch)
         if self.trace is not None:
             spent = before - node.account.e_residual
             self.trace.append(
@@ -297,21 +292,6 @@ class Simulation:
                 )
             )
         node.last_touch = self.now
-
-    def _record_activity(self, nid: NodeId, start: float, end: float) -> None:
-        """Distribute a radio-busy interval into the current round's slots."""
-        lo = max(start, self.round_start)
-        hi = min(end, self.round_start + self.round_length)
-        if hi <= lo:
-            return
-        first = int((lo - self.round_start) / self.slot_width)
-        last = int((hi - self.round_start) / self.slot_width - 1e-12)
-        for idx in range(max(0, first), min(self.slots_per_round - 1, last) + 1):
-            slot_lo = self.round_start + idx * self.slot_width
-            slot_hi = slot_lo + self.slot_width
-            overlap = min(hi, slot_hi) - max(lo, slot_lo)
-            if overlap > 0:
-                self.ledger.record_active(nid, idx, overlap)
 
     def _recompute_mode(self, node: SimNode) -> None:
         if node.phase is NodePhase.SLEEP:
@@ -392,11 +372,9 @@ class Simulation:
         self._try_transmit(node)
 
     def _deliver(self, work: PacketWork) -> None:
+        # First, so a phase change the plane makes is traced before the delivery.
+        self.plane.delivered(self, work)
         packet = work.packet
-        dst_node = self.nodes[packet.dst]
-        if dst_node.alive and dst_node.phase is NodePhase.IDLE:
-            # Incoming traffic moves the destination into the active state.
-            self.set_phase(dst_node, NodePhase.ACTIVE)
         delay = self.now - packet.created_at
         on_time = (
             packet.klass is PacketClass.ELASTIC
@@ -408,7 +386,6 @@ class Simulation:
         self.delay_count += 1
         if on_time:
             self.delivered_bits_ok += packet.size_bits
-        self.plane.delivered(self, work)
 
     def _try_transmit(self, node: SimNode) -> None:
         """Store-and-forward: move each queued packet one hop closer to its
@@ -493,19 +470,13 @@ class Simulation:
     def _cache_target(self, exclude: NodeId, packet: Packet) -> NodeId | None:
         """Active hop-neighbor of the sleeping destination with most free
         cache space (ties to smallest id)."""
-        best: tuple[int, int] | None = None
-        best_node = None
-        for nid in sorted(self.graph.neighbors_of(packet.dst)):
-            if nid == exclude:
-                continue
-            cand = self.nodes[nid]
-            if not cand.awake or cand.cache.free_bits < packet.size_bits:
-                continue
-            key = (-cand.cache.free_bits, nid)
-            if best is None or key < best:
-                best = key
-                best_node = nid
-        return best_node
+        free_bits = {
+            nid: self.nodes[nid].cache.free_bits
+            for nid in self.graph.neighbors_of(packet.dst)
+            if nid != exclude and self.nodes[nid].awake
+        }
+        candidates = [nid for nid, bits in free_bits.items() if bits >= packet.size_bits]
+        return min(candidates, key=lambda nid: (-free_bits[nid], nid), default=None)
 
     def _neighbor_wake(self, nid: NodeId, dist: dict[NodeId, int], here: int) -> float:
         """Earliest wake among neighbors that could unblock forwarding."""
@@ -581,13 +552,11 @@ class Simulation:
 
     def _on_slot_boundary(self, event: Event) -> None:
         slot = event.payload["slot"]
-        for nid, node in self.nodes.items():
-            if node.alive:
-                # Flush ongoing radio activity so the closing slot is fully
-                # recorded, then mark the slot observed.
-                if node.tx_active or node.rx_active:
-                    self._touch(node)
-                self.ledger.record_active(nid, slot, 0.0)
+        for node in self.nodes.values():
+            # Flush ongoing radio activity under every scheme: the split
+            # billing shows in the trace's mode rows and in the float sums.
+            if node.alive and (node.tx_active or node.rx_active):
+                self._touch(node)
         self._evict_caches()
         self.plane.slot_boundary(self, slot)
         self.current_slot = slot + 1
@@ -599,9 +568,17 @@ class Simulation:
             for packet in node.cache.evict_expired(self.now):
                 # Only packets with a record are cached.
                 self._finish(self.work[packet.id], LOST_DEADLINE)
-                # This node held volume for the destination, so it is indexed.
-                if node.cache.volume_for(packet.dst) == 0:
-                    self.holders_by_dst[packet.dst].discard(nid)
+                # Unindex once: two dropped packets may share a destination.
+                dst = packet.dst
+                if node.cache.volume_for(dst) == 0 and nid in self.holders_by_dst.get(dst, ()):
+                    self._unindex(dst, nid)
+
+    def _unindex(self, dst: NodeId, holder: NodeId) -> None:
+        """``holder`` no longer caches for ``dst``; an emptied entry goes."""
+        holders = self.holders_by_dst[dst]
+        holders.discard(holder)
+        if not holders:
+            del self.holders_by_dst[dst]
 
     def after_wake(self, node: SimNode) -> None:
         """Resume a node that woke: schedule handovers of cached packets,
@@ -660,14 +637,13 @@ class Simulation:
         self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
 
     def _on_round_setup(self, event: Event) -> None:
-        # Flush ongoing activity into the closing round before the ledger reset.
+        # Flush ongoing activity into the closing round before a new one starts.
         for node in self.nodes.values():
             if node.alive:
                 self._touch(node)
         self.round_index += 1
         self.round_start = self.now
         self.current_slot = 0
-        self.ledger.start_round()
         self.timeseries.append(self._timeseries_row())
         self.plane.round_setup(self)
         for j in range(1, self.slots_per_round + 1):
@@ -696,8 +672,7 @@ class Simulation:
             self._finish(node.outbox.popleft(), LOST_DEAD)
         for dst in node.cache.destinations():
             self._lose_cached(node, dst)
-            # This node held volume for ``dst``, so it is indexed.
-            self.holders_by_dst[dst].discard(node.nid)
+            self._unindex(dst, node.nid)
         # Cached copies elsewhere destined for the dead node can never deliver.
         for holder_id in sorted(self.holders_by_dst.pop(node.nid, set())):
             self._lose_cached(self.nodes[holder_id], node.nid)
@@ -723,8 +698,7 @@ class Simulation:
         entries = holder.cache.deliver_on_wake(woken)
         if not entries:
             return
-        # The holder had volume for ``woken``, so it is indexed.
-        self.holders_by_dst[woken].discard(holder.nid)
+        self._unindex(woken, holder.nid)
         # A cached packet is held by this cache alone and has not ended.
         for entry in entries:
             holder.outbox.append(self.work[entry.packet.id])

@@ -76,8 +76,8 @@ def finalize(sim: "Simulation") -> MetricsReport:
                 "idle": node.time_in_mode[RadioMode.IDLE],
                 "sleep": node.time_in_mode[RadioMode.SLEEP],
             },
-            "sp_rounds": sim.service_ledger.sp_count(nid),
-            "ch_rounds": sim.service_ledger.ch_count(nid),
+            "sp_rounds": sim.plane.service_ledger.sp_count(nid),
+            "ch_rounds": sim.plane.service_ledger.ch_count(nid),
         }
 
     node_count = max(1, len(sim.nodes))

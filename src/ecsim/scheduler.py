@@ -1,7 +1,7 @@
 """Traffic-history ledgers and the idle/sleep interval computations.
 
 All operations here are pure: identical inputs give bit-identical outputs.
-The engine owns the ledgers and calls these between events.
+The traffic-aware plane owns the ledger and calls these between events.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ class ActivityLedger:
     """Per-node, per-slot traffic-active seconds over one round window.
 
     A slot value counts seconds the node's radio was busy with traffic
-    (transmit/receive) inside that slot; recording 0.0 marks the slot as
-    observed, which is distinct from never recorded.
+    (transmit/receive) inside that slot. A slot never recorded reads as None;
+    the simulator records only busy time, so for it that means idle.
     """
 
     def __init__(self, slot_width: float, slots_per_round: int):

@@ -16,9 +16,9 @@ from typing import TYPE_CHECKING, Union
 from ecsim import cluster as cluster_mod
 from ecsim.core import EventKind, NodeId, NodePhase, sum_in_order
 from ecsim.scheduler import (
+    ActivityLedger,
     IdleDecision,
     InsufficientHistory,
-    NoCapacityError,
     SleepInputs,
     backward_diff,
     compute_idle,
@@ -44,10 +44,11 @@ class SchemePlane:
     - ``start(sim)``: start-up, after every node's first death prediction;
     - ``round_setup(sim)``: a round has begun; its slots are not queued yet;
     - ``slot_boundary(sim, closed_slot)``: a slot closed, caches are evicted;
+    - ``radio_busy(sim, nid, start)``: the radio was busy from ``start`` to now;
     - ``sleep_expiry(sim, node)``: a sleep ran out; cache pickups follow;
     - ``idle_expiry(sim, node)``: an idle expiry of the current phase epoch;
     - ``moved(sim, nids)``: these nodes changed position in a mobility step;
-    - ``delivered(sim, work)``: a packet reached its destination;
+    - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
     - ``death(sim, nid)``: a node died and left the topology.
 
     Every hook does nothing here, which is all always-on needs. A plane acts
@@ -62,13 +63,14 @@ class SchemePlane:
     sleep_audit: tuple = ()
 
     def __init__(self, sim: Simulation) -> None:
-        pass
+        # Rounds served as head and proxy; stays empty without elections.
+        self.service_ledger = cluster_mod.ServiceLedger()
 
     def _nothing(self, sim: Simulation, *args) -> None:
         pass
 
     start = round_setup = slot_boundary = sleep_expiry = idle_expiry = _nothing
-    moved = delivered = death = _nothing
+    radio_busy = moved = delivered = death = _nothing
 
 
 @dataclass(frozen=True)
@@ -101,6 +103,7 @@ class DutyCyclePlane(SchemePlane):
     staggered = False
 
     def __init__(self, sim: Simulation) -> None:
+        super().__init__(sim)
         self.scheme = sim.config.scheme
         count = max(1, sim.config.node_count)
         self.offset = {
@@ -149,7 +152,10 @@ class TrafficAwarePlane(SchemePlane):
     mean."""
 
     def __init__(self, sim: Simulation) -> None:
+        super().__init__(sim)
         config = sim.config
+        # Traffic-active seconds per member and slot of the current round.
+        self.ledger = ActivityLedger(sim.slot_width, sim.slots_per_round)
         self.obs_window = config.observation_window_s or config.round_s
         self.clusters: list[cluster_mod.Cluster] = []
         self.ch_ids: set[NodeId] = set()
@@ -163,6 +169,7 @@ class TrafficAwarePlane(SchemePlane):
     # -- hooks ---------------------------------------------------------------
 
     def round_setup(self, sim: Simulation) -> None:
+        self.ledger.start_round()
         self.sp_history = {}
         self._form_round_clusters(sim)
         # Set-up phase idle assignment: every awake member re-enters idle
@@ -174,6 +181,21 @@ class TrafficAwarePlane(SchemePlane):
     def slot_boundary(self, sim: Simulation, closed_slot: int) -> None:
         if sim.round_index >= 1:
             self._sp_evaluation(sim, closed_slot)
+
+    def radio_busy(self, sim: Simulation, nid: NodeId, start: float) -> None:
+        """Distribute a radio-busy interval into the current round's slots."""
+        lo = max(start, sim.round_start)
+        hi = min(sim.now, sim.round_start + sim.round_length)
+        if hi <= lo:
+            return
+        first = int((lo - sim.round_start) / sim.slot_width)
+        last = int((hi - sim.round_start) / sim.slot_width - 1e-12)
+        for idx in range(max(0, first), min(sim.slots_per_round - 1, last) + 1):
+            slot_lo = sim.round_start + idx * sim.slot_width
+            slot_hi = slot_lo + sim.slot_width
+            overlap = min(hi, slot_hi) - max(lo, slot_lo)
+            if overlap > 0:
+                self.ledger.record_active(nid, idx, overlap)
 
     def sleep_expiry(self, sim: Simulation, node: SimNode) -> None:
         self._enter_idle(sim, node)
@@ -191,6 +213,10 @@ class TrafficAwarePlane(SchemePlane):
                 self._wake_to_idle(sim, node)  # location change wakes the node
 
     def delivered(self, sim: Simulation, work: PacketWork) -> None:
+        dst = sim.nodes[work.packet.dst]  # a delivery's destination is alive
+        if dst.phase is NodePhase.IDLE:
+            # Incoming traffic moves the destination into the active state.
+            sim.set_phase(dst, NodePhase.ACTIVE)
         if not work.hops:
             return
         record = path_delay(work.hops)
@@ -210,7 +236,7 @@ class TrafficAwarePlane(SchemePlane):
                 continue
             if dead in (cl.ch, cl.sp):
                 energies = {m: sim.nodes[m].account for m in members}
-                new_cl = cluster_mod.elect_roles(members, energies, sim.service_ledger)
+                new_cl = cluster_mod.elect_roles(members, energies, self.service_ledger)
                 self._wake_roles(sim, new_cl)
                 refreshed.append(new_cl)
             else:
@@ -238,7 +264,7 @@ class TrafficAwarePlane(SchemePlane):
                 blocks.setdefault((pos.x // block_w, pos.y // block_h), set()).add(nid)
             groups = [blocks[key] for key in sorted(blocks)]
         self.clusters = cluster_mod.form_clusters(
-            sim.graph, energies, sim.service_ledger, groups=groups
+            sim.graph, energies, self.service_ledger, groups=groups
         )
         self.ch_ids = {cl.ch for cl in self.clusters}
         for cl in self.clusters:
@@ -285,7 +311,7 @@ class TrafficAwarePlane(SchemePlane):
                     if other not in cluster.members or not sim.nodes[other].awake:
                         continue
                     decision = pairwise_idle_decision(
-                        sim.ledger, m, other, incoming, sim.graph
+                        self.ledger, m, other, incoming, sim.graph
                     )
                     if decision is IdleDecision.GO_IDLE:
                         self._enter_idle(sim, node)
@@ -298,7 +324,7 @@ class TrafficAwarePlane(SchemePlane):
                 if m == cluster.sp or node.phase is not NodePhase.ACTIVE or _busy(node):
                     continue
                 if (
-                    sim.ledger.slot_value(m, closed_slot) == 0.0
+                    not self.ledger.slot_value(m, closed_slot)
                     and self._imminent_bits(sim, m) == 0
                 ):
                     self._enter_idle(sim, node)
@@ -355,13 +381,13 @@ class TrafficAwarePlane(SchemePlane):
         closed_abs = sim.round_index * sim.slots_per_round + closed_slot
         if closed_abs - node.last_relay_slot < RELAY_QUIET_SLOTS:
             return False  # recently carried traffic for others
-        # Every alive node's closed slot is recorded, if only as 0.0.
-        latest = sim.ledger.slot_value(nid, closed_slot)
-        if latest == 0.0:
+        # Only traffic is recorded, always as a positive share: an idle slot has
+        # no entry, so a busy slot after it has no backward difference.
+        if not self.ledger.slot_value(nid, closed_slot):
             # No traffic activity at all in the latest slot: sleep is enforced.
             return True
         try:
-            return backward_diff(sim.ledger, nid, closed_slot) < 0.0
+            return backward_diff(self.ledger, nid, closed_slot) < 0.0
         except InsufficientHistory:
             return False
 
@@ -372,11 +398,12 @@ class TrafficAwarePlane(SchemePlane):
         while samples and samples[0][0] < cutoff:
             samples.popleft()
 
-    def _max_dp(self, sim: Simulation, nid: NodeId) -> tuple[float, int] | None:
+    def _max_dp(self, sim: Simulation, nid: NodeId) -> tuple[float, int]:
+        """Largest windowed path delay and its hops; (0.0, 1) at cold start."""
         samples = self.dp_samples[nid]
         self._window_prune(sim, samples)
         if not samples:
-            return None
+            return 0.0, 1
         best = max(samples, key=lambda s: (s[1], s[0]))
         return best[1], best[2]
 
@@ -404,8 +431,7 @@ class TrafficAwarePlane(SchemePlane):
         # sleep may defer traffic. Cached backlog, capacity dips and hosting
         # delays shorten it; measured path delays feed the idle window and
         # the hop exponent.
-        dp = self._max_dp(sim, nid)
-        hops = dp[1] if dp is not None else 1
+        _, hops = self._max_dp(sim, nid)
         inputs = SleepInputs(
             capacities=capacities,
             volumes=tuple(volumes),
@@ -415,21 +441,15 @@ class TrafficAwarePlane(SchemePlane):
             round_length=sim.round_length,
             cache_delays=tuple(delays),
         )
-        try:
-            return compute_sleep(inputs, sim.config.sleep_epsilon), delays
-        except NoCapacityError:
-            return 0.0, delays
+        # ``sup > 0`` here, so compute_sleep raises no NoCapacityError.
+        return compute_sleep(inputs, sim.config.sleep_epsilon), delays
 
     # -- phase changes ---------------------------------------------------------
 
     def _enter_idle(self, sim: Simulation, node: SimNode) -> None:
         sim.set_phase(node, NodePhase.IDLE)
-        dp = self._max_dp(sim, node.nid)
-        if dp is None:
-            # Cold-start default: no recorded path delay.
-            interval = compute_idle(sim.round_length, 0.0, 1)
-        else:
-            interval = compute_idle(sim.round_length, min(dp[0], sim.round_length), dp[1])
+        delay, hops = self._max_dp(sim, node.nid)
+        interval = compute_idle(sim.round_length, min(delay, sim.round_length), hops)
         sim.push(sim.now + interval, EventKind.IDLE_EXPIRY, node.nid,
                   epoch=node.phase_epoch)
 

@@ -6,7 +6,8 @@ import pytest
 
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase
-from ecsim.engine import Simulation, run_simulation
+from ecsim.engine import PacketWork, Simulation, run_simulation
+from ecsim.scheduler import ActivityLedger
 from ecsim.schemes import CoordinatedDutyCycle, PeriodicSleepWake, dispatch_scheme
 
 
@@ -185,6 +186,24 @@ class TestStepTransitions:
         )
         assert sim.nodes[src].cache.volume_for(dst) == 8_000
 
+    def test_evicting_two_packets_for_one_destination_unindexes_once(self):
+        from ecsim.traffic import Packet, PacketClass
+
+        sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4)
+        for pid in (0, 1):
+            packet = Packet(
+                id=pid, src=0, dst=1, size_bits=8_000,
+                klass=PacketClass.DELAY_SENSITIVE, created_at=1.0, deadline=2.0,
+            )
+            sim.packets.append(packet)
+            sim.work[pid] = PacketWork(packet, 1.0, True)
+            assert sim._cache_here(sim.nodes[0], sim.work[pid])
+        assert sim.holders_by_dst == {1: {0}}
+        sim.now = 3.0
+        sim._evict_caches()  # both expire at the same boundary
+        assert sim.holders_by_dst == {}
+        assert [sim.work[pid].state for pid in (0, 1)] == ["lost-deadline"] * 2
+
     def test_dead_node_emits_and_receives_nothing(self):
         config = make_config(horizon_s=30.0, initial_energy_j=5.0, flows=[])
         report, _ = run_simulation(config, 3)
@@ -266,3 +285,40 @@ def test_simulation_is_freed_without_cyclic_gc(kind):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_radio_busy_splits_an_interval_into_slots():
+    # 10 slots of 1 s in a round that starts at 20 s.
+    sim = Simulation(make_config(round_s=10.0, scheme={"kind": "traffic-aware"}), 1)
+    sim.round_start = 20.0
+    ledger = sim.plane.ledger
+    sim.now = 22.25
+    sim.plane.radio_busy(sim, 0, 20.5)  # across slots 0, 1 and 2
+    assert [ledger.slot_value(0, s) for s in range(4)] == pytest.approx([0.5, 1.0, 0.25, None])
+    sim.now = 31.0
+    sim.plane.radio_busy(sim, 1, 29.25)  # clipped at the round's end, 30 s
+    assert ledger.slot_value(1, 9) == pytest.approx(0.75)
+    assert [ledger.slot_value(1, s) for s in range(9)] == [None] * 9
+    sim.now = 20.5
+    sim.plane.radio_busy(sim, 2, 19.0)  # clipped at the round's start
+    assert ledger.slot_value(2, 0) == pytest.approx(0.5)
+    assert ledger.cumulative_active(2) == pytest.approx(0.5)
+
+
+def test_only_traffic_aware_records_slot_activity(monkeypatch):
+    calls = []
+    record = ActivityLedger.record_active
+
+    def counted(self, node, slot, seconds):
+        calls.append(seconds)
+        record(self, node, slot, seconds)
+
+    monkeypatch.setattr(ActivityLedger, "record_active", counted)
+    for kind in ("periodic", "coordinated", "always-on", "traffic-aware"):
+        calls.clear()
+        run_simulation(make_config(scheme={"kind": kind}), 2)
+        if kind == "traffic-aware":
+            # Only busy time is recorded: an idle slot gets no entry.
+            assert calls and min(calls) > 0.0
+        else:
+            assert calls == [], kind

@@ -197,7 +197,7 @@ def assert_structural_invariants(sim):
             cached.setdefault(dst, set()).add(nid)
         held.extend(work.packet.id for work in node.outbox)
         held.extend(entry.packet.id for entry in node.cache._entries)
-    assert {dst: h for dst, h in sim.holders_by_dst.items() if h} == cached
+    assert sim.holders_by_dst == cached
     for dst, holders in cached.items():
         assert nodes[dst].alive and all(nodes[h].alive for h in holders)
     # (b) Cluster members are alive.
