@@ -3,9 +3,12 @@
 The check is the 15 acceptance runs (``SCENARIO`` from
 ``tests/test_acceptance.py`` under traffic-aware, periodic and coordinated,
 seeds 1-5) and ``ecsim compare`` of all four schemes on
-``scenarios/demo.json`` with seed 42, every run with its trace. That makes
-58 files; two checkouts give the same outputs when their ``sha256.txt`` files
-do not differ:
+``scenarios/demo.json`` with seed 42, and ``ecsim compare`` of all four
+schemes on 12 generated small scenarios, every run with its trace. The
+generated ones reach what the others rarely do: a disabled or full cache,
+and nodes that die while a packet is on the air. That makes 214 files; two
+checkouts give the same outputs when their ``sha256.txt`` files do not
+differ:
 
     python3 scripts/output_digests.py OUT
 """
@@ -16,6 +19,7 @@ import ast
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +33,7 @@ from ecsim.cli import main  # noqa: E402
 ACCEPTANCE_SCHEMES = ("traffic-aware", "periodic", "coordinated")
 ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
 COMPARE_SCHEMES = "traffic-aware,periodic,coordinated,always-on"
+GENERATED_COUNT = 12
 
 
 def _acceptance_scenario() -> dict:
@@ -41,6 +46,41 @@ def _acceptance_scenario() -> dict:
         ):
             return ast.literal_eval(node.value)
     raise LookupError("tests/test_acceptance.py assigns no SCENARIO")
+
+
+def _generated_scenarios(count: int) -> list[tuple[dict, int]]:
+    """``count`` (scenario, seed) pairs drawn with a fixed seed over the ranges
+    of ``small_scenarios`` in ``tests/test_invariants.py``, all on 20 kb/s
+    links, so that packets stay on the air long enough for nodes to die
+    while they send or receive."""
+    rng = random.Random(20_000)
+    out = []
+    for _ in range(count):
+        nodes = rng.randint(4, 12)
+        flows = []
+        for _ in range(rng.randint(1, 3)):
+            src = rng.randint(0, nodes - 1)
+            dst = rng.randint(0, nodes - 2)
+            flows.append(
+                {"src": src, "dst": dst + (dst >= src), "rate_pps": rng.uniform(0.2, 1.5)}
+            )
+        raw = {
+            "grid": {"width": rng.randint(2, 4), "height": rng.randint(2, 4)},
+            "nodes": nodes,
+            "initial_energy_j": rng.uniform(10.0, 80.0),
+            "round_s": 10.0,
+            "horizon_s": 100.0,
+            "traffic_horizon_s": 90.0,
+            "p_move": rng.uniform(0.0, 0.05),
+            "flows": flows,
+            # One to five packets of 8,000 bits fill the cache.
+            "cache": {"enabled": rng.randint(0, 3) > 0, "capacity_bits": 8_000 * rng.randint(1, 5)},
+            "link_bps": 20_000.0,
+        }
+        if rng.random() < 0.5:
+            raw["cluster"] = {"policy": "grid", "partition": rng.randint(1, 2)}
+        out.append((raw, rng.randint(0, 10_000)))
+    return out
 
 
 def _run(argv: list[str]) -> None:
@@ -66,6 +106,14 @@ def main_digests(out: Path) -> int:
             ["compare", "--config", str(ROOT / "scenarios" / "demo.json"), "--seed", "42",
              "--schemes", COMPARE_SCHEMES, "--out", str(out / "compare"), "--trace", "--quiet"]
         )
+        for index, (raw, seed) in enumerate(_generated_scenarios(GENERATED_COUNT)):
+            path = Path(tmp) / f"generated-{index:02d}.json"
+            path.write_text(json.dumps(raw))
+            jobs.append(
+                ["compare", "--config", str(path), "--seed", str(seed), "--schemes",
+                 COMPARE_SCHEMES, "--out", str(out / "generated" / f"{index:02d}"), "--trace",
+                 "--quiet"]
+            )
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             list(pool.map(_run, jobs))
     lines = []

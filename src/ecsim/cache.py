@@ -4,7 +4,8 @@ An active hop-neighbor of a sleeping destination stores the packet and hands
 it over when the destination wakes. Volumes per destination are maintained
 incrementally and must always match the recomputed sum. Total occupancy is
 the sum of those volumes, one term per destination rather than per entry, and
-must likewise match the sum recomputed from the entries.
+must likewise match the sum recomputed from the entries. A network's caches
+share one holder index (destination -> holders with volume); ``_bump`` keeps it.
 """
 
 from __future__ import annotations
@@ -29,12 +30,14 @@ class CacheEntry:
 
 
 class CacheStore:
-    """FIFO packet cache of one holder node, bounded in bits."""
+    """FIFO packet cache of node ``holder``, bounded in bits."""
 
-    def __init__(self, capacity_bits: int):
+    def __init__(self, capacity_bits: int, holder: NodeId = 0, index: dict | None = None):
         if capacity_bits < 0:
             raise ValueError("cache capacity must be >= 0")
         self.capacity_bits = capacity_bits
+        self.holder = holder
+        self._index: dict[NodeId, set[NodeId]] = {} if index is None else index
         self._entries: list[CacheEntry] = []
         self._ids: set[int] = set()
         self._volume_by_dst: dict[NodeId, int] = {}
@@ -111,10 +114,16 @@ class CacheStore:
         self._bump(packet.dst, -packet.size_bits)
 
     def _bump(self, dst: NodeId, delta: int) -> None:
-        value = self._volume_by_dst.get(dst, 0) + delta
+        old = self._volume_by_dst.get(dst, 0)
+        value = old + delta
         if value < 0:
             raise AssertionError("cache volume accounting went negative")
-        if value == 0:
-            self._volume_by_dst.pop(dst, None)
-        else:
+        if value:
             self._volume_by_dst[dst] = value
+            if not old:  # the volume just turned positive (sizes are never zero)
+                self._index.setdefault(dst, set()).add(self.holder)
+        else:
+            del self._volume_by_dst[dst]
+            self._index[dst].discard(self.holder)
+            if not self._index[dst]:
+                del self._index[dst]

@@ -57,19 +57,16 @@ class Event(NamedTuple):
 
 
 class PacketWork:
-    """Everything a run records about one generated packet: its terminal
+    """What every scheme records about one generated packet: its terminal
     state (None while in flight), whether its destination was asleep at
-    creation, current hop timing and visited nodes."""
+    creation, and how often it was deferred."""
 
-    __slots__ = ("packet", "state", "dst_asleep", "hop_arrived", "hops", "visited", "defer_count")
+    __slots__ = ("packet", "state", "dst_asleep", "defer_count")
 
-    def __init__(self, packet: Packet, created_at: float, dst_asleep: bool):
+    def __init__(self, packet: Packet, dst_asleep: bool):
         self.packet = packet
         self.state: str | None = None
         self.dst_asleep = dst_asleep
-        self.hop_arrived = created_at
-        self.hops: list[tuple[float, float]] = []
-        self.visited: list[NodeId] = [packet.src]
         self.defer_count = 0
 
 
@@ -88,7 +85,6 @@ class SimNode:
         "mode_epoch",
         "last_touch",
         "outbox",
-        "radio_busy_until",
         "cache",
         "time_in_mode",
         "death_time",
@@ -97,7 +93,8 @@ class SimNode:
         "retry_heap",
     )
 
-    def __init__(self, nid: NodeId, initial_energy: float, cache_capacity: int):
+    def __init__(self, nid: NodeId, initial_energy: float, cache_capacity: int,
+                 holders_by_dst: dict[NodeId, set[NodeId]]):
         self.nid = nid
         self.account = EnergyAccount(initial_energy, initial_energy)
         self.alive = True
@@ -109,8 +106,7 @@ class SimNode:
         self.mode_epoch = 0
         self.last_touch = 0.0
         self.outbox: deque[PacketWork] = deque()
-        self.radio_busy_until = 0.0
-        self.cache = CacheStore(cache_capacity)
+        self.cache = CacheStore(cache_capacity, nid, holders_by_dst)
         self.time_in_mode = {mode: 0.0 for mode in RadioMode}
         self.death_time: float | None = None
         self.wake_at: float | None = None  # scheduled sleep exit, while sleeping
@@ -158,8 +154,11 @@ class Simulation:
         # placements are rejection-sampled (deterministically) until the
         # topology is one component.
         self.grid, self.graph = self._place_connected(config, placement_rng)
+        # Destination -> alive nodes caching for it, kept by the caches alone.
+        self.holders_by_dst: dict[NodeId, set[NodeId]] = {}
         self.nodes = {
-            nid: SimNode(nid, config.initial_energy_j, config.cache_capacity_bits)
+            nid: SimNode(nid, config.initial_energy_j, config.cache_capacity_bits,
+                         self.holders_by_dst)
             for nid in range(config.node_count)
         }
         self.plane: SchemePlane = config.scheme.plane(self)
@@ -174,13 +173,11 @@ class Simulation:
         # Every generated packet by id, ended or not.
         self.work: dict[int, PacketWork] = {}
         self._dist_cache: dict[NodeId, dict[NodeId, int]] = {}
-        self.holders_by_dst: dict[NodeId, set[NodeId]] = {}
 
         # Running sums: adding them up later in another order would change
         # the reported floats.
         self.delivered_bits_ok = 0
         self.delay_sum = 0.0
-        self.delay_count = 0
         self.timeseries: list[tuple[float, float, float]] = []
         self.trace: list[tuple[float, int, str, str]] | None = [] if collect_trace else None
 
@@ -360,7 +357,7 @@ class Simulation:
             # An arrival without ``retry`` is the packet's first.
             packet = self.packets[pid]
             dst = self.nodes[packet.dst]
-            work = PacketWork(packet, self.now, not dst.awake and dst.alive)
+            work = PacketWork(packet, not dst.awake and dst.alive)
             self.work[pid] = work
             if not node.alive or not dst.alive:
                 self._finish(work, LOST_DEAD)
@@ -383,7 +380,6 @@ class Simulation:
         )
         self._finish(work, DELIVERED if on_time else DELIVERED_LATE)
         self.delay_sum += delay
-        self.delay_count += 1
         if on_time:
             self.delivered_bits_ok += packet.size_bits
 
@@ -462,7 +458,6 @@ class Simulation:
         packet = work.packet
         result = node.cache.store(packet, self.now)
         if result in (StoreResult.ACCEPTED, StoreResult.DUPLICATE):
-            self.holders_by_dst.setdefault(packet.dst, set()).add(node.nid)
             self.trace_event(node.nid, "cache-store", f"pid={packet.id};dst={packet.dst}")
             return True
         return False
@@ -507,8 +502,6 @@ class Simulation:
     def _start_tx(self, sender: SimNode, receiver_id: NodeId, work: PacketWork) -> None:
         receiver = self.nodes[receiver_id]
         duration = tx_delay(work.packet.size_bits, self.link_bps)
-        hosting = self.now - work.hop_arrived
-        work.hops.append((hosting, duration))
         if work.packet.dst != receiver_id:
             # The receiver now owes onward forwarding: it stays
             # grant-ineligible for a few slots so the path survives.
@@ -517,10 +510,8 @@ class Simulation:
             )
         self._set_tx(sender, True)
         self._bump_rx(receiver, +1)
-        end = self.now + duration
-        sender.radio_busy_until = max(sender.radio_busy_until, end)
-        receiver.radio_busy_until = max(receiver.radio_busy_until, end)
-        self.push(end, EventKind.TX_COMPLETE, receiver_id,
+        self.plane.transmit(self, work, sender.nid, receiver_id, duration)
+        self.push(self.now + duration, EventKind.TX_COMPLETE, receiver_id,
                    packet_id=work.packet.id, sender=sender.nid)
         self.trace_event(
             sender.nid, "tx-start", f"pid={work.packet.id};to={receiver_id}"
@@ -538,13 +529,10 @@ class Simulation:
         work = self.work[pid]
         if not sender.alive or not receiver.alive:
             self._finish(work, LOST_DEAD)
+        elif receiver.nid == work.packet.dst:
+            self._deliver(work)
         else:
-            work.hop_arrived = self.now
-            work.visited.append(receiver.nid)
-            if receiver.nid == work.packet.dst:
-                self._deliver(work)
-            else:
-                receiver.outbox.append(work)
+            receiver.outbox.append(work)
         if sender.alive:
             self._try_transmit(sender)
         if receiver.alive and work.state is None:
@@ -562,23 +550,10 @@ class Simulation:
         self.current_slot = slot + 1
 
     def _evict_caches(self) -> None:
-        for nid, node in self.nodes.items():
-            if not node.alive:
-                continue
-            for packet in node.cache.evict_expired(self.now):
-                # Only packets with a record are cached.
-                self._finish(self.work[packet.id], LOST_DEADLINE)
-                # Unindex once: two dropped packets may share a destination.
-                dst = packet.dst
-                if node.cache.volume_for(dst) == 0 and nid in self.holders_by_dst.get(dst, ()):
-                    self._unindex(dst, nid)
-
-    def _unindex(self, dst: NodeId, holder: NodeId) -> None:
-        """``holder`` no longer caches for ``dst``; an emptied entry goes."""
-        holders = self.holders_by_dst[dst]
-        holders.discard(holder)
-        if not holders:
-            del self.holders_by_dst[dst]
+        for node in self.nodes.values():
+            if node.alive:  # only packets with a record are cached
+                for packet in node.cache.evict_expired(self.now):
+                    self._finish(self.work[packet.id], LOST_DEADLINE)
 
     def after_wake(self, node: SimNode) -> None:
         """Resume a node that woke: schedule handovers of cached packets,
@@ -672,9 +647,8 @@ class Simulation:
             self._finish(node.outbox.popleft(), LOST_DEAD)
         for dst in node.cache.destinations():
             self._lose_cached(node, dst)
-            self._unindex(dst, node.nid)
         # Cached copies elsewhere destined for the dead node can never deliver.
-        for holder_id in sorted(self.holders_by_dst.pop(node.nid, set())):
+        for holder_id in sorted(self.holders_by_dst.get(node.nid, ())):
             self._lose_cached(self.nodes[holder_id], node.nid)
         self.grid.remove(node.nid)
         self.graph.remove_node(node.nid)
@@ -698,7 +672,6 @@ class Simulation:
         entries = holder.cache.deliver_on_wake(woken)
         if not entries:
             return
-        self._unindex(woken, holder.nid)
         # A cached packet is held by this cache alone and has not ended.
         for entry in entries:
             holder.outbox.append(self.work[entry.packet.id])

@@ -84,6 +84,7 @@ def finalize(sim: "Simulation") -> MetricsReport:
     generated = len(sim.work)
     counts = Counter(work.state for work in sim.work.values())  # None: in flight
     delivered = counts["delivered"]
+    arrived = delivered + counts["delivered-late"]  # packets whose delay is in delay_sum
     ratio = delivered / generated if generated else 0.0
     sleeping = [work.state for work in sim.work.values() if work.dst_asleep]
     sleeping_delivered = sleeping.count("delivered")
@@ -96,9 +97,7 @@ def finalize(sim: "Simulation") -> MetricsReport:
         "delivered_late_packets": counts["delivered-late"],
         "delivery_ratio": ratio,
         "throughput_bps": sim.delivered_bits_ok / sim.horizon if sim.horizon > 0 else 0.0,
-        "mean_end_to_end_delay_s": (
-            sim.delay_sum / sim.delay_count if sim.delay_count else None
-        ),
+        "mean_end_to_end_delay_s": sim.delay_sum / arrived if arrived else None,
         "total_consumed_j": total_consumed,
         "mean_per_device_consumption_j": total_consumed / node_count,
         "mean_network_power_uw": (

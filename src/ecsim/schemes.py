@@ -45,6 +45,7 @@ class SchemePlane:
     - ``round_setup(sim)``: a round has begun; its slots are not queued yet;
     - ``slot_boundary(sim, closed_slot)``: a slot closed, caches are evicted;
     - ``radio_busy(sim, nid, start)``: the radio was busy from ``start`` to now;
+    - ``transmit(sim, work, sender, receiver, duration)``: a hop went on the air;
     - ``sleep_expiry(sim, node)``: a sleep ran out; cache pickups follow;
     - ``idle_expiry(sim, node)``: an idle expiry of the current phase epoch;
     - ``moved(sim, nids)``: these nodes changed position in a mobility step;
@@ -70,7 +71,7 @@ class SchemePlane:
         pass
 
     start = round_setup = slot_boundary = sleep_expiry = idle_expiry = _nothing
-    radio_busy = moved = delivered = death = _nothing
+    radio_busy = transmit = moved = delivered = death = _nothing
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,13 @@ class DutyCyclePlane(SchemePlane):
             nid: (nid * self.scheme.period) / count if self.staggered else 0.0
             for nid in sim.nodes
         }
+        self.busy_until: dict[NodeId, float] = {}  # latest end of each node's transfers
+
+    def transmit(self, sim: Simulation, work: PacketWork, sender: NodeId, receiver: NodeId,
+                 duration: float) -> None:
+        end = sim.now + duration
+        for nid in (sender, receiver):
+            self.busy_until[nid] = max(self.busy_until.get(nid, 0.0), end)
 
     def tick(self, sim: Simulation, node: SimNode) -> None:
         """Apply the scheme's current window to ``node``."""
@@ -120,8 +128,9 @@ class DutyCyclePlane(SchemePlane):
             sim.push(directive.until, EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
         else:
             if node.tx_active or node.rx_active:
-                # Let the transfer finish; re-check at the radio's free time.
-                sim.push(max(sim.now, node.radio_busy_until) + 1e-9,
+                # Let the transfer finish; re-check at the radio's free time. The
+                # node is in a transfer, so ``transmit`` has recorded its end.
+                sim.push(max(sim.now, self.busy_until[node.nid]) + 1e-9,
                           EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
                 return
             sim.set_phase(node, NodePhase.SLEEP)
@@ -160,6 +169,8 @@ class TrafficAwarePlane(SchemePlane):
         self.clusters: list[cluster_mod.Cluster] = []
         self.ch_ids: set[NodeId] = set()
         self.sp_history: dict[int, list[float]] = {}
+        # Each packet's [last arrival, (hosting, transmission) per hop, senders].
+        self.paths: dict[int, list] = {}
         # Path-delay (time, delay, hops) and capacity (time, sum) windows.
         self.dp_samples: defaultdict[NodeId, deque] = defaultdict(deque)
         self.cap_samples: defaultdict[NodeId, deque] = defaultdict(deque)
@@ -197,6 +208,13 @@ class TrafficAwarePlane(SchemePlane):
             if overlap > 0:
                 self.ledger.record_active(nid, idx, overlap)
 
+    def transmit(self, sim: Simulation, work: PacketWork, sender: NodeId, receiver: NodeId,
+                 duration: float) -> None:
+        path = self.paths.setdefault(work.packet.id, [work.packet.created_at, [], []])
+        path[1].append((sim.now - path[0], duration))
+        path[2].append(sender)
+        path[0] = sim.now + duration  # the hop's TX_COMPLETE time
+
     def sleep_expiry(self, sim: Simulation, node: SimNode) -> None:
         self._enter_idle(sim, node)
 
@@ -217,11 +235,12 @@ class TrafficAwarePlane(SchemePlane):
         if dst.phase is NodePhase.IDLE:
             # Incoming traffic moves the destination into the active state.
             sim.set_phase(dst, NodePhase.ACTIVE)
-        if not work.hops:
-            return
-        record = path_delay(work.hops)
+        # A flow's source and destination differ: a delivered packet made a hop.
+        _, hops, senders = self.paths.pop(work.packet.id)
+        record = path_delay(hops)
         sample = (sim.now, record.total, record.hop_count)
-        for nid in dict.fromkeys(work.visited):  # each visited node once
+        # Packets move only by sends: the senders, then dst, are the nodes visited.
+        for nid in dict.fromkeys(senders + [work.packet.dst]):
             self.dp_samples[nid].append(sample)
 
     def death(self, sim: Simulation, dead: NodeId) -> None:

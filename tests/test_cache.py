@@ -98,3 +98,32 @@ def test_hosting_delay_tracks_oldest_entry():
     assert store.hosting_delay(9, now=7.0) == pytest.approx(5.0)
     assert store.hosting_delay(9, now=9.0) == pytest.approx(7.0)  # grows with time
     assert store.hosting_delay(3, now=9.0) is None
+
+
+def test_shared_holder_index_lists_exactly_the_holders_with_volume():
+    index = {}
+    stores = {3: CacheStore(100_000, 3, index), 4: CacheStore(100_000, 4, index)}
+
+    def holders():
+        out = {}
+        for nid, store in stores.items():
+            for dst in store.destinations():
+                assert store.volume_for(dst) > 0
+                out.setdefault(dst, set()).add(nid)
+        return out
+
+    stores[3].store(packet(1, dst=9), now=0.0)
+    stores[3].store(packet(2, dst=5, deadline=2.0), now=0.0)
+    stores[4].store(packet(3, dst=9), now=0.0)
+    for pid in (4, 5):  # two packets for one destination in one cache
+        stores[4].store(packet(pid, dst=5, deadline=2.0), now=0.0)
+    stores[4].store(packet(3, dst=9), now=1.0)  # a duplicate changes nothing
+    assert index == holders() == {9: {3, 4}, 5: {3, 4}}
+    stores[3].deliver_on_wake(9)
+    assert index == holders() == {9: {4}, 5: {3, 4}}
+    stores[3].evict_expired(now=3.0)
+    assert index == holders() == {9: {4}, 5: {4}}
+    stores[4].evict_expired(now=3.0)  # both of its packets for 5 expire at once
+    assert index == holders() == {9: {4}}
+    stores[4].deliver_on_wake(9)
+    assert index == holders() == {}

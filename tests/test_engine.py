@@ -196,7 +196,7 @@ class TestStepTransitions:
                 klass=PacketClass.DELAY_SENSITIVE, created_at=1.0, deadline=2.0,
             )
             sim.packets.append(packet)
-            sim.work[pid] = PacketWork(packet, 1.0, True)
+            sim.work[pid] = PacketWork(packet, True)
             assert sim._cache_here(sim.nodes[0], sim.work[pid])
         assert sim.holders_by_dst == {1: {0}}
         sim.now = 3.0
@@ -285,6 +285,37 @@ def test_simulation_is_freed_without_cyclic_gc(kind):
         assert ref() is None
     finally:
         gc.enable()
+
+
+def test_duty_cycle_node_sleeps_just_after_a_transfer_across_its_window_end():
+    from ecsim.traffic import Packet, PacketClass
+
+    config = make_config(
+        flows=[], link_bps=20_000.0,
+        scheme={"kind": "coordinated", "listen_s": 0.5, "sleep_s": 1.5},
+    )
+    sim = Simulation(config, 1)
+    while sim.peek_time() == 0.0:
+        sim.step()
+    src = next(n for n in sorted(sim.nodes) if sim.graph.neighbors_of(n))
+    dst = min(sim.graph.neighbors_of(src))
+    packet = Packet(id=0, src=src, dst=dst, size_bits=8_000, klass=PacketClass.ELASTIC,
+                    created_at=0.3)
+    sim.packets.append(packet)
+    sim.work[0] = PacketWork(packet, False)
+    sim.now = 0.3
+    sim._start_tx(sim.nodes[src], dst, sim.work[0])
+    end = 0.3 + 8_000 / 20_000.0  # the transfer outlasts the window, which closes at 0.5 s
+    fell_asleep = {}
+    while sim.peek_time() <= end + 1e-9:
+        sim.step()
+        for nid, node in sim.nodes.items():
+            if node.phase is NodePhase.SLEEP:
+                fell_asleep.setdefault(nid, sim.now)
+    assert sim.work[0].state == "delivered"
+    assert fell_asleep.pop(src) == fell_asleep.pop(dst) == end + 1e-9
+    assert set(fell_asleep.values()) == {0.5}  # every other node at the window's end
+    assert len(fell_asleep) == len(sim.nodes) - 2
 
 
 def test_radio_busy_splits_an_interval_into_slots():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecsim.config import from_dict
-from ecsim.core import EventKind, NodePhase
+from ecsim.core import EventKind, NodePhase, RadioMode
 from ecsim.engine import Simulation
 from ecsim.scheduler import path_delay
 
@@ -40,19 +40,26 @@ def run_sim(seed=3, **overrides):
 # Traffic-aware only: under periodic this scenario delivers 4 packets, too
 # few for the floor below, because staggered wake windows strand packets.
 def test_delivered_delay_equals_component_sum():
-    sim = run_sim()
-    checked = 0
-    for work in sim.work.values():
-        if work.state is None or not work.state.startswith("delivered"):
-            continue
+    sim = make_sim()
+    checked = []
+    delivered = sim.plane.delivered
+
+    def check_then_deliver(sim, work):
         # Per-hop hosting (queue/cache wait) plus transmission must telescope
-        # to the measured end-to-end delay.
-        record = path_delay(work.hops)
-        last_arrival = work.hop_arrived
-        measured = last_arrival - work.packet.created_at
+        # to the measured end-to-end delay, read from the plane's path record.
+        last_arrival, hops, _ = sim.plane.paths[work.packet.id]
+        record = path_delay(hops)
+        measured = sim.now - work.packet.created_at
         assert record.total == pytest.approx(measured, abs=1e-9)
-        checked += 1
-    assert checked > 10
+        assert last_arrival == sim.now
+        checked.append(work.packet.id)
+        delivered(sim, work)
+
+    sim.plane.delivered = check_then_deliver
+    sim.run()
+    assert len(checked) > 10
+    ended = {pid for pid, work in sim.work.items() if work.state in ("delivered", "delivered-late")}
+    assert ended == set(checked)
 
 
 def test_no_packet_silently_vanishes():
@@ -203,6 +210,15 @@ def assert_structural_invariants(sim):
     # (b) Cluster members are alive.
     for cluster in sim.plane.clusters:
         assert all(nodes[m].alive for m in cluster.members)
+    power = sim.params.power
+    for node in nodes.values():
+        # (e) A sleeping node's radio sleeps: it neither sends nor receives.
+        if node.phase is SLEEP:
+            assert node.mode is RadioMode.SLEEP and not node.tx_active and not node.rx_active
+        # (f) The energy ledger closes: what a node spent is its time in each
+        # mode times that mode's power.
+        spent = sum(seconds * power(mode) for mode, seconds in node.time_in_mode.items())
+        assert abs(node.account.e_max - node.account.e_residual - spent) <= 1e-6
     pending = sim.pending()
     held += [
         p["packet_id"]
