@@ -312,13 +312,24 @@ class Simulation:
         if eta <= self.horizon + 1e-9:
             self.push(eta, EventKind.NODE_DEATH, node.nid, epoch=node.mode_epoch)
 
-    def set_phase(self, node: SimNode, phase: NodePhase) -> None:
-        self._touch(node)
-        node.phase = phase
-        node.phase_epoch += 1
-        if phase is not NodePhase.SLEEP:
+    def set_phase(self, node: SimNode, phase: NodePhase, until: float | None = None) -> None:
+        """Put ``node`` in ``phase``; with ``until``, arm its phase timer. A call
+        with the current phase only re-arms it. Leaving SLEEP wakes the node."""
+        woke = node.phase is NodePhase.SLEEP and phase is not NodePhase.SLEEP
+        if phase is not node.phase:
+            self._touch(node)
+            node.phase = phase
+            node.phase_epoch += 1
             node.wake_at = None
-        self._recompute_mode(node)
+            self._recompute_mode(node)
+        if until is not None:
+            kind = EventKind.IDLE_EXPIRY
+            if phase is NodePhase.SLEEP:
+                node.wake_at = until
+                kind = EventKind.SLEEP_EXPIRY
+            self.push(until, kind, node.nid, epoch=node.phase_epoch)
+        if woke:
+            self._after_wake(node)
 
     def _set_tx(self, node: SimNode, active: bool) -> None:
         self._touch(node)
@@ -362,9 +373,8 @@ class Simulation:
             if not node.alive or not dst.alive:
                 self._finish(work, LOST_DEAD)
                 return
-        if nid == work.packet.dst:
-            self._deliver(work)
-            return
+        # A flow's ends differ and a hop to the destination delivers: no
+        # packet ever waits at its own destination.
         node.outbox.append(work)
         self._try_transmit(node)
 
@@ -412,10 +422,7 @@ class Simulation:
             if here is None:
                 self._defer(node, work, self.now + self.retry_s)
                 continue
-            if here == 1:
-                if dst_node.awake:
-                    self._start_tx(node, packet.dst, work)
-                    break
+            if here == 1 and not dst_node.awake:
                 if self._cache_here(node, work):
                     continue
                 target = self._cache_target(node.nid, packet)
@@ -555,7 +562,7 @@ class Simulation:
                 for packet in node.cache.evict_expired(self.now):
                     self._finish(self.work[packet.id], LOST_DEADLINE)
 
-    def after_wake(self, node: SimNode) -> None:
+    def _after_wake(self, node: SimNode) -> None:
         """Resume a node that woke: schedule handovers of cached packets,
         then forward its queue.
 
@@ -581,20 +588,12 @@ class Simulation:
         at = self.now if sleeper is None else max(self.now, sleeper.wake_at)
         self.push(at, EventKind.CACHE_DELIVERY, holder, woken=woken)
 
-    def _on_sleep_expiry(self, event: Event) -> None:
+    def _on_phase_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
-        # Phase changes and death bump the epoch: a match means alive and asleep.
-        if event.payload["epoch"] != node.phase_epoch:
-            return
-        self.plane.sleep_expiry(self, node)
-        self.after_wake(node)
-
-    def _on_idle_expiry(self, event: Event) -> None:
-        node = self.nodes[event.node]
-        # Death bumps the epoch: a matching one means the node is alive.
-        if event.payload["epoch"] != node.phase_epoch:
-            return
-        self.plane.idle_expiry(self, node)
+        # Phase changes and death bump the epoch: a match means the node is
+        # alive and still in the phase the timer was armed in.
+        if event.payload["epoch"] == node.phase_epoch:
+            self.plane.expired(self, node)
 
     def _on_mobility_step(self, event: Event) -> None:
         p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
@@ -685,8 +684,8 @@ _HANDLERS = {
     EventKind.TX_COMPLETE: Simulation._on_tx_complete,
     EventKind.SLOT_BOUNDARY: Simulation._on_slot_boundary,
     EventKind.ROUND_SETUP: Simulation._on_round_setup,
-    EventKind.SLEEP_EXPIRY: Simulation._on_sleep_expiry,
-    EventKind.IDLE_EXPIRY: Simulation._on_idle_expiry,
+    EventKind.SLEEP_EXPIRY: Simulation._on_phase_expiry,
+    EventKind.IDLE_EXPIRY: Simulation._on_phase_expiry,
     EventKind.MOBILITY_STEP: Simulation._on_mobility_step,
     EventKind.NODE_DEATH: Simulation._on_node_death,
     EventKind.CACHE_DELIVERY: Simulation._on_cache_delivery,

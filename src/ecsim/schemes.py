@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Union
 
 from ecsim import cluster as cluster_mod
-from ecsim.core import EventKind, NodeId, NodePhase, sum_in_order
+from ecsim.core import NodeId, NodePhase, sum_in_order
 from ecsim.scheduler import (
     ActivityLedger,
     IdleDecision,
@@ -46,16 +46,17 @@ class SchemePlane:
     - ``slot_boundary(sim, closed_slot)``: a slot closed, caches are evicted;
     - ``radio_busy(sim, nid, start)``: the radio was busy from ``start`` to now;
     - ``transmit(sim, work, sender, receiver, duration)``: a hop went on the air;
-    - ``sleep_expiry(sim, node)``: a sleep ran out; cache pickups follow;
-    - ``idle_expiry(sim, node)``: an idle expiry of the current phase epoch;
+    - ``expired(sim, node)``: the node's phase timer ran out; it is alive and
+      still in the phase the timer was armed in;
     - ``moved(sim, nids)``: these nodes changed position in a mobility step;
     - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
     - ``death(sim, nid)``: a node died and left the topology.
 
     Every hook does nothing here, which is all always-on needs. A plane acts
-    through the simulation's ``push``, ``set_phase``, ``trace_event`` and
-    ``after_wake`` and keeps no reference to it (each hook is handed it), so
-    a finished run is freed without the cyclic collector.
+    only through the simulation's ``set_phase``, which also arms the phase
+    timer and wakes a sleeper, and ``trace_event``. It keeps no reference to
+    the simulation (each hook is handed it), so a finished run is freed
+    without the cyclic collector.
     """
 
     # Without a control plane there are no clusters, heads or sleep grants.
@@ -70,7 +71,7 @@ class SchemePlane:
     def _nothing(self, sim: Simulation, *args) -> None:
         pass
 
-    start = round_setup = slot_boundary = sleep_expiry = idle_expiry = _nothing
+    start = round_setup = slot_boundary = expired = _nothing
     radio_busy = transmit = moved = delivered = death = _nothing
 
 
@@ -120,24 +121,17 @@ class DutyCyclePlane(SchemePlane):
             self.busy_until[nid] = max(self.busy_until.get(nid, 0.0), end)
 
     def tick(self, sim: Simulation, node: SimNode) -> None:
-        """Apply the scheme's current window to ``node``."""
+        """Apply the scheme's current window to ``node`` until its end."""
         directive = dispatch_scheme(self.scheme, sim.now, self.offset[node.nid])
-        if directive.phase is NodePhase.ACTIVE:
-            if node.phase is not NodePhase.ACTIVE:
-                sim.set_phase(node, NodePhase.ACTIVE)
-            sim.push(directive.until, EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
+        if directive.phase is NodePhase.SLEEP and (node.tx_active or node.rx_active):
+            # Let the transfer finish; stay active and re-check at the radio's
+            # free time, which ``transmit`` recorded.
+            busy_end = max(sim.now, self.busy_until[node.nid])
+            sim.set_phase(node, NodePhase.ACTIVE, busy_end + 1e-9)
         else:
-            if node.tx_active or node.rx_active:
-                # Let the transfer finish; re-check at the radio's free time. The
-                # node is in a transfer, so ``transmit`` has recorded its end.
-                sim.push(max(sim.now, self.busy_until[node.nid]) + 1e-9,
-                          EventKind.IDLE_EXPIRY, node.nid, epoch=node.phase_epoch)
-                return
-            sim.set_phase(node, NodePhase.SLEEP)
-            node.wake_at = directive.until
-            sim.push(directive.until, EventKind.SLEEP_EXPIRY, node.nid, epoch=node.phase_epoch)
+            sim.set_phase(node, directive.phase, directive.until)
 
-    sleep_expiry = idle_expiry = tick
+    expired = tick
 
     def start(self, sim: Simulation) -> None:
         for node in sim.nodes.values():
@@ -215,20 +209,19 @@ class TrafficAwarePlane(SchemePlane):
         path[2].append(sender)
         path[0] = sim.now + duration  # the hop's TX_COMPLETE time
 
-    def sleep_expiry(self, sim: Simulation, node: SimNode) -> None:
-        self._enter_idle(sim, node)
-
-    def idle_expiry(self, sim: Simulation, node: SimNode) -> None:
-        # Only _enter_idle schedules this event, so a matching epoch means
-        # the node is still idle.
-        sim.set_phase(node, NodePhase.ACTIVE)
+    def expired(self, sim: Simulation, node: SimNode) -> None:
+        if node.phase is NodePhase.SLEEP:
+            self._enter_idle(sim, node)
+        else:
+            # Only _enter_idle arms a timer outside sleep: the node is idle.
+            sim.set_phase(node, NodePhase.ACTIVE)
 
     def moved(self, sim: Simulation, moved: list[NodeId]) -> None:
         for nid in moved:
             node = sim.nodes[nid]
             sim.trace_event(nid, "moved", "")
             if node.phase is NodePhase.SLEEP:
-                self._wake_to_idle(sim, node)  # location change wakes the node
+                self._enter_idle(sim, node)  # location change wakes the node
 
     def delivered(self, sim: Simulation, work: PacketWork) -> None:
         dst = sim.nodes[work.packet.dst]  # a delivery's destination is alive
@@ -294,7 +287,7 @@ class TrafficAwarePlane(SchemePlane):
         for role_node in {cl.ch, cl.sp}:
             node = sim.nodes[role_node]
             if node.phase is NodePhase.SLEEP:
-                self._wake_to_idle(sim, node)
+                self._enter_idle(sim, node)
 
     # -- proxy duties ----------------------------------------------------------
 
@@ -466,11 +459,10 @@ class TrafficAwarePlane(SchemePlane):
     # -- phase changes ---------------------------------------------------------
 
     def _enter_idle(self, sim: Simulation, node: SimNode) -> None:
-        sim.set_phase(node, NodePhase.IDLE)
+        """Idle listening for the computed interval; a sleeping node wakes."""
         delay, hops = self._max_dp(sim, node.nid)
         interval = compute_idle(sim.round_length, min(delay, sim.round_length), hops)
-        sim.push(sim.now + interval, EventKind.IDLE_EXPIRY, node.nid,
-                  epoch=node.phase_epoch)
+        sim.set_phase(node, NodePhase.IDLE, sim.now + interval)
 
     def _enter_sleep(self, sim: Simulation, node: SimNode, interval: float) -> bool:
         """Put the node to sleep for at most ``interval`` seconds, with the
@@ -488,18 +480,10 @@ class TrafficAwarePlane(SchemePlane):
             aligned = min(aligned, node.retry_heap[0] - 1e-6)
         if aligned <= sim.now + 1e-9:
             return False
-        sim.set_phase(node, NodePhase.SLEEP)
-        node.wake_at = aligned
-        sim.push(node.wake_at, EventKind.SLEEP_EXPIRY, node.nid,
-                  epoch=node.phase_epoch)
+        sim.set_phase(node, NodePhase.SLEEP, aligned)
         sim.trace_event(node.nid, "sleep-grant",
                          f"assigned={interval!r};realized={aligned - sim.now!r}")
         return True
-
-    def _wake_to_idle(self, sim: Simulation, node: SimNode) -> None:
-        """Sleep ends early (location change or role duty): node re-enters idle."""
-        self._enter_idle(sim, node)
-        sim.after_wake(node)
 
 
 # Scheme definitions: the parsed ``scheme`` value of a scenario.

@@ -134,7 +134,7 @@ class TestStepTransitions:
         wake = node.wake_at
         assert wake <= 15.0
         sim.now = wake
-        sim._on_sleep_expiry(
+        sim._on_phase_expiry(
             type("E", (), {"node": 1, "payload": {"epoch": node.phase_epoch}})()
         )
         assert node.phase is NodePhase.IDLE
@@ -148,9 +148,9 @@ class TestStepTransitions:
         sim.set_phase(node, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, node, 4.0)
         old_epoch = node.phase_epoch
-        sim.plane._wake_to_idle(sim, node)  # e.g. location change woke it early
+        sim.plane._enter_idle(sim, node)  # e.g. location change woke it early
         assert node.phase is NodePhase.IDLE
-        sim._on_sleep_expiry(type("E", (), {"node": 2, "payload": {"epoch": old_epoch}})())
+        sim._on_phase_expiry(type("E", (), {"node": 2, "payload": {"epoch": old_epoch}})())
         assert node.phase is NodePhase.IDLE  # stale event changed nothing
 
     def test_mobility_wake_on_location_change(self):
@@ -163,6 +163,45 @@ class TestStepTransitions:
         assert node.phase is NodePhase.SLEEP
         sim._on_mobility_step(type("E", (), {"node": None, "payload": {}})())
         assert node.phase is NodePhase.IDLE  # woken by the move
+
+    def test_same_phase_call_only_arms_the_timer(self):
+        config = make_config(horizon_s=40.0, flows=[], scheme={"kind": "always-on"})
+        sim = Simulation(config, 4, collect_trace=True)
+        node = sim.nodes[1]
+        sim.now = 5.0
+        epoch = node.phase_epoch
+        rows = len(sim.trace)
+        sim.set_phase(node, NodePhase.ACTIVE, 7.0)
+        assert node.phase is NodePhase.ACTIVE and node.phase_epoch == epoch
+        assert len(sim.trace) == rows  # not touched: no mode row
+        timers = [(e.kind, e.time, e.payload) for e in sim.pending() if e.node == 1
+                  and e.kind in (EventKind.IDLE_EXPIRY, EventKind.SLEEP_EXPIRY)]
+        assert timers == [(EventKind.IDLE_EXPIRY, 7.0, {"epoch": epoch})]
+        sim.set_phase(node, NodePhase.IDLE)  # a change of phase is billed
+        assert node.phase_epoch == epoch + 1
+        assert [row[2] for row in sim.trace[rows:]] == ["mode"]
+
+    def test_leaving_sleep_queues_handover_from_each_holder(self):
+        from ecsim.traffic import Packet, PacketClass
+
+        sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4)
+        holder = next(n for n in sorted(sim.nodes) if sim.graph.neighbors_of(n))
+        dst = min(sim.graph.neighbors_of(holder))
+        sleeper = sim.nodes[dst]
+        sim.now = 12.0
+        sim.set_phase(sleeper, NodePhase.SLEEP, 20.0)
+        assert sleeper.wake_at == 20.0
+        packet = Packet(id=0, src=holder, dst=dst, size_bits=8_000,
+                        klass=PacketClass.ELASTIC, created_at=12.0)
+        sim.packets.append(packet)
+        sim.work[0] = PacketWork(packet, True)
+        assert sim._cache_here(sim.nodes[holder], sim.work[0])
+        assert not [e for e in sim.pending() if e.kind is EventKind.CACHE_DELIVERY]
+        sim.set_phase(sleeper, NodePhase.IDLE)
+        assert sleeper.wake_at is None
+        handovers = [(e.time, e.node, e.payload) for e in sim.pending()
+                     if e.kind is EventKind.CACHE_DELIVERY]
+        assert handovers == [(12.0, holder, {"woken": dst})]
 
     def test_arrival_for_sleeping_dst_is_cached_next_door(self):
         config = make_config(horizon_s=40.0, flows=[])

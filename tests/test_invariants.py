@@ -188,8 +188,8 @@ def small_scenarios(draw):
 PACKET_ARRIVAL, TX_COMPLETE, NODE_DEATH = (
     EventKind.PACKET_ARRIVAL, EventKind.TX_COMPLETE, EventKind.NODE_DEATH
 )
-IDLE_EXPIRY, SLEEP = EventKind.IDLE_EXPIRY, NodePhase.SLEEP
-TIMERS = (EventKind.SLEEP_EXPIRY, IDLE_EXPIRY)
+SLEEP_EXPIRY, SLEEP = EventKind.SLEEP_EXPIRY, NodePhase.SLEEP
+TIMERS = (SLEEP_EXPIRY, EventKind.IDLE_EXPIRY)
 
 
 def assert_structural_invariants(sim):
@@ -204,6 +204,9 @@ def assert_structural_invariants(sim):
             cached.setdefault(dst, set()).add(nid)
         held.extend(work.packet.id for work in node.outbox)
         held.extend(entry.packet.id for entry in node.cache._entries)
+        # (g) No outbox or cache holds a packet at its own destination.
+        assert all(work.packet.dst != nid for work in node.outbox)
+        assert all(entry.packet.dst != nid for entry in node.cache._entries)
     assert sim.holders_by_dst == cached
     for dst, holders in cached.items():
         assert nodes[dst].alive and all(nodes[h].alive for h in holders)
@@ -225,15 +228,25 @@ def assert_structural_invariants(sim):
         for _, _, kind, _, p in pending
         if kind is TX_COMPLETE or (kind is PACKET_ARRIVAL and "retry" in p)
     ]
-    # (d) A timer whose epoch matches is for an alive node, and a sleep
-    # expiry for a sleeping one.
+    # (g) Nor does a pending retry.
     assert not [
         nid
         for _, _, kind, nid, p in pending
-        if kind in TIMERS
-        and p["epoch"] == nodes[nid].phase_epoch
-        and not (nodes[nid].alive and (kind is IDLE_EXPIRY or nodes[nid].phase is SLEEP))
+        if kind is PACKET_ARRIVAL and "retry" in p and sim.packets[p["packet_id"]].dst == nid
     ]
+    # (d) Each node has at most one timer whose epoch matches, and only an
+    # alive node has one. An alive sleeping node has exactly one: a sleep
+    # expiry at its ``wake_at``.
+    live = [
+        (nid, kind, time)
+        for time, _, kind, nid, p in pending
+        if kind in TIMERS and p["epoch"] == nodes[nid].phase_epoch
+    ]
+    assert len({nid for nid, _, _ in live}) == len(live)
+    assert all(nodes[nid].alive for nid, _, _ in live)
+    assert {nid: time for nid, kind, time in live if kind is SLEEP_EXPIRY} == {
+        nid: node.wake_at for nid, node in nodes.items() if node.alive and node.phase is SLEEP
+    }
     assert not [
         nid
         for _, _, kind, nid, p in pending
