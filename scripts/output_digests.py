@@ -3,12 +3,13 @@
 The check is the 15 acceptance runs (``SCENARIO`` from
 ``tests/test_acceptance.py`` under traffic-aware, periodic and coordinated,
 seeds 1-5) and ``ecsim compare`` of all four schemes on
-``scenarios/demo.json`` with seed 42, and ``ecsim compare`` of all four
-schemes on 12 generated small scenarios, every run with its trace. The
-generated ones reach what the others rarely do: a disabled or full cache,
-and nodes that die while a packet is on the air. That makes 214 files; two
-checkouts give the same outputs when their ``sha256.txt`` files do not
-differ:
+``scenarios/demo.json`` with seed 42, ``ecsim compare`` of all four
+schemes on 12 generated small scenarios and on one large one, every run
+with its trace. The generated ones reach what the others rarely do: a
+disabled or full cache, and nodes that die while a packet is on the air. The
+large one moves nodes about once a second on a 100-node graph in grid
+clusters until batteries run out. That makes 227 files; two checkouts give
+the same outputs when their ``sha256.txt`` files do not differ:
 
     python3 scripts/output_digests.py OUT
 """
@@ -34,6 +35,27 @@ ACCEPTANCE_SCHEMES = ("traffic-aware", "periodic", "coordinated")
 ACCEPTANCE_SEEDS = (1, 2, 3, 4, 5)
 COMPARE_SCHEMES = "traffic-aware,periodic,coordinated,always-on"
 GENERATED_COUNT = 12
+
+# Many moves and deaths on a large graph, under every scheme.
+LARGE_SEED = 5
+LARGE = {
+    "grid": {"width": 8, "height": 8},
+    "nodes": 100,
+    "initial_energy_j": 45.0,
+    "round_s": 10.0,
+    "horizon_s": 200.0,
+    "traffic_horizon_s": 190.0,
+    "p_move": 0.01,
+    "flows": [
+        {"src": 0, "dst": 57, "rate_pps": 0.5},
+        {"src": 13, "dst": 88, "rate_pps": 0.5},
+        {"src": 31, "dst": 4, "rate_pps": 0.5},
+        {"src": 70, "dst": 22, "rate_pps": 0.5},
+        {"src": 95, "dst": 40, "rate_pps": 0.5},
+        {"src": 46, "dst": 99, "rate_pps": 0.5},
+    ],
+    "cluster": {"policy": "grid", "partition": 2},
+}
 
 
 def _acceptance_scenario() -> dict:
@@ -105,6 +127,12 @@ def main_digests(out: Path) -> int:
         jobs.append(
             ["compare", "--config", str(ROOT / "scenarios" / "demo.json"), "--seed", "42",
              "--schemes", COMPARE_SCHEMES, "--out", str(out / "compare"), "--trace", "--quiet"]
+        )
+        large = Path(tmp) / "large.json"
+        large.write_text(json.dumps(LARGE))
+        jobs.append(
+            ["compare", "--config", str(large), "--seed", str(LARGE_SEED), "--schemes",
+             COMPARE_SCHEMES, "--out", str(out / "large"), "--trace", "--quiet"]
         )
         for index, (raw, seed) in enumerate(_generated_scenarios(GENERATED_COUNT)):
             path = Path(tmp) / f"generated-{index:02d}.json"
