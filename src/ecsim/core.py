@@ -22,6 +22,9 @@ class RadioMode(Enum):
     ACTIVE_RX = "rx"
     IDLE = "idle"
     SLEEP = "sleep"
+    # Members are singletons compared by identity, so they hash by identity,
+    # in C. Never iterate a set of them: its order would vary between runs.
+    __hash__ = object.__hash__
 
 
 class NodePhase(Enum):
@@ -42,6 +45,7 @@ class EventKind(Enum):
     MOBILITY_STEP = "mobility-step"
     NODE_DEATH = "node-death"
     CACHE_DELIVERY = "cache-delivery"
+    __hash__ = object.__hash__  # as RadioMode's
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import heapq
 import math
 import random
 from collections import deque
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
@@ -27,6 +27,7 @@ from ecsim.topology import (
     Position,
     build_connectivity,
     connected_components,
+    distances_kept,
     hop_distances,
     move_step,
     refresh_node,
@@ -453,12 +454,17 @@ class Simulation:
         return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
 
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
-        """Hop counts to ``dst`` over the full alive topology (cached until
-        the next topology change)."""
+        """Hop counts to ``dst`` over the full alive topology (cached while
+        they stay exact)."""
         dist = self._dist_cache.get(dst)
         if dist is None:
             dist = self._dist_cache[dst] = hop_distances(self.graph, dst)
         return dist
+
+    def _drop_inexact_maps(self, lost: Iterable[NodeId], added: Iterable[tuple]) -> None:
+        """After an edge change, drop the cached distance maps it made inexact."""
+        self._dist_cache = {dst: dist for dst, dist in self._dist_cache.items()
+                            if distances_kept(self.graph, dist, lost, added)}
 
     def _cache_here(self, node: SimNode, work: PacketWork) -> bool:
         """Park the packet in this node's cache for its sleeping neighbor."""
@@ -602,11 +608,11 @@ class Simulation:
             if not node.alive:
                 continue
             old = self.grid.position_of(nid)
-            new = move_step(self.grid, nid, self.mobility_rng, p_step)
-            if new != old:
-                refresh_node(self.graph, self.grid, nid)
+            if move_step(self.grid, nid, self.mobility_rng, p_step) is not old:
+                removed, added = refresh_node(self.graph, self.grid, nid)
+                self._drop_inexact_maps((nid, *removed) if removed else (),
+                                        [(nid, v) for v in added])
                 moved.append(nid)
-                self._dist_cache.clear()
         self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
 
@@ -650,8 +656,10 @@ class Simulation:
         for holder_id in sorted(self.holders_by_dst.get(node.nid, ())):
             self._lose_cached(self.nodes[holder_id], node.nid)
         self.grid.remove(node.nid)
-        self.graph.remove_node(node.nid)
-        self._dist_cache.clear()
+        self._dist_cache.pop(node.nid, None)
+        for dist in self._dist_cache.values():
+            dist.pop(node.nid, None)
+        self._drop_inexact_maps(self.graph.remove_node(node.nid), ())
         self.plane.death(self, node.nid)
 
     def _lose_cached(self, holder: SimNode, dst: NodeId) -> None:

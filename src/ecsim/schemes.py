@@ -294,12 +294,14 @@ class TrafficAwarePlane(SchemePlane):
     def _imminent_bits(self, sim: Simulation, m: NodeId) -> int:
         """Traffic about to reach ``m``: bits cached for it or queued at its
         neighbors. Packets further away are the cache mechanism's job."""
-        total = 0
-        for nb in sorted(sim.graph.neighbors_of(m)):
-            neighbor = sim.nodes[nb]  # the graph holds alive nodes only
-            total += neighbor.cache.volume_for(m)
+        neighbors = sim.graph.neighbors_of(m)
+        # Holders are exactly the alive nodes with bits cached for ``m``; ints
+        # add up the same in any order.
+        holders = sim.holders_by_dst.get(m, ())
+        total = sum(sim.nodes[h].cache.volume_for(m) for h in holders if h in neighbors)
+        for nb in neighbors:
             # Queued packets have not ended: only the outbox holds them.
-            for work in neighbor.outbox:
+            for work in sim.nodes[nb].outbox:
                 if work.packet.dst == m:
                     total += work.packet.size_bits
         return total
@@ -423,8 +425,7 @@ class TrafficAwarePlane(SchemePlane):
         """Sleep interval for one member, from current capacities, cached
         backlog and the recent path-delay window, with the hosting delays of
         the member's cached packets that went into it."""
-        neighbors = sorted(sim.graph.neighbors_of(nid))
-        capacities = tuple(float(sim.link_bps) for _ in neighbors)
+        capacities = (float(sim.link_bps),) * len(sim.graph.neighbors_of(nid))
         cap_sum = sum_in_order(capacities)
         samples = self.cap_samples[nid]
         samples.append((sim.now, cap_sum))

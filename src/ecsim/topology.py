@@ -11,9 +11,8 @@ cell.
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from typing import AbstractSet, Iterable, Iterator
 
 from ecsim.core import NodeId
 
@@ -90,7 +89,8 @@ class Grid:
 
 
 def move_step(grid: Grid, node: NodeId, rng: random.Random, p_move: float) -> Position:
-    """One mobility step; returns the (possibly unchanged) position.
+    """One mobility step; returns the node's position. A node that stays
+    gets its current ``Position`` object back, so ``is`` tells a move apart.
 
     Draws from ``rng`` only when p_move > 0 so disabled mobility leaves the
     stream untouched.
@@ -123,9 +123,12 @@ class ConnectivityGraph:
     def add_node(self, node: NodeId) -> None:
         self._adj.setdefault(node, set())
 
-    def remove_node(self, node: NodeId) -> None:
-        for other in self._adj.pop(node, set()):
+    def remove_node(self, node: NodeId) -> AbstractSet[NodeId]:
+        """Remove ``node`` and its edges; returns its former neighbours."""
+        former = self._adj.pop(node, frozenset())
+        for other in former:
             self._adj[other].discard(node)
+        return former
 
     def add_edge(self, a: NodeId, b: NodeId) -> None:
         if a == b:
@@ -140,8 +143,9 @@ class ConnectivityGraph:
     def nodes(self) -> list[NodeId]:
         return sorted(self._adj)
 
-    def neighbors_of(self, node: NodeId) -> set[NodeId]:
-        return set(self._adj.get(node, set()))
+    def neighbors_of(self, node: NodeId) -> AbstractSet[NodeId]:
+        """The live adjacency set of ``node``: read it, never mutate it."""
+        return self._adj.get(node, frozenset())
 
     def has_edge(self, a: NodeId, b: NodeId) -> bool:
         return b in self._adj.get(a, set())
@@ -157,15 +161,17 @@ def build_connectivity(grid: Grid) -> ConnectivityGraph:
     return graph
 
 
-def refresh_node(graph: ConnectivityGraph, grid: Grid, node: NodeId) -> None:
-    """Incrementally re-derive one node's edges after it moved."""
-    current = graph.neighbors_of(node)
+def refresh_node(graph: ConnectivityGraph, grid: Grid, node: NodeId) -> tuple[set, set]:
+    """Re-derive one node's edges after it moved; returns (lost, gained) neighbours."""
+    current = set(graph.neighbors_of(node))
     # The grid and the graph hold the same nodes: a death leaves both.
     fresh = grid.neighbors(node)
-    for gone in current - fresh:
+    removed, added = current - fresh, fresh - current
+    for gone in removed:
         graph.remove_edge(node, gone)
-    for new in fresh - current:
+    for new in added:
         graph.add_edge(node, new)
+    return removed, added
 
 
 def connected_components(graph: ConnectivityGraph) -> list[set[NodeId]]:
@@ -184,11 +190,31 @@ def hop_distances(graph: ConnectivityGraph, root: NodeId) -> dict[NodeId, int]:
     """Minimum hop count from ``root`` to every node it can reach, itself
     included at 0; unreachable nodes are absent."""
     dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        cur = queue.popleft()
-        for nxt in graph.neighbors_of(cur):
-            if nxt not in dist:
-                dist[nxt] = dist[cur] + 1
-                queue.append(nxt)
+    frontier, level = [root], 0
+    while frontier:
+        level += 1
+        reached = []
+        for cur in frontier:
+            for nxt in graph._adj.get(cur, ()):
+                if nxt not in dist:
+                    dist[nxt] = level
+                    reached.append(nxt)
+        frontier = reached
     return dist
+
+
+def distances_kept(graph: ConnectivityGraph, dist: dict[NodeId, int], lost: Iterable[NodeId],
+                   added: Iterable[tuple[NodeId, NodeId]]) -> bool:
+    """Whether ``dist``, exact before an edge change in which the ``lost`` nodes
+    lost an edge and the ``added`` pairs gained one, is exact after it: no added
+    edge spans two levels or reaches into ``dist``, and every non-root node that
+    lost an edge still has a neighbour one level closer."""
+    for a, b in added:
+        # An absent node counts as level -2, at least two from any present one.
+        if abs(dist.get(a, -2) - dist.get(b, -2)) > 1:
+            return False
+    for node in lost:
+        level = dist.get(node)
+        if level and not any(dist.get(other) == level - 1 for other in graph._adj[node]):
+            return False
+    return True

@@ -9,6 +9,7 @@ from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase, RadioMode
 from ecsim.engine import Simulation
 from ecsim.scheduler import path_delay
+from ecsim.topology import hop_distances
 
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
@@ -257,6 +258,10 @@ def assert_structural_invariants(sim):
     counts = Counter(held)
     assert set(counts.values()) <= {1}, counts.most_common(1)
     assert counts.keys() == {pid for pid, work in sim.work.items() if work.state is None}
+    # (h) Every cached distance map is an alive node's and exact on the
+    # current graph.
+    for dst, dist in sim._dist_cache.items():
+        assert nodes[dst].alive and dist == hop_distances(sim.graph, dst)
 
 
 @settings(max_examples=12, deadline=None)

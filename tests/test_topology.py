@@ -10,6 +10,7 @@ from ecsim.topology import (
     Position,
     build_connectivity,
     connected_components,
+    distances_kept,
     hop_distances,
     move_step,
     refresh_node,
@@ -225,3 +226,146 @@ def test_components_match_union_find(seed):
             if rng.random() < 0.1:
                 graph.add_edge(a, b)
     assert connected_components(graph) == union_find_components(graph)
+
+
+def test_refresh_node_returns_lost_and_gained_neighbors():
+    grid = Grid(5, 1)
+    for nid, x in enumerate((0, 1, 3)):
+        grid.place(nid, Position(x, 0))
+    graph = build_connectivity(grid)
+    grid.move(1, Position(2, 0))
+    assert refresh_node(graph, grid, 1) == ({0}, {2})
+    assert graph.neighbors_of(1) == {2} and graph.neighbors_of(0) == set()
+    assert refresh_node(graph, grid, 1) == (set(), set())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000))
+def test_keep_rule_is_exactly_exactness_across_moves_and_deaths(seed):
+    rng = random.Random(seed)
+    grid = Grid(5, 5)
+    alive = list(range(12))
+    for i in alive:
+        grid.place(i, Position(rng.randrange(5), rng.randrange(5)))
+    graph = build_connectivity(grid)
+    for _ in range(30):
+        maps = {root: hop_distances(graph, root) for root in alive}
+        node = rng.choice(alive)
+        if rng.random() < 0.1 and len(alive) > 2:
+            alive.remove(node)
+            grid.remove(node)
+            lost, added = graph.remove_node(node), ()
+            del maps[node]
+            for dist in maps.values():
+                dist.pop(node, None)
+        else:
+            move_step(grid, node, rng, 1.0)
+            removed, gained = refresh_node(graph, grid, node)
+            lost = (node, *removed) if removed else ()
+            added = [(node, v) for v in gained]
+        for root, dist in maps.items():
+            exact = dist == hop_distances(graph, root)
+            assert distances_kept(graph, dist, lost, added) == exact
+
+
+def graph_of(nodes, edges):
+    graph = ConnectivityGraph()
+    for n in nodes:
+        graph.add_node(n)
+    for a, b in edges:
+        graph.add_edge(a, b)
+    return graph
+
+
+def kept_after(graph, root, change):
+    """``distances_kept``'s verdict on ``root``'s map across ``change``, which
+    edits ``graph`` and returns (lost, added); checked against a fresh BFS."""
+    dist = hop_distances(graph, root)
+    lost, added = change(dist)
+    kept = distances_kept(graph, dist, lost, added)
+    assert kept == (dist == hop_distances(graph, root))
+    return kept
+
+
+def test_map_kept_across_an_edge_within_one_level():
+    # 0 - 1 - 2 and 0 - 3 - 4: the edge 2-3 joins levels 2 and 1.
+    graph = graph_of(range(5), [(0, 1), (1, 2), (0, 3), (3, 4)])
+
+    def change(dist):
+        graph.add_edge(2, 3)
+        return (), [(2, 3)]
+
+    assert kept_after(graph, 0, change)
+
+
+def test_map_dropped_for_an_edge_across_two_levels():
+    graph = graph_of(range(4), [(0, 1), (1, 2), (2, 3)])
+
+    def change(dist):
+        graph.add_edge(0, 2)
+        return (), [(0, 2)]
+
+    assert not kept_after(graph, 0, change)
+
+
+def test_map_dropped_for_an_edge_that_joins_it():
+    graph = graph_of(range(4), [(0, 1), (2, 3)])
+
+    def change(dist):
+        graph.add_edge(1, 2)
+        return (), [(1, 2)]
+
+    assert not kept_after(graph, 0, change)
+
+
+def test_map_kept_while_another_parent_remains():
+    # 3 hangs off both 1 and 2, both one hop from 0.
+    graph = graph_of(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
+
+    def change(dist):
+        graph.remove_edge(1, 3)
+        return (1, 3), ()
+
+    assert kept_after(graph, 0, change)
+
+
+def test_map_dropped_when_the_last_parent_is_lost():
+    # 3's only parent is 1; over the sideways edge 3 - 4 it ends one level further.
+    graph = graph_of(range(4), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
+
+    def change(dist):
+        graph.remove_edge(1, 3)
+        return (1, 3), ()
+
+    assert not kept_after(graph, 0, change)
+
+
+def test_map_dropped_when_the_component_splits():
+    graph = graph_of(range(3), [(0, 1), (1, 2)])
+
+    def change(dist):
+        graph.remove_edge(1, 2)
+        return (1, 2), ()
+
+    assert not kept_after(graph, 0, change)
+
+
+def relay_death(graph, relay):
+    """A relay's death as the engine handles it: leave the graph and the map,
+    then check the former neighbours."""
+
+    def change(dist):
+        del dist[relay]
+        return graph.remove_node(relay), ()
+
+    return change
+
+
+def test_map_dropped_when_the_only_relay_dies():
+    graph = graph_of(range(4), [(0, 1), (1, 2), (0, 3)])
+    assert not kept_after(graph, 0, relay_death(graph, 1))
+
+
+def test_map_kept_when_a_relay_with_a_twin_dies():
+    graph = graph_of(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert kept_after(graph, 0, relay_death(graph, 1))
