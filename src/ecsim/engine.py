@@ -610,8 +610,7 @@ class Simulation:
             old = self.grid.position_of(nid)
             if move_step(self.grid, nid, self.mobility_rng, p_step) is not old:
                 removed, added = refresh_node(self.graph, self.grid, nid)
-                self._drop_inexact_maps((nid, *removed) if removed else (),
-                                        [(nid, v) for v in added])
+                self._drop_inexact_maps((nid, *removed), [(nid, v) for v in added])
                 moved.append(nid)
         self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)

@@ -205,8 +205,8 @@ def hop_distances(graph: ConnectivityGraph, root: NodeId) -> dict[NodeId, int]:
 
 def distances_kept(graph: ConnectivityGraph, dist: dict[NodeId, int], lost: Iterable[NodeId],
                    added: Iterable[tuple[NodeId, NodeId]]) -> bool:
-    """Whether ``dist``, exact before an edge change in which the ``lost`` nodes
-    lost an edge and the ``added`` pairs gained one, is exact after it: no added
+    """Whether ``dist``, exact before an edge change that added the ``added``
+    pairs and took edges only from ``lost`` nodes, is exact after it: no added
     edge spans two levels or reaches into ``dist``, and every non-root node that
     lost an edge still has a neighbour one level closer."""
     for a, b in added:

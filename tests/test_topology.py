@@ -261,7 +261,7 @@ def test_keep_rule_is_exactly_exactness_across_moves_and_deaths(seed):
         else:
             move_step(grid, node, rng, 1.0)
             removed, gained = refresh_node(graph, grid, node)
-            lost = (node, *removed) if removed else ()
+            lost = (node, *removed)
             added = [(node, v) for v in gained]
         for root, dist in maps.items():
             exact = dist == hop_distances(graph, root)
