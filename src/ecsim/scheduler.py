@@ -6,7 +6,6 @@ The traffic-aware plane owns the ledger and calls these between events.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
@@ -216,11 +215,8 @@ def sp_sleep(
         return 0.0
     if any(h < 0 for h in history):
         raise ValueError("sleep history entries must be >= 0")
-    best = -math.inf
-    running = 0.0
-    for value in history:
-        running += value
-        best = max(best, running / n_evals)
+    # Entries are >= 0, so prefix sums never fall: the last mean is the supremum.
+    best = sum_in_order(history) / n_evals
     if round_length is not None:
         best = min(best, (1.0 - epsilon) * round_length)
     return max(0.0, best)

@@ -313,42 +313,36 @@ class TrafficAwarePlane(SchemePlane):
             if not sp_node.awake:
                 continue
             # The death hook drops a dying member at once: every member is alive.
-            members = sorted(cluster.members)
-            for m in members:
+            # Nothing below moves a packet or wakes a node, so inbound traffic
+            # stays as read here, and a member with some is left alone.
+            quiet = [
+                m for m in sorted(cluster.members)
+                if m != cluster.sp and sim.nodes[m].awake and self._imminent_bits(sim, m) == 0
+            ]
+            for m in quiet:
                 node = sim.nodes[m]
-                if m in (cluster.ch, cluster.sp) or node.phase is not NodePhase.ACTIVE:
-                    continue
-                incoming = self._imminent_bits(sim, m)
-                if incoming > 0:
+                if m == cluster.ch or node.phase is not NodePhase.ACTIVE:
                     continue
                 for other in sorted(sim.graph.neighbors_of(m)):
                     if other not in cluster.members or not sim.nodes[other].awake:
                         continue
-                    decision = pairwise_idle_decision(
-                        self.ledger, m, other, incoming, sim.graph
-                    )
+                    decision = pairwise_idle_decision(self.ledger, m, other, 0, sim.graph)
                     if decision is IdleDecision.GO_IDLE:
                         self._enter_idle(sim, node)
                         sim.trace_event(m, "inform-sp", f"sp={cluster.sp}")
                         break
-            for m in members:
+            for m in quiet:
                 # Idle assignment: an active member with no activity in the
-                # closed slot and nothing inbound returns to idle listening.
+                # closed slot returns to idle listening.
                 node = sim.nodes[m]
-                if m == cluster.sp or node.phase is not NodePhase.ACTIVE or _busy(node):
-                    continue
-                if (
-                    not self.ledger.slot_value(m, closed_slot)
-                    and self._imminent_bits(sim, m) == 0
-                ):
-                    self._enter_idle(sim, node)
-            for m in members:
+                if node.phase is NodePhase.ACTIVE and not _busy(node):
+                    if not self.ledger.slot_value(m, closed_slot):
+                        self._enter_idle(sim, node)
+            for m in quiet:
                 node = sim.nodes[m]
-                if m == cluster.sp or node.phase is not NodePhase.IDLE or _busy(node):
+                if node.phase is not NodePhase.IDLE or _busy(node):
                     continue
                 if not self._sleep_eligible(sim, m, closed_slot):
-                    continue
-                if self._imminent_bits(sim, m) > 0:
                     continue
                 interval, cache_delays = self._grant_sleep(sim, m)
                 if m == cluster.ch:
