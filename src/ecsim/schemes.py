@@ -162,7 +162,7 @@ class TrafficAwarePlane(SchemePlane):
         self.obs_window = config.observation_window_s or config.round_s
         self.clusters: list[cluster_mod.Cluster] = []
         self.ch_ids: set[NodeId] = set()
-        self.sp_history: dict[int, list[float]] = {}
+        self.sp_history: list[list[float]] = []  # this round's grants, one list per cluster
         # Each packet's [last arrival, (hosting, transmission) per hop, senders].
         self.paths: dict[int, list] = {}
         # Path-delay (time, delay, hops) and capacity (time, sum) windows.
@@ -175,8 +175,8 @@ class TrafficAwarePlane(SchemePlane):
 
     def round_setup(self, sim: Simulation) -> None:
         self.ledger.start_round()
-        self.sp_history = {}
         self._form_round_clusters(sim)
+        self.sp_history = [[] for _ in self.clusters]
         # Set-up phase idle assignment: every awake member re-enters idle
         # listening for its computed idle interval.
         for node in sim.nodes.values():
@@ -237,23 +237,22 @@ class TrafficAwarePlane(SchemePlane):
             self.dp_samples[nid].append(sample)
 
     def death(self, sim: Simulation, dead: NodeId) -> None:
-        refreshed = []
-        for cl in self.clusters:
-            if dead not in cl.members:
-                refreshed.append(cl)
-                continue
-            # This hook runs inside the engine's kill: every other member is alive.
-            members = cl.members - {dead}
-            if not members:
-                continue
-            if dead in (cl.ch, cl.sp):
-                energies = {m: sim.nodes[m].account for m in members}
-                new_cl = cluster_mod.elect_roles(members, energies, self.service_ledger)
-                self._wake_roles(sim, new_cl)
-                refreshed.append(new_cl)
-            else:
-                refreshed.append(cluster_mod.Cluster(members=members, ch=cl.ch, sp=cl.sp))
-        self.clusters = refreshed
+        kept = []
+        for cl, grants in zip(self.clusters, self.sp_history):
+            if dead in cl.members:
+                # This hook runs inside the engine's kill: every other member is alive.
+                members = cl.members - {dead}
+                if not members:
+                    continue  # the cluster goes, and its grants with it
+                if dead in (cl.ch, cl.sp):
+                    energies = {m: sim.nodes[m].account for m in members}
+                    cl = cluster_mod.elect_roles(members, energies, self.service_ledger)
+                    self._wake_roles(sim, cl)
+                else:
+                    cl = cluster_mod.Cluster(members=members, ch=cl.ch, sp=cl.sp)
+            kept.append((cl, grants))
+        self.clusters = [cl for cl, _ in kept]
+        self.sp_history = [grants for _, grants in kept]
         self.ch_ids = {cl.ch for cl in self.clusters}
 
     # -- round set-up ----------------------------------------------------------
@@ -308,7 +307,7 @@ class TrafficAwarePlane(SchemePlane):
 
     def _sp_evaluation(self, sim: Simulation, closed_slot: int) -> None:
         """Per-slot proxy duties: pairwise idling, sleep grants, SP self-sleep."""
-        for idx, cluster in enumerate(self.clusters):
+        for cluster, grants in zip(self.clusters, self.sp_history):
             sp_node = sim.nodes[cluster.sp]  # every id keeps its node, dead or alive
             if not sp_node.awake:
                 continue
@@ -358,18 +357,16 @@ class TrafficAwarePlane(SchemePlane):
                             "min_cache_delay": min(cache_delays, default=None),
                         }
                     )
-                    self.sp_history.setdefault(idx, []).append(interval)
+                    grants.append(interval)
             # The loops above change no phase of the proxy: it is still awake.
-            self._sp_self_sleep(sim, idx, sp_node, closed_slot == sim.slots_per_round - 1)
+            self._sp_self_sleep(sim, grants, sp_node, closed_slot == sim.slots_per_round - 1)
 
-    def _sp_self_sleep(self, sim: Simulation, idx: int, sp_node: SimNode, last_duty: bool) -> None:
-        """The proxy sleeps on its own running-mean interval: between duties it
-        naps at most one boundary gap; after its last duty of the round it
-        takes the full interval."""
-        history = self.sp_history.get(idx, [])
-        interval = sp_sleep(
-            history, sim.slots_per_round, sim.round_length, sim.config.sleep_epsilon
-        )
+    def _sp_self_sleep(self, sim: Simulation, grants: list[float], sp_node: SimNode,
+                       last_duty: bool) -> None:
+        """The proxy sleeps on the running mean of its cluster's ``grants``:
+        between duties it naps at most one boundary gap; after its last duty
+        of the round it takes the full interval."""
+        interval = sp_sleep(grants, sim.slots_per_round, sim.round_length, sim.config.sleep_epsilon)
         if interval <= 1e-9 or _busy(sp_node):
             return
         if self._imminent_bits(sim, sp_node.nid) > 0:

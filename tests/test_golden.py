@@ -64,15 +64,15 @@ GOLDEN = {
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "663ae9e9a7b95e9021985cde3f28901d82103c4924a24945cdbcae96cf64c54b",
+    "compare.csv": "ea49abb9ae93d57136a5220d6440220141b0165af967b07c6edca91532e148b6",
     "traffic-aware/report.json": (
-        "ef1f225bee27611016e6af3d397168933b7fd45381184062c0c0db0770af249e"
+        "3bbdafd0f5c2ebe868c163d3ad4ec423b6827545dd46158100276e18c3a6930c"
     ),
     "traffic-aware/timeseries.csv": (
-        "694a0ea44a5766dedf556006cab569142b4a624724cd65b700545af539f382bf"
+        "d4af34eeb717802d07058d3844b35d7a6dd35c72d751e9b69c925fbd374b32e4"
     ),
     "traffic-aware/trace.csv": (
-        "a9303094a04aac0a4a9323c9ddcacd6f362ba17f70650c5c34f34e643224f234"
+        "0fa5f46e5670e4e71abd8813d0a0cedbb302e20a1788f2f9673f90d03ca02f0c"
     ),
     "periodic/report.json": (
         "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase, RadioMode
 from ecsim.engine import Simulation
-from ecsim.scheduler import path_delay
+from ecsim.scheduler import path_delay, sp_sleep
 from ecsim.topology import hop_distances
 
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
@@ -120,6 +120,36 @@ def test_roles_are_alive_members():
             assert not sim.plane.clusters and not sim.plane.ch_ids, scheme
 
 
+def test_proxy_sleeps_on_its_own_clusters_grants_after_an_earlier_cluster_empties():
+    sim = make_sim(seed=1, cluster={"policy": "grid", "partition": 2}, p_move=0.0)
+    plane = sim.plane
+
+    def grants(members):
+        return [g["t_sleep"] for g in plane.sleep_audit
+                if g["time"] > sim.round_start and g["node"] in members]
+
+    # Stop at a boundary, before the round's last, where the second cluster
+    # holds grants that differ from the first's; then the whole first dies.
+    while True:
+        event = sim.step()
+        if (event.kind is EventKind.SLOT_BOUNDARY and sim.round_index >= 1
+                and event.payload["slot"] < sim.slots_per_round - 1):
+            first, later = plane.clusters[:2]
+            if grants(later.members) and sum(grants(first.members)) != sum(grants(later.members)):
+                break
+    for nid in sorted(first.members):
+        sim._touch(sim.nodes[nid])
+        sim._kill(sim.nodes[nid])
+    assert later in plane.clusters and first not in plane.clusters
+    round_index, seen = sim.round_index, len(plane.sp_sleep_audit)
+    while not (naps := [e for e in plane.sp_sleep_audit[seen:] if e["node"] == later.sp]):
+        sim.step()
+        assert sim.round_index == round_index, "the later proxy did not sleep this round"
+    expected = sp_sleep(grants(later.members), sim.slots_per_round, sim.round_length,
+                        sim.config.sleep_epsilon)
+    assert naps[0]["t_sleep"] == expected
+
+
 def test_dead_nodes_stay_dead_with_zero_energy():
     for scheme in SCHEMES:
         sim = run_sim(initial_energy_j=20.0, horizon_s=150.0, scheme=scheme)
@@ -211,9 +241,11 @@ def assert_structural_invariants(sim):
     assert sim.holders_by_dst == cached
     for dst, holders in cached.items():
         assert nodes[dst].alive and all(nodes[h].alive for h in holders)
-    # (b) Cluster members are alive.
+    # (b) Cluster members are alive, and each cluster has its own list of this
+    # round's sleep grants (a plane without clusters has none).
     for cluster in sim.plane.clusters:
         assert all(nodes[m].alive for m in cluster.members)
+    assert len(getattr(sim.plane, "sp_history", ())) == len(sim.plane.clusters)
     power = sim.params.power
     for node in nodes.values():
         # (e) A sleeping node's radio sleeps: it neither sends nor receives.
