@@ -101,7 +101,8 @@ class CacheStore:
         kept: list[CacheEntry] = []
         for entry in self._entries:
             packet = entry.packet
-            if packet.klass is PacketClass.DELAY_SENSITIVE and packet.deadline is not None and now > packet.deadline:
+            if (packet.klass is PacketClass.DELAY_SENSITIVE and packet.deadline is not None
+                    and now > packet.deadline):
                 dropped.append(packet)
                 self._forget(packet)
             else:

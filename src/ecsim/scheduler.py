@@ -174,7 +174,8 @@ class SleepInputs:
         if self.sup_capacity < sum_in_order(self.capacities) - 1e-9:
             raise ValueError("sup_capacity must dominate the current capacity sum")
         # Cached volume can never exceed what the channel window could carry.
-        if self.sup_capacity > 0 and sum_in_order(self.volumes) > self.sup_capacity * self.round_length + 1e-9:
+        window = self.sup_capacity * self.round_length
+        if self.sup_capacity > 0 and sum_in_order(self.volumes) > window + 1e-9:
             raise ValueError("cached volume exceeds the channel window volume")
 
 

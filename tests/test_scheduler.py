@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from ecsim.scheduler import (
     ActivityLedger,
     IdleDecision,
     InsufficientHistory,
+    SLEEP_EPSILON,
     NoCapacityError,
     SleepInputs,
     backward_diff,
@@ -243,3 +246,22 @@ class TestSpSleep:
         out = sp_sleep(history, n)
         assert out >= sum(history) / n - 1e-9
         assert out <= max(history) + 1e-9
+
+    @given(
+        st.lists(st.floats(0.0, allow_infinity=False), max_size=30),
+        st.integers(1, 50),
+        st.one_of(st.none(), st.floats(1e-6, 1e9)),
+    )
+    def test_equals_prefix_mean_supremum_bit_for_bit(self, history, n_evals, round_length):
+        def reference():
+            # The definition: the supremum of the running prefix means.
+            best = -math.inf
+            running = 0.0
+            for value in history:
+                running += value
+                best = max(best, running / n_evals)
+            if round_length is not None:
+                best = min(best, (1.0 - SLEEP_EPSILON) * round_length)
+            return max(0.0, best) if history else 0.0
+
+        assert sp_sleep(history, n_evals, round_length).hex() == reference().hex()
