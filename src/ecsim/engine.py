@@ -27,10 +27,10 @@ from ecsim.topology import (
     Position,
     build_connectivity,
     connected_components,
-    distances_kept,
     hop_distances,
     move_step,
     refresh_node,
+    repair_distances,
 )
 from ecsim.traffic import Packet, PacketClass, generate, tx_delay
 
@@ -454,17 +454,17 @@ class Simulation:
         return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
 
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
-        """Hop counts to ``dst`` over the full alive topology (cached while
-        they stay exact)."""
+        """Hop counts to ``dst`` over the full alive topology (cached, and
+        repaired in place after every edge change)."""
         dist = self._dist_cache.get(dst)
         if dist is None:
             dist = self._dist_cache[dst] = hop_distances(self.graph, dst)
         return dist
 
-    def _drop_inexact_maps(self, lost: Iterable[NodeId], added: Iterable[tuple]) -> None:
-        """After an edge change, drop the cached distance maps it made inexact."""
-        self._dist_cache = {dst: dist for dst, dist in self._dist_cache.items()
-                            if distances_kept(self.graph, dist, lost, added)}
+    def _repair_maps(self, lost: Iterable[NodeId], added: Iterable[tuple]) -> None:
+        """After an edge change, repair every cached distance map in place."""
+        for dist in self._dist_cache.values():
+            repair_distances(self.graph, dist, lost, added)
 
     def _cache_here(self, node: SimNode, work: PacketWork) -> bool:
         """Park the packet in this node's cache for its sleeping neighbor."""
@@ -610,7 +610,7 @@ class Simulation:
             old = self.grid.position_of(nid)
             if move_step(self.grid, nid, self.mobility_rng, p_step) is not old:
                 removed, added = refresh_node(self.graph, self.grid, nid)
-                self._drop_inexact_maps((nid, *removed), [(nid, v) for v in added])
+                self._repair_maps((nid, *removed), [(nid, v) for v in added])
                 moved.append(nid)
         self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
@@ -658,7 +658,7 @@ class Simulation:
         self._dist_cache.pop(node.nid, None)
         for dist in self._dist_cache.values():
             dist.pop(node.nid, None)
-        self._drop_inexact_maps(self.graph.remove_node(node.nid), ())
+        self._repair_maps(self.graph.remove_node(node.nid), ())
         self.plane.death(self, node.nid)
 
     def _lose_cached(self, holder: SimNode, dst: NodeId) -> None:

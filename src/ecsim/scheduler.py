@@ -173,27 +173,41 @@ class SleepInputs:
             raise ValueError("capacities and volumes must be >= 0")
         if self.sup_capacity < sum_in_order(self.capacities) - 1e-9:
             raise ValueError("sup_capacity must dominate the current capacity sum")
-        # Cached volume can never exceed what the channel window could carry.
-        window = self.sup_capacity * self.round_length
-        if self.sup_capacity > 0 and sum_in_order(self.volumes) > window + 1e-9:
-            raise ValueError("cached volume exceeds the channel window volume")
 
 
 def compute_sleep(inputs: SleepInputs, epsilon: float = SLEEP_EPSILON) -> float:
+    """Sleep interval of ``inputs``: ``sleep_interval`` over their sums."""
+    return sleep_interval(
+        sum_in_order(inputs.capacities),
+        sum_in_order(inputs.volumes),
+        inputs.sup_capacity,
+        inputs.n_hops,
+        inputs.path_delay,
+        inputs.round_length,
+        min(inputs.cache_delays, default=None),
+        epsilon,
+    )
+
+
+def sleep_interval(cap_sum: float, vol_sum: float, sup_capacity: float, n_hops: int,
+                   path_delay: float, round_length: float, min_cache_delay: float | None,
+                   epsilon: float = SLEEP_EPSILON) -> float:
     """Sleep interval ((sum C - sum V) / sup C)^n * d_p, with hard clamps.
 
     The capacity ratio clamps to [0, 1] before exponentiation (backlog beyond
     capacity means: stay awake). The result is kept strictly below the round
-    length and below every current cache hosting delay.
+    length and below the shortest current cache hosting delay, if any.
     """
-    if inputs.sup_capacity <= 0:
+    if sup_capacity <= 0:
         raise NoCapacityError("sleep interval undefined without channel capacity")
-    ratio = (sum_in_order(inputs.capacities) - sum_in_order(inputs.volumes)) / inputs.sup_capacity
-    ratio = min(1.0, max(0.0, ratio))
-    raw = (ratio ** inputs.n_hops) * inputs.path_delay
-    bound = (1.0 - epsilon) * inputs.round_length
-    if inputs.cache_delays:
-        bound = min(bound, (1.0 - epsilon) * min(inputs.cache_delays))
+    # Cached volume can never exceed what the channel window could carry.
+    if vol_sum > sup_capacity * round_length + 1e-9:
+        raise ValueError("cached volume exceeds the channel window volume")
+    ratio = min(1.0, max(0.0, (cap_sum - vol_sum) / sup_capacity))
+    raw = (ratio ** n_hops) * path_delay
+    bound = (1.0 - epsilon) * round_length
+    if min_cache_delay is not None:
+        bound = min(bound, (1.0 - epsilon) * min_cache_delay)
     return max(0.0, min(raw, bound))
 
 

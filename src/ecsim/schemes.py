@@ -19,12 +19,11 @@ from ecsim.scheduler import (
     ActivityLedger,
     IdleDecision,
     InsufficientHistory,
-    SleepInputs,
     backward_diff,
     compute_idle,
-    compute_sleep,
     pairwise_idle_decision,
     path_delay,
+    sleep_interval,
     sp_sleep,
 )
 
@@ -290,33 +289,43 @@ class TrafficAwarePlane(SchemePlane):
 
     # -- proxy duties ----------------------------------------------------------
 
-    def _imminent_bits(self, sim: Simulation, m: NodeId) -> int:
-        """Traffic about to reach ``m``: bits cached for it or queued at its
-        neighbors. Packets further away are the cache mechanism's job."""
-        neighbors = sim.graph.neighbors_of(m)
-        # Holders are exactly the alive nodes with bits cached for ``m``; ints
-        # add up the same in any order.
-        holders = sim.holders_by_dst.get(m, ())
-        total = sum(sim.nodes[h].cache.volume_for(m) for h in holders if h in neighbors)
-        for nb in neighbors:
-            # Queued packets have not ended: only the outbox holds them.
-            for work in sim.nodes[nb].outbox:
-                if work.packet.dst == m:
-                    total += work.packet.size_bits
-        return total
+    def _inbound_bits(self, sim: Simulation) -> dict[NodeId, int]:
+        """Traffic about to reach each node: bits cached for it or queued for
+        it at its neighbours; a node with none has no entry. Packets further
+        away are the cache mechanism's job."""
+        inbound: defaultdict[NodeId, int] = defaultdict(int)
+        neighbors_of = sim.graph.neighbors_of
+        # Holders are exactly the alive nodes with bits cached for ``dst``;
+        # ints add up the same in any order.
+        for dst, holders in sim.holders_by_dst.items():
+            near = neighbors_of(dst)
+            for h in holders:
+                if h in near:
+                    inbound[dst] += sim.nodes[h].cache.volume_for(dst)
+        for node in sim.nodes.values():
+            # Queued packets have not ended: only the outbox holds them. A
+            # dead node's outbox is empty.
+            if node.outbox:
+                near = neighbors_of(node.nid)
+                for work in node.outbox:
+                    if work.packet.dst in near:
+                        inbound[work.packet.dst] += work.packet.size_bits
+        return inbound
 
     def _sp_evaluation(self, sim: Simulation, closed_slot: int) -> None:
         """Per-slot proxy duties: pairwise idling, sleep grants, SP self-sleep."""
+        # Nothing below moves a packet or wakes a node, so inbound traffic
+        # stays as read here for the whole pass.
+        inbound = self._inbound_bits(sim)
         for cluster, grants in zip(self.clusters, self.sp_history):
             sp_node = sim.nodes[cluster.sp]  # every id keeps its node, dead or alive
             if not sp_node.awake:
                 continue
             # The death hook drops a dying member at once: every member is alive.
-            # Nothing below moves a packet or wakes a node, so inbound traffic
-            # stays as read here, and a member with some is left alone.
+            # A member with inbound traffic is left alone.
             quiet = [
                 m for m in sorted(cluster.members)
-                if m != cluster.sp and sim.nodes[m].awake and self._imminent_bits(sim, m) == 0
+                if m != cluster.sp and sim.nodes[m].awake and not inbound.get(m)
             ]
             for m in quiet:
                 node = sim.nodes[m]
@@ -343,7 +352,7 @@ class TrafficAwarePlane(SchemePlane):
                     continue
                 if not self._sleep_eligible(sim, m, closed_slot):
                     continue
-                interval, cache_delays = self._grant_sleep(sim, m)
+                interval, min_cache_delay = self._grant_sleep(sim, m)
                 if m == cluster.ch:
                     # The head naps only between its boundary duties.
                     interval = min(interval, sim.slot_width)
@@ -354,12 +363,15 @@ class TrafficAwarePlane(SchemePlane):
                             "time": sim.now,
                             "t_sleep": interval,
                             "round_length": sim.round_length,
-                            "min_cache_delay": min(cache_delays, default=None),
+                            "min_cache_delay": min_cache_delay,
                         }
                     )
                     grants.append(interval)
             # The loops above change no phase of the proxy: it is still awake.
-            self._sp_self_sleep(sim, grants, sp_node, closed_slot == sim.slots_per_round - 1)
+            # With inbound traffic it stays so.
+            if not inbound.get(sp_node.nid):
+                self._sp_self_sleep(sim, grants, sp_node,
+                                    closed_slot == sim.slots_per_round - 1)
 
     def _sp_self_sleep(self, sim: Simulation, grants: list[float], sp_node: SimNode,
                        last_duty: bool) -> None:
@@ -368,8 +380,6 @@ class TrafficAwarePlane(SchemePlane):
         of the round it takes the full interval."""
         interval = sp_sleep(grants, sim.slots_per_round, sim.round_length, sim.config.sleep_epsilon)
         if interval <= 1e-9 or _busy(sp_node):
-            return
-        if self._imminent_bits(sim, sp_node.nid) > 0:
             return
         realized = interval if last_duty else min(interval, sim.slot_width)
         if not last_duty and realized < sim.slot_width - 1e-9:
@@ -412,41 +422,34 @@ class TrafficAwarePlane(SchemePlane):
         best = max(samples, key=lambda s: (s[1], s[0]))
         return best[1], best[2]
 
-    def _grant_sleep(self, sim: Simulation, nid: NodeId) -> tuple[float, list[float]]:
+    def _grant_sleep(self, sim: Simulation, nid: NodeId) -> tuple[float, float | None]:
         """Sleep interval for one member, from current capacities, cached
-        backlog and the recent path-delay window, with the hosting delays of
-        the member's cached packets that went into it."""
-        capacities = (float(sim.link_bps),) * len(sim.graph.neighbors_of(nid))
-        cap_sum = sum_in_order(capacities)
+        backlog and the recent path-delay window, with the shortest hosting
+        delay of the member's cached packets that went into it."""
+        cap_sum = sum_in_order((float(sim.link_bps),) * len(sim.graph.neighbors_of(nid)))
         samples = self.cap_samples[nid]
         samples.append((sim.now, cap_sum))
         self._window_prune(sim, samples)
         sup = max(v for _, v in samples)
         if sup <= 0:
-            return 0.0, []  # isolated node: stays awake
-        volumes = []
-        delays = []
+            return 0.0, None  # isolated node: stays awake
         # Holders are exactly the alive nodes with bits cached for ``nid``.
-        for holder_id in sorted(sim.holders_by_dst.get(nid, ())):
-            cache = sim.nodes[holder_id].cache
-            volumes.append(float(cache.volume_for(nid)))
-            delays.append(cache.hosting_delay(nid, sim.now))
+        caches = [sim.nodes[h].cache for h in sorted(sim.holders_by_dst.get(nid, ()))]
+        vol_sum = sum_in_order(float(cache.volume_for(nid)) for cache in caches)
+        min_delay = min((cache.hosting_delay(nid, sim.now) for cache in caches), default=None)
         # The delay budget is a round fraction: it bounds how long a chunk of
         # sleep may defer traffic. Cached backlog, capacity dips and hosting
         # delays shorten it; measured path delays feed the idle window and
-        # the hop exponent.
+        # the hop exponent. The other inputs hold what SleepInputs checks:
+        # capacities and volumes are >= 0 (link_bps > 0, volumes are bits),
+        # ``sup`` is the maximum of a window holding ``cap_sum``, a measured
+        # path has at least one hop, and the config validates the round
+        # length and the budget (both > 0).
         _, hops = self._max_dp(sim, nid)
-        inputs = SleepInputs(
-            capacities=capacities,
-            volumes=tuple(volumes),
-            sup_capacity=sup,
-            n_hops=hops,
-            path_delay=sim.config.sleep_budget_rounds * sim.round_length,
-            round_length=sim.round_length,
-            cache_delays=tuple(delays),
-        )
-        # ``sup > 0`` here, so compute_sleep raises no NoCapacityError.
-        return compute_sleep(inputs, sim.config.sleep_epsilon), delays
+        interval = sleep_interval(cap_sum, vol_sum, sup, hops,
+                                  sim.config.sleep_budget_rounds * sim.round_length,
+                                  sim.round_length, min_delay, sim.config.sleep_epsilon)
+        return interval, min_delay
 
     # -- phase changes ---------------------------------------------------------
 

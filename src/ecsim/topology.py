@@ -203,18 +203,57 @@ def hop_distances(graph: ConnectivityGraph, root: NodeId) -> dict[NodeId, int]:
     return dist
 
 
-def distances_kept(graph: ConnectivityGraph, dist: dict[NodeId, int], lost: Iterable[NodeId],
-                   added: Iterable[tuple[NodeId, NodeId]]) -> bool:
-    """Whether ``dist``, exact before an edge change that added the ``added``
-    pairs and took edges only from ``lost`` nodes, is exact after it: no added
-    edge spans two levels or reaches into ``dist``, and every non-root node that
-    lost an edge still has a neighbour one level closer."""
-    for a, b in added:
-        # An absent node counts as level -2, at least two from any present one.
-        if abs(dist.get(a, -2) - dist.get(b, -2)) > 1:
-            return False
+def repair_distances(graph: ConnectivityGraph, dist: dict[NodeId, int], lost: Iterable[NodeId],
+                     added: Iterable[tuple[NodeId, NodeId]]) -> None:
+    """Repair ``dist`` in place: it was exact before an edge change that added
+    the ``added`` pairs and took edges only from ``lost`` nodes, and is exact
+    after it (Ramalingam and Reps, J. Algorithms 1996). A dead node leaves
+    ``dist`` before the call.
+
+    A node whose distance grows is one that lost its last neighbour one level
+    closer, or, level by level, one whose closer neighbours all grow. These
+    nodes leave the map and re-settle from their other neighbours; a node no
+    neighbour reaches stays out. Decreases then spread, in level order, from
+    the re-settled nodes and across every added edge that spans two levels or
+    reaches into the map."""
+    adj = graph._adj
+    grown: set[NodeId] = set()
+    pending: dict[int, set[NodeId]] = {}
     for node in lost:
         level = dist.get(node)
-        if level and not any(dist.get(other) == level - 1 for other in graph._adj[node]):
-            return False
-    return True
+        if level:  # the root and nodes outside the map keep their distance
+            pending.setdefault(level, set()).add(node)
+    level = min(pending, default=0)
+    while pending:
+        # Every node one level closer is settled: grown or keeping its distance.
+        for node in pending.pop(level, ()):
+            if not any(dist.get(other) == level - 1 and other not in grown for other in adj[node]):
+                grown.add(node)
+                for other in adj[node]:
+                    if dist.get(other) == level + 1:
+                        pending.setdefault(level + 1, set()).add(other)
+        level += 1
+    for node in grown:
+        del dist[node]
+    # Level -> nodes that reach it or lower; each entry relaxes its neighbours.
+    frontier: dict[int, list[NodeId]] = {}
+    for node in grown:
+        closest = min((dist[other] for other in adj[node] if other in dist), default=None)
+        if closest is not None:
+            frontier.setdefault(closest + 1, []).append(node)
+    for a, b in added:
+        for near, far in ((a, b), (b, a)):
+            level = dist.get(near)
+            if level is not None and dist.get(far, level + 2) > level + 1:
+                frontier.setdefault(level, []).append(near)
+    level = min(frontier, default=0)
+    while frontier:
+        for node in frontier.pop(level, ()):
+            if dist.get(node, level) < level:
+                continue  # reached closer in the meantime
+            dist[node] = level
+            for other in adj[node]:
+                if dist.get(other, level + 2) > level + 1:
+                    dist[other] = level + 1
+                    frontier.setdefault(level + 1, []).append(other)
+        level += 1

@@ -9,6 +9,7 @@ from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase, RadioMode
 from ecsim.engine import Simulation
 from ecsim.scheduler import path_delay, sp_sleep
+from ecsim.schemes import TrafficAwarePlane
 from ecsim.topology import hop_distances
 
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
@@ -294,6 +295,23 @@ def assert_structural_invariants(sim):
     # current graph.
     for dst, dist in sim._dist_cache.items():
         assert nodes[dst].alive and dist == hop_distances(sim.graph, dst)
+    # (i) The proxy pass's inbound map equals a recount for every alive node:
+    # volume cached for it at its neighbours plus bits for it queued there.
+    if isinstance(sim.plane, TrafficAwarePlane):
+        inbound = sim.plane._inbound_bits(sim)
+        recount = {}
+        for nid, node in nodes.items():
+            if node.alive:
+                near = [nodes[other] for other in sim.graph.neighbors_of(nid)]
+                recount[nid] = sum(other.cache.volume_for(nid) for other in near) + sum(
+                    work.packet.size_bits
+                    for other in near
+                    for work in other.outbox
+                    if work.packet.dst == nid
+                )
+        assert {nid: bits for nid, bits in inbound.items() if bits} == {
+            nid: bits for nid, bits in recount.items() if bits
+        }
 
 
 @settings(max_examples=12, deadline=None)

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ecsim.core import sum_in_order
 from ecsim.scheduler import (
     ActivityLedger,
     IdleDecision,
@@ -15,6 +16,7 @@ from ecsim.scheduler import (
     compute_sleep,
     pairwise_idle_decision,
     path_delay,
+    sleep_interval,
     sp_sleep,
 )
 from ecsim.topology import ConnectivityGraph
@@ -218,6 +220,56 @@ class TestComputeSleep:
     def test_pure_function(self):
         inputs = sleep_inputs()
         assert compute_sleep(inputs) == compute_sleep(inputs)
+
+
+class TestSleepInterval:
+    @given(
+        st.lists(st.floats(0.0, 1e8), max_size=8),
+        st.lists(st.floats(0.0, 1e6), max_size=8),
+        st.floats(1e6, 1e8),
+        st.integers(1, 8),
+        st.floats(0.0, 20.0),
+        st.floats(8.0, 100.0),
+        st.lists(st.floats(0.0, 100.0), max_size=5),
+        st.floats(0.0, 0.1),
+    )
+    def test_scalar_path_equals_compute_sleep_bit_for_bit(
+        self, capacities, volumes, headroom, hops, budget, round_length, delays, epsilon
+    ):
+        # ``sup`` dominates the capacity sum, and the volumes (at most 8e6
+        # bits) fit the channel window (at least 8e6 bits).
+        sup = sum_in_order(capacities) + headroom
+        inputs = SleepInputs(
+            capacities=tuple(capacities),
+            volumes=tuple(volumes),
+            sup_capacity=sup,
+            n_hops=hops,
+            path_delay=budget,
+            round_length=round_length,
+            cache_delays=tuple(delays),
+        )
+        scalar = sleep_interval(
+            sum_in_order(capacities), sum_in_order(volumes), sup, hops, budget, round_length,
+            min(delays, default=None), epsilon,
+        )
+
+        def reference():
+            # The definition, with every clamp applied to the tuples.
+            ratio = (sum_in_order(capacities) - sum_in_order(volumes)) / sup
+            raw = min(1.0, max(0.0, ratio)) ** hops * budget
+            bounds = [(1.0 - epsilon) * round_length]
+            bounds += [(1.0 - epsilon) * delay for delay in delays]
+            return max(0.0, min([raw] + bounds))
+
+        assert scalar.hex() == compute_sleep(inputs, epsilon).hex() == reference().hex()
+
+    def test_volume_above_the_channel_window_raises(self):
+        # 11 Mb/s over a 10 s round carries 110 Mb at most.
+        with pytest.raises(ValueError, match="channel window"):
+            sleep_interval(11e6, 110e6 + 1.0, 11e6, 2, 3.0, 10.0, None)
+        with pytest.raises(ValueError, match="channel window"):
+            compute_sleep(sleep_inputs(volumes=(110e6 + 1.0,)))
+        assert sleep_interval(11e6, 110e6, 11e6, 2, 3.0, 10.0, None) == 0.0
 
 
 class TestSpSleep:

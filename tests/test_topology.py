@@ -10,10 +10,10 @@ from ecsim.topology import (
     Position,
     build_connectivity,
     connected_components,
-    distances_kept,
     hop_distances,
     move_step,
     refresh_node,
+    repair_distances,
 )
 
 
@@ -241,17 +241,21 @@ def test_refresh_node_returns_lost_and_gained_neighbors():
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10_000))
-def test_keep_rule_is_exactly_exactness_across_moves_and_deaths(seed):
+def test_carried_maps_stay_exact_across_moves_and_deaths(seed):
+    # Every root's map is built once and repaired in place through all the
+    # changes, so an error carried over from one change shows at a later one.
     rng = random.Random(seed)
     grid = Grid(5, 5)
     alive = list(range(12))
     for i in alive:
         grid.place(i, Position(rng.randrange(5), rng.randrange(5)))
     graph = build_connectivity(grid)
-    for _ in range(30):
-        maps = {root: hop_distances(graph, root) for root in alive}
+    maps = {root: hop_distances(graph, root) for root in alive}
+    for _ in range(40):
         node = rng.choice(alive)
         if rng.random() < 0.1 and len(alive) > 2:
+            # A death as the engine handles it: the node leaves the graph and
+            # every map, then its former neighbours are checked.
             alive.remove(node)
             grid.remove(node)
             lost, added = graph.remove_node(node), ()
@@ -264,8 +268,8 @@ def test_keep_rule_is_exactly_exactness_across_moves_and_deaths(seed):
             lost = (node, *removed)
             added = [(node, v) for v in gained]
         for root, dist in maps.items():
-            exact = dist == hop_distances(graph, root)
-            assert distances_kept(graph, dist, lost, added) == exact
+            repair_distances(graph, dist, lost, added)
+            assert dist == hop_distances(graph, root)
 
 
 def graph_of(nodes, edges):
@@ -277,14 +281,14 @@ def graph_of(nodes, edges):
     return graph
 
 
-def kept_after(graph, root, change):
-    """``distances_kept``'s verdict on ``root``'s map across ``change``, which
-    edits ``graph`` and returns (lost, added); checked against a fresh BFS."""
+def repaired(graph, root, change):
+    """``root``'s map repaired across ``change``, which edits ``graph`` and
+    returns (lost, added); checked against a fresh BFS."""
     dist = hop_distances(graph, root)
     lost, added = change(dist)
-    kept = distances_kept(graph, dist, lost, added)
-    assert kept == (dist == hop_distances(graph, root))
-    return kept
+    repair_distances(graph, dist, lost, added)
+    assert dist == hop_distances(graph, root)
+    return dist
 
 
 def test_map_kept_across_an_edge_within_one_level():
@@ -295,27 +299,28 @@ def test_map_kept_across_an_edge_within_one_level():
         graph.add_edge(2, 3)
         return (), [(2, 3)]
 
-    assert kept_after(graph, 0, change)
+    assert repaired(graph, 0, change) == {0: 0, 1: 1, 2: 2, 3: 1, 4: 2}
 
 
-def test_map_dropped_for_an_edge_across_two_levels():
+def test_map_repaired_for_an_edge_across_two_levels():
     graph = graph_of(range(4), [(0, 1), (1, 2), (2, 3)])
 
     def change(dist):
         graph.add_edge(0, 2)
         return (), [(0, 2)]
 
-    assert not kept_after(graph, 0, change)
+    # 2 moves up a level, and 3 behind it too.
+    assert repaired(graph, 0, change) == {0: 0, 1: 1, 2: 1, 3: 2}
 
 
-def test_map_dropped_for_an_edge_that_joins_it():
+def test_map_repaired_for_an_edge_that_joins_it():
     graph = graph_of(range(4), [(0, 1), (2, 3)])
 
     def change(dist):
         graph.add_edge(1, 2)
         return (), [(1, 2)]
 
-    assert not kept_after(graph, 0, change)
+    assert repaired(graph, 0, change) == {0: 0, 1: 1, 2: 2, 3: 3}
 
 
 def test_map_kept_while_another_parent_remains():
@@ -326,28 +331,29 @@ def test_map_kept_while_another_parent_remains():
         graph.remove_edge(1, 3)
         return (1, 3), ()
 
-    assert kept_after(graph, 0, change)
+    assert repaired(graph, 0, change) == {0: 0, 1: 1, 2: 1, 3: 2}
 
 
-def test_map_dropped_when_the_last_parent_is_lost():
+def test_map_repaired_when_the_last_parent_is_lost():
     # 3's only parent is 1; over the sideways edge 3 - 4 it ends one level further.
-    graph = graph_of(range(4), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
+    graph = graph_of(range(5), [(0, 1), (0, 2), (1, 3), (2, 4), (3, 4)])
 
     def change(dist):
         graph.remove_edge(1, 3)
         return (1, 3), ()
 
-    assert not kept_after(graph, 0, change)
+    assert repaired(graph, 0, change) == {0: 0, 1: 1, 2: 1, 3: 3, 4: 2}
 
 
-def test_map_dropped_when_the_component_splits():
+def test_map_repaired_when_the_component_splits():
     graph = graph_of(range(3), [(0, 1), (1, 2)])
 
     def change(dist):
         graph.remove_edge(1, 2)
         return (1, 2), ()
 
-    assert not kept_after(graph, 0, change)
+    # 2 is out of reach and leaves the map.
+    assert repaired(graph, 0, change) == {0: 0, 1: 1}
 
 
 def relay_death(graph, relay):
@@ -361,11 +367,26 @@ def relay_death(graph, relay):
     return change
 
 
-def test_map_dropped_when_the_only_relay_dies():
+def test_map_repaired_when_the_only_relay_dies():
     graph = graph_of(range(4), [(0, 1), (1, 2), (0, 3)])
-    assert not kept_after(graph, 0, relay_death(graph, 1))
+    assert repaired(graph, 0, relay_death(graph, 1)) == {0: 0, 3: 1}
 
 
 def test_map_kept_when_a_relay_with_a_twin_dies():
     graph = graph_of(range(4), [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert kept_after(graph, 0, relay_death(graph, 1))
+    assert repaired(graph, 0, relay_death(graph, 1)) == {0: 0, 2: 1, 3: 2}
+
+
+def test_a_resettled_node_passes_its_decrease_on():
+    # The line 0 - 1 - 2 - 3 - 4 - 5 - 6, and 7 hanging off 2. 7 moves from 2
+    # to 0 and 6: it re-settles at level 1, and 6 and then 5 come closer
+    # through it.
+    graph = graph_of(range(8), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (2, 7)])
+
+    def change(dist):
+        graph.remove_edge(2, 7)
+        graph.add_edge(7, 0)
+        graph.add_edge(7, 6)
+        return (7, 2), [(7, 0), (7, 6)]
+
+    assert repaired(graph, 0, change) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4, 5: 3, 6: 2, 7: 1}
