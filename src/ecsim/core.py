@@ -80,7 +80,10 @@ class EnergyModelParams:
 
 @dataclass(frozen=True)
 class EnergyAccount:
-    """Battery state: residual and initial capacity in joules."""
+    """Snapshot of a battery: residual and initial capacity in joules.
+
+    A running simulation keeps each battery as a float on its node and
+    builds this validated snapshot when asked (``SimNode.account``)."""
 
     e_residual: float
     e_max: float
@@ -94,20 +97,14 @@ class EnergyAccount:
             )
 
 
-def consume(
-    account: EnergyAccount,
-    mode: RadioMode,
-    duration: float,
-    params: EnergyModelParams,
-) -> EnergyAccount:
-    """Drain the account at the mode's power for ``duration`` seconds.
+def consume(residual: float, power: float, duration: float) -> float:
+    """Residual energy after drawing ``power`` watts for ``duration`` seconds.
 
     Residual clamps at zero (death) rather than going negative.
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    drained = account.e_residual - params.power(mode) * duration
-    return EnergyAccount(max(0.0, drained), account.e_max)
+    return max(0.0, residual - power * duration)
 
 
 def fraction_remaining(account: EnergyAccount) -> float:

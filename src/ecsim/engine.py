@@ -6,7 +6,8 @@ One simulation owns one heap of ``Event`` tuples ordered by (time, seq), its
 own RNG streams and all mutable world state, so identical (config, seed)
 pairs give bit-identical results. Each event reaches its handler through one
 module-level table. Energy is charged lazily: whenever a node is touched,
-the elapsed interval is billed at its current radio mode's power.
+the elapsed interval is billed at its current radio mode's power, in place
+on the node's float residual.
 """
 
 from __future__ import annotations
@@ -36,6 +37,24 @@ from ecsim.traffic import Packet, PacketClass, generate, tx_delay
 
 if TYPE_CHECKING:
     from ecsim.config import ScenarioConfig
+
+# The enum members the event path reads, bound to module names. On Python
+# 3.10 and 3.11 (the CI floor, and the benchmark's interpreter) reading
+# a member off its class, such as ``NodePhase.SLEEP``, costs about ten times
+# a module global read, and every event makes dozens of these reads.
+MODE_TX, MODE_RX, MODE_IDLE, MODE_SLEEP = (
+    RadioMode.ACTIVE_TX, RadioMode.ACTIVE_RX, RadioMode.IDLE, RadioMode.SLEEP
+)
+PHASE_ACTIVE, PHASE_SLEEP = NodePhase.ACTIVE, NodePhase.SLEEP
+PACKET_ARRIVAL, TX_COMPLETE, SLOT_BOUNDARY, ROUND_SETUP = (
+    EventKind.PACKET_ARRIVAL, EventKind.TX_COMPLETE, EventKind.SLOT_BOUNDARY, EventKind.ROUND_SETUP
+)
+SLEEP_EXPIRY, IDLE_EXPIRY, MOBILITY_STEP, NODE_DEATH, CACHE_DELIVERY = (
+    EventKind.SLEEP_EXPIRY, EventKind.IDLE_EXPIRY, EventKind.MOBILITY_STEP,
+    EventKind.NODE_DEATH, EventKind.CACHE_DELIVERY,
+)
+ELASTIC, DELAY_SENSITIVE = PacketClass.ELASTIC, PacketClass.DELAY_SENSITIVE
+ACCEPTED, DUPLICATE = StoreResult.ACCEPTED, StoreResult.DUPLICATE
 
 
 class Event(NamedTuple):
@@ -72,11 +91,13 @@ class PacketWork:
 
 
 class SimNode:
-    """Mutable per-node simulation state."""
+    """Mutable per-node simulation state. The battery is two floats in
+    joules, billed in place: ``e_residual`` and its initial ``e_max``."""
 
     __slots__ = (
         "nid",
-        "account",
+        "e_residual",
+        "e_max",
         "alive",
         "phase",
         "phase_epoch",
@@ -97,13 +118,13 @@ class SimNode:
     def __init__(self, nid: NodeId, initial_energy: float, cache_capacity: int,
                  holders_by_dst: dict[NodeId, set[NodeId]]):
         self.nid = nid
-        self.account = EnergyAccount(initial_energy, initial_energy)
+        self.e_residual = self.e_max = initial_energy
         self.alive = True
-        self.phase = NodePhase.ACTIVE
+        self.phase = PHASE_ACTIVE
         self.phase_epoch = 0
         self.tx_active = False
         self.rx_active = 0
-        self.mode = RadioMode.IDLE
+        self.mode = MODE_IDLE
         self.mode_epoch = 0
         self.last_touch = 0.0
         self.outbox: deque[PacketWork] = deque()
@@ -115,8 +136,13 @@ class SimNode:
         self.retry_heap: list[float] = []  # retry times of packets deferred here
 
     @property
+    def account(self) -> EnergyAccount:
+        """Validated snapshot of the battery."""
+        return EnergyAccount(self.e_residual, self.e_max)
+
+    @property
     def awake(self) -> bool:
-        return self.alive and self.phase is not NodePhase.SLEEP
+        return self.alive and self.phase is not PHASE_SLEEP
 
 
 # Terminal packet states.
@@ -143,6 +169,8 @@ class Simulation:
         self.slots_per_round = config.slots_per_round
         self.slot_width = config.round_s / config.slots_per_round
         self.params = config.energy
+        # Power per radio mode; ``EnergyModelParams.power`` defines it.
+        self.mode_power = {mode: self.params.power(mode) for mode in RadioMode}
         self.link_bps = config.link_bps
         self.retry_s = config.retry_s
 
@@ -191,12 +219,12 @@ class Simulation:
         )
         # Packet ids are list indexes, so ``self.packets[pid]`` finds a packet.
         for packet in self.packets:
-            self.push(packet.created_at, EventKind.PACKET_ARRIVAL, packet.src,
+            self.push(packet.created_at, PACKET_ARRIVAL, packet.src,
                        packet_id=packet.id)
 
-        self.push(0.0, EventKind.ROUND_SETUP)
+        self.push(0.0, ROUND_SETUP)
         if config.p_move > 0 and config.node_count > 0:
-            self.push(config.mobility_step_s, EventKind.MOBILITY_STEP)
+            self.push(config.mobility_step_s, MOBILITY_STEP)
         # Deaths are predicted on each mode change; a node that keeps its
         # first mode dies on this prediction.
         for node in self.nodes.values():
@@ -259,7 +287,7 @@ class Simulation:
 
     def _timeseries_row(self) -> tuple[float, float, float]:
         alive = sum(1 for n in self.nodes.values() if n.alive)
-        residual = sum_in_order(n.account.e_residual for n in self.nodes.values())
+        residual = sum_in_order(n.e_residual for n in self.nodes.values())
         return (self.now, alive / max(1, len(self.nodes)), residual)
 
     def trace_event(self, node: NodeId | None, kind: str, detail: str) -> None:
@@ -270,53 +298,50 @@ class Simulation:
 
     def _touch(self, node: SimNode) -> None:
         """Charge the elapsed interval at the node's current mode power."""
-        duration = self.now - node.last_touch
+        now = self.now
+        duration = now - node.last_touch
         if duration <= 0:
-            node.last_touch = self.now
+            node.last_touch = now
             return
-        before = node.account.e_residual
-        node.account = consume(node.account, node.mode, duration, self.params)
-        node.time_in_mode[node.mode] += duration
-        if node.mode in (RadioMode.ACTIVE_TX, RadioMode.ACTIVE_RX):
+        mode = node.mode
+        before = node.e_residual
+        node.e_residual = consume(before, self.mode_power[mode], duration)
+        node.time_in_mode[mode] += duration
+        if mode is MODE_TX or mode is MODE_RX:
             self.plane.radio_busy(self, node.nid, node.last_touch)
         if self.trace is not None:
-            spent = before - node.account.e_residual
+            spent = before - node.e_residual
             self.trace.append(
-                (
-                    self.now,
-                    node.nid,
-                    "mode",
-                    f"mode={node.mode.value};dur={duration!r};energy={spent!r}",
-                )
+                (now, node.nid, "mode", f"mode={mode.value};dur={duration!r};energy={spent!r}")
             )
-        node.last_touch = self.now
+        node.last_touch = now
 
     def _recompute_mode(self, node: SimNode) -> None:
-        if node.phase is NodePhase.SLEEP:
-            new = RadioMode.SLEEP
+        if node.phase is PHASE_SLEEP:
+            new = MODE_SLEEP
         elif node.tx_active:
-            new = RadioMode.ACTIVE_TX
+            new = MODE_TX
         elif node.rx_active > 0:
-            new = RadioMode.ACTIVE_RX
+            new = MODE_RX
         else:
-            new = RadioMode.IDLE
+            new = MODE_IDLE
         if new is not node.mode:
             node.mode = new
             node.mode_epoch += 1
             self._schedule_death(node)
 
     def _schedule_death(self, node: SimNode) -> None:
-        power = self.params.power(node.mode)
-        if not node.alive or power <= 0 or node.account.e_residual <= 0:
+        power = self.mode_power[node.mode]
+        if not node.alive or power <= 0 or node.e_residual <= 0:
             return
-        eta = self.now + node.account.e_residual / power
+        eta = self.now + node.e_residual / power
         if eta <= self.horizon + 1e-9:
-            self.push(eta, EventKind.NODE_DEATH, node.nid, epoch=node.mode_epoch)
+            self.push(eta, NODE_DEATH, node.nid, epoch=node.mode_epoch)
 
     def set_phase(self, node: SimNode, phase: NodePhase, until: float | None = None) -> None:
         """Put ``node`` in ``phase``; with ``until``, arm its phase timer. A call
         with the current phase only re-arms it. Leaving SLEEP wakes the node."""
-        woke = node.phase is NodePhase.SLEEP and phase is not NodePhase.SLEEP
+        woke = node.phase is PHASE_SLEEP and phase is not PHASE_SLEEP
         if phase is not node.phase:
             self._touch(node)
             node.phase = phase
@@ -324,10 +349,10 @@ class Simulation:
             node.wake_at = None
             self._recompute_mode(node)
         if until is not None:
-            kind = EventKind.IDLE_EXPIRY
-            if phase is NodePhase.SLEEP:
+            kind = IDLE_EXPIRY
+            if phase is PHASE_SLEEP:
                 node.wake_at = until
-                kind = EventKind.SLEEP_EXPIRY
+                kind = SLEEP_EXPIRY
             self.push(until, kind, node.nid, epoch=node.phase_epoch)
         if woke:
             self._after_wake(node)
@@ -385,7 +410,7 @@ class Simulation:
         packet = work.packet
         delay = self.now - packet.created_at
         on_time = (
-            packet.klass is PacketClass.ELASTIC
+            packet.klass is ELASTIC
             or packet.deadline is None
             or self.now <= packet.deadline + 1e-12
         )
@@ -404,7 +429,7 @@ class Simulation:
             work = node.outbox.popleft()
             packet = work.packet
             if (
-                packet.klass is PacketClass.DELAY_SENSITIVE
+                packet.klass is DELAY_SENSITIVE
                 and packet.deadline is not None
                 and self.now > packet.deadline
             ):
@@ -448,7 +473,7 @@ class Simulation:
         anyway), then healthy batteries, then already-active relays; the
         battery bucket rotates the role as a relay drains."""
         node = self.nodes[v]
-        bucket = int(10 * node.account.e_residual / node.account.e_max) if node.account.e_max else 0
+        bucket = int(10 * node.e_residual / node.e_max) if node.e_max else 0
         abs_slot = self.round_index * self.slots_per_round + self.current_slot
         recent = abs_slot - node.last_relay_slot < RELAY_QUIET_SLOTS
         return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
@@ -470,7 +495,7 @@ class Simulation:
         """Park the packet in this node's cache for its sleeping neighbor."""
         packet = work.packet
         result = node.cache.store(packet, self.now)
-        if result in (StoreResult.ACCEPTED, StoreResult.DUPLICATE):
+        if result is ACCEPTED or result is DUPLICATE:
             self.trace_event(node.nid, "cache-store", f"pid={packet.id};dst={packet.dst}")
             return True
         return False
@@ -493,7 +518,7 @@ class Simulation:
             for v in self.graph.neighbors_of(nid)
             if dist.get(v, math.inf) <= here
             and self.nodes[v].alive
-            and self.nodes[v].phase is NodePhase.SLEEP
+            and self.nodes[v].phase is PHASE_SLEEP
             and self.nodes[v].wake_at is not None
         ]
         if wakes:
@@ -509,7 +534,7 @@ class Simulation:
             backoff = min(self.retry_s * 2.0 ** (work.defer_count - 3), self.round_length)
             retry_at = max(retry_at, self.now + backoff)
         heapq.heappush(node.retry_heap, retry_at)
-        self.push(retry_at, EventKind.PACKET_ARRIVAL, node.nid,
+        self.push(retry_at, PACKET_ARRIVAL, node.nid,
                    packet_id=work.packet.id, retry=True)
 
     def _start_tx(self, sender: SimNode, receiver_id: NodeId, work: PacketWork) -> None:
@@ -524,7 +549,7 @@ class Simulation:
         self._set_tx(sender, True)
         self._bump_rx(receiver, +1)
         self.plane.transmit(self, work, sender.nid, receiver_id, duration)
-        self.push(self.now + duration, EventKind.TX_COMPLETE, receiver_id,
+        self.push(self.now + duration, TX_COMPLETE, receiver_id,
                    packet_id=work.packet.id, sender=sender.nid)
         self.trace_event(
             sender.nid, "tx-start", f"pid={work.packet.id};to={receiver_id}"
@@ -592,7 +617,7 @@ class Simulation:
     def _hand_over(self, holder: NodeId, woken: NodeId, sleeper: SimNode | None) -> None:
         """Hand ``holder``'s entries for ``woken`` over now, or when ``sleeper`` wakes."""
         at = self.now if sleeper is None else max(self.now, sleeper.wake_at)
-        self.push(at, EventKind.CACHE_DELIVERY, holder, woken=woken)
+        self.push(at, CACHE_DELIVERY, holder, woken=woken)
 
     def _on_phase_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
@@ -613,7 +638,7 @@ class Simulation:
                 self._repair_maps((nid, *removed), [(nid, v) for v in added])
                 moved.append(nid)
         self.plane.moved(self, moved)
-        self.push(self.now + self.config.mobility_step_s, EventKind.MOBILITY_STEP)
+        self.push(self.now + self.config.mobility_step_s, MOBILITY_STEP)
 
     def _on_round_setup(self, event: Event) -> None:
         # Flush ongoing activity into the closing round before a new one starts.
@@ -626,9 +651,9 @@ class Simulation:
         self.timeseries.append(self._timeseries_row())
         self.plane.round_setup(self)
         for j in range(1, self.slots_per_round + 1):
-            self.push(self.round_start + j * self.slot_width, EventKind.SLOT_BOUNDARY,
+            self.push(self.round_start + j * self.slot_width, SLOT_BOUNDARY,
                        slot=j - 1)
-        self.push(self.round_start + self.round_length, EventKind.ROUND_SETUP)
+        self.push(self.round_start + self.round_length, ROUND_SETUP)
 
     def _on_node_death(self, event: Event) -> None:
         node = self.nodes[event.node]
@@ -636,14 +661,14 @@ class Simulation:
         if event.payload["epoch"] != node.mode_epoch:
             return
         self._touch(node)
-        if node.account.e_residual > 1e-9:
+        if node.e_residual > 1e-9:
             return  # stale prediction
         self._kill(node)
 
     def _kill(self, node: SimNode) -> None:
         node.alive = False
         node.death_time = self.now
-        node.account = EnergyAccount(0.0, node.account.e_max)
+        node.e_residual = 0.0
         node.mode_epoch += 1
         node.phase_epoch += 1
         self.trace_event(node.nid, "death", "")
@@ -687,15 +712,15 @@ class Simulation:
 # Plain functions, not bound methods: a per-instance table of bound methods
 # would make every Simulation a reference cycle that only the cyclic GC frees.
 _HANDLERS = {
-    EventKind.PACKET_ARRIVAL: Simulation._on_packet_arrival,
-    EventKind.TX_COMPLETE: Simulation._on_tx_complete,
-    EventKind.SLOT_BOUNDARY: Simulation._on_slot_boundary,
-    EventKind.ROUND_SETUP: Simulation._on_round_setup,
-    EventKind.SLEEP_EXPIRY: Simulation._on_phase_expiry,
-    EventKind.IDLE_EXPIRY: Simulation._on_phase_expiry,
-    EventKind.MOBILITY_STEP: Simulation._on_mobility_step,
-    EventKind.NODE_DEATH: Simulation._on_node_death,
-    EventKind.CACHE_DELIVERY: Simulation._on_cache_delivery,
+    PACKET_ARRIVAL: Simulation._on_packet_arrival,
+    TX_COMPLETE: Simulation._on_tx_complete,
+    SLOT_BOUNDARY: Simulation._on_slot_boundary,
+    ROUND_SETUP: Simulation._on_round_setup,
+    SLEEP_EXPIRY: Simulation._on_phase_expiry,
+    IDLE_EXPIRY: Simulation._on_phase_expiry,
+    MOBILITY_STEP: Simulation._on_mobility_step,
+    NODE_DEATH: Simulation._on_node_death,
+    CACHE_DELIVERY: Simulation._on_cache_delivery,
 }
 
 

@@ -60,15 +60,14 @@ def finalize(sim: "Simulation") -> MetricsReport:
     per_node: dict[str, dict] = {}
     total_consumed = 0.0
     for nid, node in sim.nodes.items():
-        consumed = node.account.e_max - node.account.e_residual
+        account = node.account
+        consumed = account.e_max - account.e_residual
         total_consumed += consumed
         lifetime = node.death_time if node.death_time is not None else sim.horizon
         per_node[str(nid)] = {
             "consumed_j": consumed,
-            "residual_j": node.account.e_residual,
-            "fraction_remaining": (
-                fraction_remaining(node.account) if node.account.e_max > 0 else 0.0
-            ),
+            "residual_j": account.e_residual,
+            "fraction_remaining": fraction_remaining(account) if account.e_max > 0 else 0.0,
             "lifetime_s": lifetime,
             "time_in_mode_s": {
                 "tx": node.time_in_mode[RadioMode.ACTIVE_TX],

@@ -30,6 +30,11 @@ from ecsim.scheduler import (
 if TYPE_CHECKING:
     from ecsim.engine import PacketWork, SimNode, Simulation
 
+# Hot enum members bound to module names, as in ``ecsim.engine``: on Python
+# 3.10 and 3.11 a class attribute read costs about ten times a global's.
+PHASE_ACTIVE, PHASE_IDLE, PHASE_SLEEP = NodePhase.ACTIVE, NodePhase.IDLE, NodePhase.SLEEP
+GO_IDLE = IdleDecision.GO_IDLE
+
 # Slots a node stays grant-ineligible after receiving forwarding work for
 # others: it must stay up long enough to move the packet onward, while a
 # sleeping destination's traffic is recovered by the neighbor cache.
@@ -92,8 +97,8 @@ def dispatch_scheme(
     cycle = math.floor(rel / period + 1e-9)
     within = rel - cycle * period
     if within < listen - 1e-9:
-        return PhaseDirective(NodePhase.ACTIVE, offset + cycle * period + listen)
-    return PhaseDirective(NodePhase.SLEEP, offset + (cycle + 1) * period)
+        return PhaseDirective(PHASE_ACTIVE, offset + cycle * period + listen)
+    return PhaseDirective(PHASE_SLEEP, offset + (cycle + 1) * period)
 
 
 class DutyCyclePlane(SchemePlane):
@@ -122,11 +127,11 @@ class DutyCyclePlane(SchemePlane):
     def tick(self, sim: Simulation, node: SimNode) -> None:
         """Apply the scheme's current window to ``node`` until its end."""
         directive = dispatch_scheme(self.scheme, sim.now, self.offset[node.nid])
-        if directive.phase is NodePhase.SLEEP and (node.tx_active or node.rx_active):
+        if directive.phase is PHASE_SLEEP and (node.tx_active or node.rx_active):
             # Let the transfer finish; stay active and re-check at the radio's
             # free time, which ``transmit`` recorded.
             busy_end = max(sim.now, self.busy_until[node.nid])
-            sim.set_phase(node, NodePhase.ACTIVE, busy_end + 1e-9)
+            sim.set_phase(node, PHASE_ACTIVE, busy_end + 1e-9)
         else:
             sim.set_phase(node, directive.phase, directive.until)
 
@@ -179,7 +184,7 @@ class TrafficAwarePlane(SchemePlane):
         # Set-up phase idle assignment: every awake member re-enters idle
         # listening for its computed idle interval.
         for node in sim.nodes.values():
-            if node.alive and node.phase is NodePhase.ACTIVE:
+            if node.alive and node.phase is PHASE_ACTIVE:
                 self._enter_idle(sim, node)
 
     def slot_boundary(self, sim: Simulation, closed_slot: int) -> None:
@@ -209,24 +214,24 @@ class TrafficAwarePlane(SchemePlane):
         path[0] = sim.now + duration  # the hop's TX_COMPLETE time
 
     def expired(self, sim: Simulation, node: SimNode) -> None:
-        if node.phase is NodePhase.SLEEP:
+        if node.phase is PHASE_SLEEP:
             self._enter_idle(sim, node)
         else:
             # Only _enter_idle arms a timer outside sleep: the node is idle.
-            sim.set_phase(node, NodePhase.ACTIVE)
+            sim.set_phase(node, PHASE_ACTIVE)
 
     def moved(self, sim: Simulation, moved: list[NodeId]) -> None:
         for nid in moved:
             node = sim.nodes[nid]
             sim.trace_event(nid, "moved", "")
-            if node.phase is NodePhase.SLEEP:
+            if node.phase is PHASE_SLEEP:
                 self._enter_idle(sim, node)  # location change wakes the node
 
     def delivered(self, sim: Simulation, work: PacketWork) -> None:
         dst = sim.nodes[work.packet.dst]  # a delivery's destination is alive
-        if dst.phase is NodePhase.IDLE:
+        if dst.phase is PHASE_IDLE:
             # Incoming traffic moves the destination into the active state.
-            sim.set_phase(dst, NodePhase.ACTIVE)
+            sim.set_phase(dst, PHASE_ACTIVE)
         # A flow's source and destination differ: a delivered packet made a hop.
         _, hops, senders = self.paths.pop(work.packet.id)
         record = path_delay(hops)
@@ -284,7 +289,7 @@ class TrafficAwarePlane(SchemePlane):
         """Control-plane wake: a sleeping head or proxy re-enters idle."""
         for role_node in {cl.ch, cl.sp}:
             node = sim.nodes[role_node]
-            if node.phase is NodePhase.SLEEP:
+            if node.phase is PHASE_SLEEP:
                 self._enter_idle(sim, node)
 
     # -- proxy duties ----------------------------------------------------------
@@ -329,13 +334,13 @@ class TrafficAwarePlane(SchemePlane):
             ]
             for m in quiet:
                 node = sim.nodes[m]
-                if m == cluster.ch or node.phase is not NodePhase.ACTIVE:
+                if m == cluster.ch or node.phase is not PHASE_ACTIVE:
                     continue
                 for other in sorted(sim.graph.neighbors_of(m)):
                     if other not in cluster.members or not sim.nodes[other].awake:
                         continue
                     decision = pairwise_idle_decision(self.ledger, m, other, 0, sim.graph)
-                    if decision is IdleDecision.GO_IDLE:
+                    if decision is GO_IDLE:
                         self._enter_idle(sim, node)
                         sim.trace_event(m, "inform-sp", f"sp={cluster.sp}")
                         break
@@ -343,12 +348,12 @@ class TrafficAwarePlane(SchemePlane):
                 # Idle assignment: an active member with no activity in the
                 # closed slot returns to idle listening.
                 node = sim.nodes[m]
-                if node.phase is NodePhase.ACTIVE and not _busy(node):
+                if node.phase is PHASE_ACTIVE and not _busy(node):
                     if not self.ledger.slot_value(m, closed_slot):
                         self._enter_idle(sim, node)
             for m in quiet:
                 node = sim.nodes[m]
-                if node.phase is not NodePhase.IDLE or _busy(node):
+                if node.phase is not PHASE_IDLE or _busy(node):
                     continue
                 if not self._sleep_eligible(sim, m, closed_slot):
                     continue
@@ -384,7 +389,7 @@ class TrafficAwarePlane(SchemePlane):
         realized = interval if last_duty else min(interval, sim.slot_width)
         if not last_duty and realized < sim.slot_width - 1e-9:
             return  # nap would not fill the gap to the next duty
-        if sp_node.phase is NodePhase.ACTIVE:
+        if sp_node.phase is PHASE_ACTIVE:
             self._enter_idle(sim, sp_node)
         if self._enter_sleep(sim, sp_node, realized):
             self.sp_sleep_audit.append(
@@ -457,7 +462,7 @@ class TrafficAwarePlane(SchemePlane):
         """Idle listening for the computed interval; a sleeping node wakes."""
         delay, hops = self._max_dp(sim, node.nid)
         interval = compute_idle(sim.round_length, min(delay, sim.round_length), hops)
-        sim.set_phase(node, NodePhase.IDLE, sim.now + interval)
+        sim.set_phase(node, PHASE_IDLE, sim.now + interval)
 
     def _enter_sleep(self, sim: Simulation, node: SimNode, interval: float) -> bool:
         """Put the node to sleep for at most ``interval`` seconds, with the
@@ -475,7 +480,7 @@ class TrafficAwarePlane(SchemePlane):
             aligned = min(aligned, node.retry_heap[0] - 1e-6)
         if aligned <= sim.now + 1e-9:
             return False
-        sim.set_phase(node, NodePhase.SLEEP, aligned)
+        sim.set_phase(node, PHASE_SLEEP, aligned)
         sim.trace_event(node.nid, "sleep-grant",
                          f"assigned={interval!r};realized={aligned - sim.now!r}")
         return True

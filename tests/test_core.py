@@ -14,28 +14,21 @@ PARAMS = EnergyModelParams()
 
 
 def test_consume_zero_duration():
-    acct = EnergyAccount(e_residual=10.0, e_max=10.0)
-    assert consume(acct, RadioMode.IDLE, 0.0, PARAMS).e_residual == 10.0
+    assert consume(10.0, PARAMS.power(RadioMode.IDLE), 0.0) == 10.0
 
 
 def test_consume_sleep_power():
-    acct = EnergyAccount(e_residual=10.0, e_max=10.0)
     params = EnergyModelParams(p_sleep=0.1)
-    out = consume(acct, RadioMode.SLEEP, 5.0, params)
-    assert out.e_residual == pytest.approx(9.5, abs=1e-9)
-    assert out.e_max == 10.0
+    assert consume(10.0, params.power(RadioMode.SLEEP), 5.0) == pytest.approx(9.5, abs=1e-9)
 
 
 def test_consume_floors_at_zero_and_flags_dead():
-    acct = EnergyAccount(e_residual=0.2, e_max=10.0)
-    out = consume(acct, RadioMode.ACTIVE_TX, 1.0, PARAMS)
-    assert out.e_residual == 0.0
+    assert consume(0.2, PARAMS.power(RadioMode.ACTIVE_TX), 1.0) == 0.0
 
 
 def test_consume_rejects_negative_duration():
-    acct = EnergyAccount(e_residual=1.0, e_max=1.0)
     with pytest.raises(ValueError):
-        consume(acct, RadioMode.IDLE, -0.1, PARAMS)
+        consume(1.0, PARAMS.power(RadioMode.IDLE), -0.1)
 
 
 @pytest.mark.parametrize(
@@ -72,21 +65,16 @@ def test_account_bounds_enforced():
     )
 )
 def test_energy_monotone_over_event_sequences(steps):
-    acct = EnergyAccount(e_residual=100.0, e_max=100.0)
-    last = acct.e_residual
+    residual = 100.0
     for mode, duration in steps:
-        acct = consume(acct, mode, duration, PARAMS)
-        assert acct.e_residual <= last
-        last = acct.e_residual
+        after = consume(residual, PARAMS.power(mode), duration)
+        assert 0.0 <= after <= residual
+        residual = after
 
 
 @given(st.floats(0.0, 100.0))
 def test_mode_power_ordering(duration):
-    acct = EnergyAccount(e_residual=1e6, e_max=1e6)
-    spent = {
-        mode: acct.e_residual - consume(acct, mode, duration, PARAMS).e_residual
-        for mode in RadioMode
-    }
+    spent = {mode: 1e6 - consume(1e6, PARAMS.power(mode), duration) for mode in RadioMode}
     assert spent[RadioMode.ACTIVE_TX] >= spent[RadioMode.ACTIVE_RX]
     assert spent[RadioMode.ACTIVE_RX] >= spent[RadioMode.IDLE]
     if duration > 1e-9:
@@ -100,10 +88,10 @@ def test_mode_power_ordering(duration):
     st.sampled_from(list(RadioMode)),
 )
 def test_consume_additive_in_duration(a, b, mode):
-    acct = EnergyAccount(e_residual=100.0, e_max=100.0)
-    joined = consume(acct, mode, a + b, PARAMS)
-    split = consume(consume(acct, mode, a, PARAMS), mode, b, PARAMS)
-    assert split.e_residual == pytest.approx(joined.e_residual, abs=1e-9)
+    power = PARAMS.power(mode)
+    joined = consume(100.0, power, a + b)
+    split = consume(consume(100.0, power, a), power, b)
+    assert split == pytest.approx(joined, abs=1e-9)
 
 
 def test_sum_in_order_rounds_after_every_addition():

@@ -4,6 +4,7 @@ import weakref
 
 import pytest
 
+from ecsim import engine
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase
 from ecsim.engine import PacketWork, Simulation, run_simulation
@@ -392,3 +393,20 @@ def test_only_traffic_aware_records_slot_activity(monkeypatch):
             assert calls and min(calls) > 0.0
         else:
             assert calls == [], kind
+
+
+@pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
+def test_consume_runs_once_per_billed_interval(monkeypatch, kind):
+    # Every billed interval is one ``consume`` call and one ``mode`` trace row.
+    calls = []
+    consume = engine.consume
+
+    def counted(residual, power, duration):
+        calls.append(duration)
+        return consume(residual, power, duration)
+
+    monkeypatch.setattr(engine, "consume", counted)
+    config = make_config(horizon_s=40.0, initial_energy_j=30.0, scheme={"kind": kind})
+    _, trace = run_simulation(config, 3, collect_trace=True)
+    assert calls and min(calls) > 0.0
+    assert len(calls) == sum(1 for row in trace if row[2] == "mode")

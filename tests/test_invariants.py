@@ -1,9 +1,10 @@
 """Cross-module invariants that need a full simulation to exercise."""
 
 from collections import Counter
+from datetime import timedelta
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase, RadioMode
@@ -214,6 +215,35 @@ def small_scenarios(draw):
     return raw, draw(st.integers(0, 10_000))
 
 
+@st.composite
+def strip_scenarios(draw):
+    """Sparse strips 8-12 cells long and one or two cells high, in which hop
+    maps run six or more levels deep and moves and deaths cut long paths."""
+    width = draw(st.integers(8, 12))
+    # Two nodes per column connect within PLACEMENT_ATTEMPTS on either height.
+    nodes = 2 * width
+    flows = []
+    for _ in range(draw(st.integers(1, 2))):
+        src = draw(st.integers(0, nodes - 1))
+        dst = draw(st.integers(0, nodes - 2))
+        flows.append(
+            {"src": src, "dst": dst + (dst >= src), "rate_pps": draw(st.floats(0.2, 1.5))}
+        )
+    raw = {
+        "grid": {"width": width, "height": draw(st.integers(1, 2))},
+        "nodes": nodes,
+        "initial_energy_j": draw(st.floats(20.0, 80.0)),
+        "round_s": 10.0,
+        "horizon_s": 60.0,
+        "traffic_horizon_s": 50.0,
+        "p_move": draw(st.floats(0.01, 0.05)),
+        "flows": flows,
+        "cache": {"enabled": True, "capacity_bits": 8_000 * draw(st.integers(1, 5))},
+        "link_bps": draw(st.sampled_from([11_000_000.0, 20_000.0])),
+    }
+    return raw, draw(st.integers(0, 10_000)), draw(st.sampled_from(SCHEMES))
+
+
 # The checks scan the whole event heap after every event, mostly stale death
 # predictions and future arrivals; comprehensions over these aliases keep the
 # test near 10 s.
@@ -324,3 +354,16 @@ def test_structural_invariants_after_every_event(scenario):
         while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
             sim.step()
             assert_structural_invariants(sim)
+
+
+@settings(max_examples=6, deadline=timedelta(seconds=30))
+@given(strip_scenarios())
+def test_structural_invariants_after_every_event_on_deep_maps(scenario):
+    raw, seed, scheme = scenario
+    sim = Simulation(from_dict({**raw, "scheme": scheme}), seed)
+    # The seed places the nodes: keep the draws whose flows need six levels.
+    assume(max(max(hop_distances(sim.graph, f["dst"]).values()) for f in raw["flows"]) >= 6)
+    assert_structural_invariants(sim)
+    while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
+        sim.step()
+        assert_structural_invariants(sim)
