@@ -17,20 +17,6 @@ from ecsim.core import EnergyAccount, NodeId, sum_in_order
 from ecsim.topology import ConnectivityGraph, connected_components
 
 
-@dataclass(frozen=True)
-class SpScore:
-    """Candidacy score c_l and the derived sleep-proxy score sp_l."""
-
-    c_l: float
-    sp_l: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.c_l <= 1.0:
-            raise ValueError(f"c_l must lie in [0, 1], got {self.c_l}")
-        if self.sp_l < -1e-12 or self.sp_l > self.c_l + 1e-12:
-            raise ValueError(f"sp_l must lie in [0, c_l], got {self.sp_l}")
-
-
 @dataclass
 class Cluster:
     members: frozenset[NodeId]
@@ -91,19 +77,19 @@ def candidacy_shares(
     return {n: energies[n].e_residual / total for n in ordered}
 
 
-def compute_sp_score(c_l: float, account: EnergyAccount) -> SpScore:
-    """sp_l = c_l * residual fraction."""
+def compute_sp_score(c_l: float, account: EnergyAccount) -> float:
+    """Sleep-proxy score sp_l = c_l * residual fraction, in [0, c_l]."""
     if not 0.0 <= c_l <= 1.0:
         raise ValueError(f"c_l must lie in [0, 1], got {c_l}")
     if account.e_max <= 0:
         raise ValueError("compute_sp_score requires e_max > 0")
-    return SpScore(c_l=c_l, sp_l=c_l * (account.e_residual / account.e_max))
+    return c_l * (account.e_residual / account.e_max)
 
 
 def assign_sp(
     members: Iterable[NodeId],
     ch: NodeId,
-    scores: Mapping[NodeId, SpScore],
+    scores: Mapping[NodeId, float],
     ledger: ServiceLedger,
 ) -> NodeId:
     """Pick the SP for the round and record it in the service ledger.
@@ -120,7 +106,7 @@ def assign_sp(
     pool = [n for n in ordered if ledger.sp_count(n) == low and n != ch]
     if not pool:
         pool = [ch]
-    chosen = max(pool, key=lambda n: (scores[n].sp_l, -n))
+    chosen = max(pool, key=lambda n: (scores[n], -n))
     ledger.record_sp(chosen)
     return chosen
 

@@ -129,7 +129,7 @@ _SCHEMA = (
     ("grid.width", "grid_width", _number(minimum=1)),
     ("grid.height", "grid_height", _number(minimum=1)),
     ("nodes", "node_count", _number(minimum=1)),
-    ("initial_energy_j", "initial_energy_j", _number(minimum=0.0)),
+    ("initial_energy_j", "initial_energy_j", _number(minimum=1e-9)),
     ("round_s", "round_s", _number(minimum=1e-9)),
     ("slots_per_round", "slots_per_round", _number(minimum=1)),
     ("p_move", "p_move", _number(minimum=0.0, maximum=1.0)),

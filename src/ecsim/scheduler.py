@@ -6,12 +6,9 @@ The traffic-aware plane owns the ledger and calls these between events.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from enum import Enum
 from typing import Sequence
 
 from ecsim.core import NodeId, sum_in_order
-from ecsim.topology import ConnectivityGraph
 
 # Every sleep interval stays below (1 - SLEEP_EPSILON) of its bound, so a
 # sleeper wakes strictly before the round or cache hosting delay ends.
@@ -77,32 +74,14 @@ def backward_diff(ledger: ActivityLedger, node: NodeId, slot: int) -> float:
     return current - previous
 
 
-class IdleDecision(Enum):
-    GO_IDLE = "go-idle"
-    NO_CHANGE = "no-change"
+def pairwise_idle_decision(ledger: ActivityLedger, node_a: NodeId, node_b: NodeId) -> bool:
+    """Whether ``node_a`` goes idle (and informs the SP): true when its
+    cumulative active time is strictly larger than ``node_b``'s.
 
-
-def pairwise_idle_decision(
-    ledger: ActivityLedger,
-    node_a: NodeId,
-    node_b: NodeId,
-    pending_bits_for_a: int,
-    graph: ConnectivityGraph,
-) -> IdleDecision:
-    """Compare cumulative active times of two in-contact nodes.
-
-    The node with the strictly larger active time goes idle (and informs the
-    SP) provided no traffic is pending for it.
+    The caller passes two nodes in direct contact, and as ``node_a`` only a
+    node with no traffic pending for it.
     """
-    if not graph.has_edge(node_a, node_b):
-        raise ValueError(f"nodes {node_a} and {node_b} are not in direct contact")
-    if pending_bits_for_a < 0:
-        raise ValueError("pending traffic cannot be negative")
-    t_a = ledger.cumulative_active(node_a)
-    t_b = ledger.cumulative_active(node_b)
-    if t_a > t_b and pending_bits_for_a == 0:
-        return IdleDecision.GO_IDLE
-    return IdleDecision.NO_CHANGE
+    return ledger.cumulative_active(node_a) > ledger.cumulative_active(node_b)
 
 
 def compute_idle(round_length: float, max_path_delay: float, n_hops: int) -> float:
@@ -114,87 +93,28 @@ def compute_idle(round_length: float, max_path_delay: float, n_hops: int) -> flo
     return max(0.0, (round_length - max_path_delay) / n_hops)
 
 
-@dataclass(frozen=True)
-class PathDelayRecord:
-    """Per-hop hosting and transmission delays of one end-to-end path."""
-
-    hosting_delays: tuple[float, ...]
-    tx_delays: tuple[float, ...]
-
-    @property
-    def hop_count(self) -> int:
-        return len(self.hosting_delays)
-
-    @property
-    def total(self) -> float:
-        return sum_in_order(self.hosting_delays) + sum_in_order(self.tx_delays)
-
-
-def path_delay(hops: Sequence[tuple[float, float]]) -> PathDelayRecord:
-    """Build the path-delay record from (hosting, transmission) pairs."""
+def path_delay(hops: Sequence[tuple[float, float]]) -> float:
+    """End-to-end delay of a path of (hosting, transmission) pairs: every
+    hosting delay summed in order, plus every transmission delay in order."""
     if not hops:
         raise ValueError("a path needs at least one hop")
     for hosting, tx in hops:
         if hosting < 0 or tx < 0:
             raise ValueError("delay components must be >= 0")
-    return PathDelayRecord(
-        hosting_delays=tuple(h for h, _ in hops),
-        tx_delays=tuple(t for _, t in hops),
-    )
+    return sum_in_order(h for h, _ in hops) + sum_in_order(t for _, t in hops)
 
 
-@dataclass(frozen=True)
-class SleepInputs:
-    """Inputs for a sleep-interval computation for one node.
-
-    ``capacities`` are channel capacities (bits/s) toward the node,
-    ``volumes`` the cached traffic volumes (bits) destined for it, and
-    ``sup_capacity`` the running supremum of the capacity sum over the
-    observation window. ``cache_delays`` are the current hosting delays of
-    the oldest cached entries per holder (empty when nothing is cached).
-    """
-
-    capacities: tuple[float, ...]
-    volumes: tuple[float, ...]
-    sup_capacity: float
-    n_hops: int
-    path_delay: float
-    round_length: float
-    cache_delays: tuple[float, ...] = field(default=())
-
-    def __post_init__(self) -> None:
-        if self.n_hops < 1:
-            raise ValueError("n_hops must be >= 1")
-        if self.round_length <= 0:
-            raise ValueError("round_length must be > 0")
-        if self.path_delay < 0:
-            raise ValueError("path_delay must be >= 0")
-        if any(c < 0 for c in self.capacities) or any(v < 0 for v in self.volumes):
-            raise ValueError("capacities and volumes must be >= 0")
-        if self.sup_capacity < sum_in_order(self.capacities) - 1e-9:
-            raise ValueError("sup_capacity must dominate the current capacity sum")
-
-
-def compute_sleep(inputs: SleepInputs, epsilon: float = SLEEP_EPSILON) -> float:
-    """Sleep interval of ``inputs``: ``sleep_interval`` over their sums."""
-    return sleep_interval(
-        sum_in_order(inputs.capacities),
-        sum_in_order(inputs.volumes),
-        inputs.sup_capacity,
-        inputs.n_hops,
-        inputs.path_delay,
-        inputs.round_length,
-        min(inputs.cache_delays, default=None),
-        epsilon,
-    )
-
-
-def sleep_interval(cap_sum: float, vol_sum: float, sup_capacity: float, n_hops: int,
-                   path_delay: float, round_length: float, min_cache_delay: float | None,
-                   epsilon: float = SLEEP_EPSILON) -> float:
+def compute_sleep(cap_sum: float, vol_sum: float, sup_capacity: float, n_hops: int,
+                  path_delay: float, round_length: float, min_cache_delay: float | None,
+                  epsilon: float = SLEEP_EPSILON) -> float:
     """Sleep interval ((sum C - sum V) / sup C)^n * d_p, with hard clamps.
 
-    The capacity ratio clamps to [0, 1] before exponentiation (backlog beyond
+    ``cap_sum`` is the sum of the channel capacities (bits/s) toward the
+    node, ``vol_sum`` the sum of the cached volumes (bits) destined for it,
+    and ``sup_capacity`` the running supremum of the capacity sum over the
+    observation window. ``min_cache_delay`` is the shortest current hosting
+    delay of the oldest cached entries per holder (None when nothing is
+    cached). The capacity ratio clamps to [0, 1] before exponentiation (backlog beyond
     capacity means: stay awake). The result is kept strictly below the round
     length and below the shortest current cache hosting delay, if any.
     """

@@ -17,13 +17,12 @@ from ecsim import cluster as cluster_mod
 from ecsim.core import NodeId, NodePhase, sum_in_order
 from ecsim.scheduler import (
     ActivityLedger,
-    IdleDecision,
     InsufficientHistory,
     backward_diff,
     compute_idle,
+    compute_sleep,
     pairwise_idle_decision,
     path_delay,
-    sleep_interval,
     sp_sleep,
 )
 
@@ -33,7 +32,6 @@ if TYPE_CHECKING:
 # Hot enum members bound to module names, as in ``ecsim.engine``: on Python
 # 3.10 and 3.11 a class attribute read costs about ten times a global's.
 PHASE_ACTIVE, PHASE_IDLE, PHASE_SLEEP = NodePhase.ACTIVE, NodePhase.IDLE, NodePhase.SLEEP
-GO_IDLE = IdleDecision.GO_IDLE
 
 # Slots a node stays grant-ineligible after receiving forwarding work for
 # others: it must stay up long enough to move the packet onward, while a
@@ -234,8 +232,7 @@ class TrafficAwarePlane(SchemePlane):
             sim.set_phase(dst, PHASE_ACTIVE)
         # A flow's source and destination differ: a delivered packet made a hop.
         _, hops, senders = self.paths.pop(work.packet.id)
-        record = path_delay(hops)
-        sample = (sim.now, record.total, record.hop_count)
+        sample = (sim.now, path_delay(hops), len(hops))
         # Packets move only by sends: the senders, then dst, are the nodes visited.
         for nid in dict.fromkeys(senders + [work.packet.dst]):
             self.dp_samples[nid].append(sample)
@@ -339,8 +336,7 @@ class TrafficAwarePlane(SchemePlane):
                 for other in sorted(sim.graph.neighbors_of(m)):
                     if other not in cluster.members or not sim.nodes[other].awake:
                         continue
-                    decision = pairwise_idle_decision(self.ledger, m, other, 0, sim.graph)
-                    if decision is GO_IDLE:
+                    if pairwise_idle_decision(self.ledger, m, other):
                         self._enter_idle(sim, node)
                         sim.trace_event(m, "inform-sp", f"sp={cluster.sp}")
                         break
@@ -445,15 +441,15 @@ class TrafficAwarePlane(SchemePlane):
         # The delay budget is a round fraction: it bounds how long a chunk of
         # sleep may defer traffic. Cached backlog, capacity dips and hosting
         # delays shorten it; measured path delays feed the idle window and
-        # the hop exponent. The other inputs hold what SleepInputs checks:
-        # capacities and volumes are >= 0 (link_bps > 0, volumes are bits),
-        # ``sup`` is the maximum of a window holding ``cap_sum``, a measured
-        # path has at least one hop, and the config validates the round
-        # length and the budget (both > 0).
+        # the hop exponent. The formula assumes, and nothing here rechecks:
+        # both sums are >= 0 (link_bps > 0, volumes are bits), ``sup`` is the
+        # maximum of a window holding ``cap_sum``, a measured path has at
+        # least one hop, and the config validates the round length and the
+        # budget (both > 0).
         _, hops = self._max_dp(sim, nid)
-        interval = sleep_interval(cap_sum, vol_sum, sup, hops,
-                                  sim.config.sleep_budget_rounds * sim.round_length,
-                                  sim.round_length, min_delay, sim.config.sleep_epsilon)
+        interval = compute_sleep(cap_sum, vol_sum, sup, hops,
+                                 sim.config.sleep_budget_rounds * sim.round_length,
+                                 sim.round_length, min_delay, sim.config.sleep_epsilon)
         return interval, min_delay
 
     # -- phase changes ---------------------------------------------------------

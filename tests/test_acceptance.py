@@ -17,7 +17,6 @@ from ecsim.core import EnergyAccount
 from ecsim.engine import Simulation, run_simulation
 from ecsim.scheduler import (
     ActivityLedger,
-    SleepInputs,
     backward_diff,
     compute_idle,
     compute_sleep,
@@ -72,9 +71,9 @@ def test_criterion_1_scheduler_unit_suite():
     # CH-candidacy / SP score products (score = candidacy * residual share)
     from ecsim.cluster import compute_sp_score
 
-    assert compute_sp_score(0.5, EnergyAccount(10.0, 10.0)).sp_l == pytest.approx(0.5, abs=1e-9)
-    assert compute_sp_score(0.9, EnergyAccount(0.0, 10.0)).sp_l == pytest.approx(0.0, abs=1e-9)
-    assert compute_sp_score(0.8, EnergyAccount(2.5, 10.0)).sp_l == pytest.approx(0.2, abs=1e-9)
+    assert compute_sp_score(0.5, EnergyAccount(10.0, 10.0)) == pytest.approx(0.5, abs=1e-9)
+    assert compute_sp_score(0.9, EnergyAccount(0.0, 10.0)) == pytest.approx(0.0, abs=1e-9)
+    assert compute_sp_score(0.8, EnergyAccount(2.5, 10.0)) == pytest.approx(0.2, abs=1e-9)
 
     # backward difference of per-slot activity
     ledger = ActivityLedger(slot_width=10.0, slots_per_round=10)
@@ -93,31 +92,20 @@ def test_criterion_1_scheduler_unit_suite():
     assert compute_idle(10.0, 0.0, 1) == pytest.approx(10.0, abs=1e-9)
 
     # path delay
-    assert path_delay([(1.0, 0.5)]).total == pytest.approx(1.5, abs=1e-9)
-    assert path_delay([(0.0, 0.0), (0.0, 0.0)]).total == pytest.approx(0.0, abs=1e-9)
+    assert path_delay([(1.0, 0.5)]) == pytest.approx(1.5, abs=1e-9)
+    assert path_delay([(0.0, 0.0), (0.0, 0.0)]) == pytest.approx(0.0, abs=1e-9)
     hops = [(0.3, 0.01), (1.2, 0.02), (0.7, 0.005)]
     oracle = 0.0
     for hosting, tx in hops:
         oracle += hosting
         oracle += tx
-    assert path_delay(hops).total == pytest.approx(oracle, abs=1e-9)
+    assert path_delay(hops) == pytest.approx(oracle, abs=1e-9)
 
     # sleep interval
-    full = SleepInputs(
-        capacities=(11e6,), volumes=(0.0,), sup_capacity=11e6, n_hops=2,
-        path_delay=3.0, round_length=10.0, cache_delays=(8.0,),
-    )
-    assert compute_sleep(full) == pytest.approx(3.0, abs=1e-9)
-    saturated = SleepInputs(
-        capacities=(11e6,), volumes=(11e6,), sup_capacity=11e6, n_hops=2,
-        path_delay=3.0, round_length=10.0,
-    )
-    assert compute_sleep(saturated) == pytest.approx(0.0, abs=1e-9)
-    half = SleepInputs(
-        capacities=(5.5e6,), volumes=(0.0,), sup_capacity=11e6, n_hops=2,
-        path_delay=4.0, round_length=10.0,
-    )
-    assert compute_sleep(half) == pytest.approx(1.0, abs=1e-9)
+    # (sum C, sum V, sup C, hops, d_p, round, shortest cache hosting delay)
+    assert compute_sleep(11e6, 0.0, 11e6, 2, 3.0, 10.0, 8.0) == pytest.approx(3.0, abs=1e-9)
+    assert compute_sleep(11e6, 11e6, 11e6, 2, 3.0, 10.0, None) == pytest.approx(0.0, abs=1e-9)
+    assert compute_sleep(5.5e6, 0.0, 11e6, 2, 4.0, 10.0, None) == pytest.approx(1.0, abs=1e-9)
 
     # proxy sleep interval (supremum of prefix means)
     assert sp_sleep([2.0, 2.0, 2.0], 3) == pytest.approx(2.0, abs=1e-9)

@@ -53,16 +53,15 @@ def test_select_ch_matches_exhaustive_scan(seed):
 
 
 def test_sp_score_full_battery():
-    assert compute_sp_score(0.5, EnergyAccount(10.0, 10.0)).sp_l == 0.5
+    assert compute_sp_score(0.5, EnergyAccount(10.0, 10.0)) == 0.5
 
 
 def test_sp_score_zero_residual():
-    assert compute_sp_score(0.9, EnergyAccount(0.0, 10.0)).sp_l == 0.0
+    assert compute_sp_score(0.9, EnergyAccount(0.0, 10.0)) == 0.0
 
 
 def test_sp_score_product():
-    score = compute_sp_score(0.8, EnergyAccount(2.5, 10.0))
-    assert score.sp_l == pytest.approx(0.2, abs=1e-12)
+    assert compute_sp_score(0.8, EnergyAccount(2.5, 10.0)) == pytest.approx(0.2, abs=1e-12)
 
 
 def test_sp_score_rejects_bad_inputs():
@@ -74,7 +73,7 @@ def test_sp_score_rejects_bad_inputs():
 
 @given(st.lists(st.floats(0.0, 10.0), min_size=1, max_size=8))
 def test_sp_score_monotone_in_residual(residuals):
-    scores = [compute_sp_score(0.7, EnergyAccount(r, 10.0)).sp_l for r in sorted(residuals)]
+    scores = [compute_sp_score(0.7, EnergyAccount(r, 10.0)) for r in sorted(residuals)]
     assert all(a <= b + 1e-12 for a, b in zip(scores, scores[1:]))
 
 

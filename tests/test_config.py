@@ -262,7 +262,8 @@ MALFORMED = [
     ({"grid": {"width": 0}}, "grid.width: must be >= 1, got 0"),
     ({"grid": {"height": 0}}, "grid.height: must be >= 1, got 0"),
     ({"nodes": 0}, "nodes: must be >= 1, got 0"),
-    ({"initial_energy_j": -1.0}, "initial_energy_j: must be >= 0.0, got -1.0"),
+    ({"initial_energy_j": -1.0}, "initial_energy_j: must be >= 1e-09, got -1.0"),
+    ({"initial_energy_j": 0.0}, "initial_energy_j: must be >= 1e-09, got 0.0"),
     ({"round_s": 0.0}, "round_s: must be >= 1e-09, got 0.0"),
     ({"slots_per_round": 0}, "slots_per_round: must be >= 1, got 0"),
     ({"p_move": -0.1}, "p_move: must be >= 0.0, got -0.1"),

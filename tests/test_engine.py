@@ -395,6 +395,43 @@ def test_only_traffic_aware_records_slot_activity(monkeypatch):
             assert calls == [], kind
 
 
+@pytest.mark.parametrize("pending", [False, True])
+def test_traffic_pending_for_a_member_keeps_it_from_idling(pending):
+    # A member more active than an awake neighbour this round goes idle at a
+    # slot boundary and informs the proxy, unless bits for it are queued at a
+    # neighbour: then it is neither idled nor granted sleep.
+    from ecsim.traffic import Packet, PacketClass
+
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4,
+                     collect_trace=True)
+    while sim.round_index < 1:
+        sim.step()
+    (cluster,) = sim.plane.clusters
+    member, other = next(
+        (m, min(sim.graph.neighbors_of(m) & cluster.members))
+        for m in sorted(cluster.members - {cluster.ch, cluster.sp})
+        if sim.graph.neighbors_of(m) & cluster.members
+    )
+    node = sim.nodes[member]
+    sim.set_phase(node, NodePhase.ACTIVE)
+    assert sim.nodes[other].awake
+    sim.plane.ledger.record_active(member, sim.current_slot, 0.5)
+    if pending:
+        packet = Packet(id=0, src=other, dst=member, size_bits=8_000,
+                        klass=PacketClass.ELASTIC, created_at=sim.now)
+        sim.packets.append(packet)
+        sim.work[0] = PacketWork(packet, False)
+        sim.nodes[other].outbox.append(sim.work[0])
+    rows = len(sim.trace)
+    assert sim.step().kind is EventKind.SLOT_BOUNDARY
+    informed = [row for row in sim.trace[rows:] if row[1:3] == (member, "inform-sp")]
+    assert not [g for g in sim.plane.sleep_audit if g["node"] == member]
+    if pending:
+        assert node.phase is NodePhase.ACTIVE and not informed
+    else:
+        assert node.phase is NodePhase.IDLE and informed
+
+
 @pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
 def test_consume_runs_once_per_billed_interval(monkeypatch, kind):
     # Every billed interval is one ``consume`` call and one ``mode`` trace row.

@@ -4,7 +4,7 @@ from collections import Counter
 from datetime import timedelta
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase, RadioMode
@@ -51,9 +51,8 @@ def test_delivered_delay_equals_component_sum():
         # Per-hop hosting (queue/cache wait) plus transmission must telescope
         # to the measured end-to-end delay, read from the plane's path record.
         last_arrival, hops, _ = sim.plane.paths[work.packet.id]
-        record = path_delay(hops)
         measured = sim.now - work.packet.created_at
-        assert record.total == pytest.approx(measured, abs=1e-9)
+        assert path_delay(hops) == pytest.approx(measured, abs=1e-9)
         assert last_arrival == sim.now
         checked.append(work.packet.id)
         delivered(sim, work)
@@ -344,16 +343,20 @@ def assert_structural_invariants(sim):
         }
 
 
-@settings(max_examples=12, deadline=None)
+# One test per scheme, whose id names the scheme. A failing example is
+# reported as drawn: shrinking replays whole checked runs until Hypothesis'
+# 300 s shrink limit, which is longer than the rest of the suite takes.
+@pytest.mark.parametrize("scheme", SCHEMES)
+@settings(max_examples=12, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(small_scenarios())
-def test_structural_invariants_after_every_event(scenario):
+def test_structural_invariants_after_every_event(scheme, scenario):
     raw, seed = scenario
-    for scheme in SCHEMES:
-        sim = Simulation(from_dict({**raw, "scheme": scheme}), seed)
+    sim = Simulation(from_dict({**raw, "scheme": scheme}), seed)
+    assert_structural_invariants(sim)
+    while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
+        sim.step()
         assert_structural_invariants(sim)
-        while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
-            sim.step()
-            assert_structural_invariants(sim)
 
 
 @settings(max_examples=6, deadline=timedelta(seconds=30))

@@ -6,20 +6,16 @@ from hypothesis import given, settings, strategies as st
 from ecsim.core import sum_in_order
 from ecsim.scheduler import (
     ActivityLedger,
-    IdleDecision,
     InsufficientHistory,
     SLEEP_EPSILON,
     NoCapacityError,
-    SleepInputs,
     backward_diff,
     compute_idle,
     compute_sleep,
     pairwise_idle_decision,
     path_delay,
-    sleep_interval,
     sp_sleep,
 )
-from ecsim.topology import ConnectivityGraph
 
 
 def ledger_with(node, values, slot_width=10.0):
@@ -61,39 +57,19 @@ class TestBackwardDiff:
         assert total == pytest.approx(clamped[-1] - clamped[0], abs=1e-9)
 
 
+# Pending traffic keeps a node from idling in the plane, which compares only
+# quiet members: tests/test_engine.py covers that rule.
 class TestPairwiseIdle:
-    def graph(self):
-        graph = ConnectivityGraph()
-        graph.add_node(1)
-        graph.add_node(2)
-        graph.add_edge(1, 2)
-        return graph
-
     def test_more_active_node_goes_idle(self):
         ledger = ledger_with(1, [6.0])
         ledger.record_active(2, 0, 2.0)
-        decision = pairwise_idle_decision(ledger, 1, 2, 0, self.graph())
-        assert decision is IdleDecision.GO_IDLE
-
-    def test_pending_traffic_blocks_idle(self):
-        ledger = ledger_with(1, [6.0])
-        ledger.record_active(2, 0, 2.0)
-        decision = pairwise_idle_decision(ledger, 1, 2, 1_000, self.graph())
-        assert decision is IdleDecision.NO_CHANGE
+        assert pairwise_idle_decision(ledger, 1, 2) is True
+        assert pairwise_idle_decision(ledger, 2, 1) is False
 
     def test_equal_times_no_change(self):
         ledger = ledger_with(1, [2.0])
         ledger.record_active(2, 0, 2.0)
-        decision = pairwise_idle_decision(ledger, 1, 2, 0, self.graph())
-        assert decision is IdleDecision.NO_CHANGE
-
-    def test_non_neighbors_rejected(self):
-        graph = ConnectivityGraph()
-        graph.add_node(1)
-        graph.add_node(2)
-        ledger = ledger_with(1, [6.0])
-        with pytest.raises(ValueError):
-            pairwise_idle_decision(ledger, 1, 2, 0, graph)
+        assert pairwise_idle_decision(ledger, 1, 2) is False
 
 
 class TestComputeIdle:
@@ -120,14 +96,24 @@ class TestComputeIdle:
 
 class TestPathDelay:
     def test_single_hop(self):
-        assert path_delay([(1.0, 0.5)]).total == pytest.approx(1.5, abs=1e-12)
+        assert path_delay([(1.0, 0.5)]) == pytest.approx(1.5, abs=1e-12)
 
     def test_all_zero(self):
-        assert path_delay([(0.0, 0.0), (0.0, 0.0)]).total == 0.0
+        assert path_delay([(0.0, 0.0), (0.0, 0.0)]) == 0.0
 
     def test_empty_path_invalid(self):
         with pytest.raises(ValueError):
             path_delay([])
+
+    def test_negative_component_invalid(self):
+        with pytest.raises(ValueError):
+            path_delay([(1.0, 0.5), (0.0, -0.1)])
+
+    def test_hosting_delays_add_before_transmission_delays(self):
+        # Hop by hop, each 1.0 rounds away against 1e16 (ulp 2, ties to even);
+        # the hosting delays summed first survive as 4.0.
+        hops = [(1.0, 1e16), (1.0, 0.0), (1.0, 0.0), (1.0, 0.0)]
+        assert path_delay(hops) == 1e16 + 4.0
 
     @given(
         st.lists(
@@ -139,54 +125,47 @@ class TestPathDelay:
         for hosting, tx in hops:
             total += hosting
             total += tx
-        record = path_delay(hops)
-        assert record.total == pytest.approx(total, abs=1e-9)
-        assert record.hop_count == len(hops)
+        assert path_delay(hops) == pytest.approx(total, abs=1e-9)
 
 
-def sleep_inputs(**overrides):
+def sleep(**overrides):
+    """``compute_sleep`` for one node fed by one 11 Mb/s link, with no cached
+    backlog, a 3 s budget over two hops, a 10 s round and an 8 s hosting
+    delay."""
     base = dict(
-        capacities=(11e6,),
-        volumes=(0.0,),
+        cap_sum=11e6,
+        vol_sum=0.0,
         sup_capacity=11e6,
         n_hops=2,
         path_delay=3.0,
         round_length=10.0,
-        cache_delays=(8.0,),
+        min_cache_delay=8.0,
     )
     base.update(overrides)
-    return SleepInputs(**base)
+    return compute_sleep(**base)
 
 
 class TestComputeSleep:
     def test_full_ratio_returns_path_delay(self):
-        assert compute_sleep(sleep_inputs()) == pytest.approx(3.0, abs=1e-9)
+        assert sleep() == pytest.approx(3.0, abs=1e-9)
 
     def test_backlog_equal_to_capacity_means_no_sleep(self):
-        inputs = sleep_inputs(volumes=(11e6,))
-        assert compute_sleep(inputs) == 0.0
+        assert sleep(vol_sum=11e6) == 0.0
 
     def test_half_ratio_squared(self):
-        inputs = sleep_inputs(
-            capacities=(5.5e6,), volumes=(0.0,), sup_capacity=11e6, n_hops=2, path_delay=4.0
-        )
-        assert compute_sleep(inputs) == pytest.approx(1.0, abs=1e-9)
+        assert sleep(cap_sum=5.5e6, path_delay=4.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_round_clamp(self):
-        inputs = sleep_inputs(path_delay=50.0, round_length=10.0, cache_delays=())
-        out = compute_sleep(inputs)
+        out = sleep(path_delay=50.0, round_length=10.0, min_cache_delay=None)
         assert out < 10.0
         assert out == pytest.approx((1 - 1e-6) * 10.0, abs=1e-9)
 
     def test_cache_delay_clamp(self):
-        inputs = sleep_inputs(path_delay=9.0, cache_delays=(0.5, 2.0))
-        out = compute_sleep(inputs)
-        assert out < 0.5
+        assert sleep(path_delay=9.0, min_cache_delay=0.5) < 0.5
 
     def test_no_capacity_error(self):
-        inputs = sleep_inputs(capacities=(0.0,), volumes=(0.0,), sup_capacity=0.0)
         with pytest.raises(NoCapacityError):
-            compute_sleep(inputs)
+            sleep(cap_sum=0.0, sup_capacity=0.0)
 
     @settings(deadline=None)
     @given(
@@ -197,29 +176,20 @@ class TestComputeSleep:
     )
     def test_monotone_decreasing_in_volume(self, v1, v2, hops, dp):
         lo, hi = sorted((v1, v2))
-        out_lo = compute_sleep(
-            sleep_inputs(volumes=(lo,), n_hops=hops, path_delay=dp, cache_delays=())
-        )
-        out_hi = compute_sleep(
-            sleep_inputs(volumes=(hi,), n_hops=hops, path_delay=dp, cache_delays=())
-        )
+        out_lo = sleep(vol_sum=lo, n_hops=hops, path_delay=dp, min_cache_delay=None)
+        out_hi = sleep(vol_sum=hi, n_hops=hops, path_delay=dp, min_cache_delay=None)
         assert out_hi <= out_lo + 1e-12
 
     @settings(deadline=None)
     @given(st.integers(1, 8), st.integers(1, 8), st.floats(0.0, 9.0), st.floats(0.1, 1.0))
     def test_monotone_decreasing_in_hops_when_ratio_below_one(self, n1, n2, dp, frac):
         lo, hi = sorted((n1, n2))
-        inputs_lo = sleep_inputs(
-            capacities=(frac * 11e6,), n_hops=lo, path_delay=dp, cache_delays=()
-        )
-        inputs_hi = sleep_inputs(
-            capacities=(frac * 11e6,), n_hops=hi, path_delay=dp, cache_delays=()
-        )
-        assert compute_sleep(inputs_hi) <= compute_sleep(inputs_lo) + 1e-12
+        out_lo = sleep(cap_sum=frac * 11e6, n_hops=lo, path_delay=dp, min_cache_delay=None)
+        out_hi = sleep(cap_sum=frac * 11e6, n_hops=hi, path_delay=dp, min_cache_delay=None)
+        assert out_hi <= out_lo + 1e-12
 
     def test_pure_function(self):
-        inputs = sleep_inputs()
-        assert compute_sleep(inputs) == compute_sleep(inputs)
+        assert sleep() == sleep()
 
 
 class TestSleepInterval:
@@ -239,37 +209,26 @@ class TestSleepInterval:
         # ``sup`` dominates the capacity sum, and the volumes (at most 8e6
         # bits) fit the channel window (at least 8e6 bits).
         sup = sum_in_order(capacities) + headroom
-        inputs = SleepInputs(
-            capacities=tuple(capacities),
-            volumes=tuple(volumes),
-            sup_capacity=sup,
-            n_hops=hops,
-            path_delay=budget,
-            round_length=round_length,
-            cache_delays=tuple(delays),
-        )
-        scalar = sleep_interval(
+        scalar = compute_sleep(
             sum_in_order(capacities), sum_in_order(volumes), sup, hops, budget, round_length,
             min(delays, default=None), epsilon,
         )
 
         def reference():
-            # The definition, with every clamp applied to the tuples.
+            # The definition, with every clamp applied to the per-link values.
             ratio = (sum_in_order(capacities) - sum_in_order(volumes)) / sup
             raw = min(1.0, max(0.0, ratio)) ** hops * budget
             bounds = [(1.0 - epsilon) * round_length]
             bounds += [(1.0 - epsilon) * delay for delay in delays]
             return max(0.0, min([raw] + bounds))
 
-        assert scalar.hex() == compute_sleep(inputs, epsilon).hex() == reference().hex()
+        assert scalar.hex() == reference().hex()
 
     def test_volume_above_the_channel_window_raises(self):
         # 11 Mb/s over a 10 s round carries 110 Mb at most.
         with pytest.raises(ValueError, match="channel window"):
-            sleep_interval(11e6, 110e6 + 1.0, 11e6, 2, 3.0, 10.0, None)
-        with pytest.raises(ValueError, match="channel window"):
-            compute_sleep(sleep_inputs(volumes=(110e6 + 1.0,)))
-        assert sleep_interval(11e6, 110e6, 11e6, 2, 3.0, 10.0, None) == 0.0
+            compute_sleep(11e6, 110e6 + 1.0, 11e6, 2, 3.0, 10.0, None)
+        assert compute_sleep(11e6, 110e6, 11e6, 2, 3.0, 10.0, None) == 0.0
 
 
 class TestSpSleep:
