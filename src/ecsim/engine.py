@@ -290,9 +290,10 @@ class Simulation:
         residual = sum_in_order(n.e_residual for n in self.nodes.values())
         return (self.now, alive / max(1, len(self.nodes)), residual)
 
-    def trace_event(self, node: NodeId | None, kind: str, detail: str) -> None:
+    def trace_event(self, node: NodeId | None, kind: str, detail: str = "", *args) -> None:
+        """Trace row ``detail % args``; without a trace nothing is formatted."""
         if self.trace is not None:
-            self.trace.append((self.now, -1 if node is None else node, kind, detail))
+            self.trace.append((self.now, -1 if node is None else node, kind, detail % args))
 
     # -- energy accounting -------------------------------------------------
 
@@ -373,7 +374,7 @@ class Simulation:
         if work.state is not None:
             return
         work.state = state
-        self.trace_event(work.packet.dst, "packet-" + state, f"pid={work.packet.id}")
+        self.trace_event(work.packet.dst, "packet-" + state, "pid=%d", work.packet.id)
 
     # -- handlers ------------------------------------------------------------
 
@@ -496,7 +497,7 @@ class Simulation:
         packet = work.packet
         result = node.cache.store(packet, self.now)
         if result is ACCEPTED or result is DUPLICATE:
-            self.trace_event(node.nid, "cache-store", f"pid={packet.id};dst={packet.dst}")
+            self.trace_event(node.nid, "cache-store", "pid=%d;dst=%d", packet.id, packet.dst)
             return True
         return False
 
@@ -551,9 +552,7 @@ class Simulation:
         self.plane.transmit(self, work, sender.nid, receiver_id, duration)
         self.push(self.now + duration, TX_COMPLETE, receiver_id,
                    packet_id=work.packet.id, sender=sender.nid)
-        self.trace_event(
-            sender.nid, "tx-start", f"pid={work.packet.id};to={receiver_id}"
-        )
+        self.trace_event(sender.nid, "tx-start", "pid=%d;to=%d", work.packet.id, receiver_id)
 
     def _on_tx_complete(self, event: Event) -> None:
         pid = event.payload["packet_id"]
@@ -588,10 +587,11 @@ class Simulation:
         self.current_slot = slot + 1
 
     def _evict_caches(self) -> None:
-        for node in self.nodes.values():
-            if node.alive:  # only packets with a record are cached
-                for packet in node.cache.evict_expired(self.now):
-                    self._finish(self.work[packet.id], LOST_DEADLINE)
+        # Holders are exactly the alive nodes with cached entries, and only
+        # packets with a record are cached. Eviction edits the index: read it first.
+        for nid in sorted(set().union(*self.holders_by_dst.values())):
+            for packet in self.nodes[nid].cache.evict_expired(self.now):
+                self._finish(self.work[packet.id], LOST_DEADLINE)
 
     def _after_wake(self, node: SimNode) -> None:
         """Resume a node that woke: schedule handovers of cached packets,
@@ -628,15 +628,13 @@ class Simulation:
 
     def _on_mobility_step(self, event: Event) -> None:
         p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
+        alive = [nid for nid, node in self.nodes.items() if node.alive]
         moved: list[NodeId] = []
-        for nid, node in self.nodes.items():
-            if not node.alive:
-                continue
-            old = self.grid.position_of(nid)
-            if move_step(self.grid, nid, self.mobility_rng, p_step) is not old:
-                removed, added = refresh_node(self.graph, self.grid, nid)
-                self._repair_maps((nid, *removed), [(nid, v) for v in added])
-                moved.append(nid)
+        # Each mover's edges and the maps are repaired before the next node draws.
+        for nid in move_step(self.grid, alive, self.mobility_rng, p_step):
+            removed, added = refresh_node(self.graph, self.grid, nid)
+            self._repair_maps((nid, *removed), [(nid, v) for v in added])
+            moved.append(nid)
         self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, MOBILITY_STEP)
 
@@ -671,7 +669,7 @@ class Simulation:
         node.e_residual = 0.0
         node.mode_epoch += 1
         node.phase_epoch += 1
-        self.trace_event(node.nid, "death", "")
+        self.trace_event(node.nid, "death")
         while node.outbox:
             self._finish(node.outbox.popleft(), LOST_DEAD)
         for dst in node.cache.destinations():

@@ -39,9 +39,12 @@ class ActivityLedger:
         self.slot_width = slot_width
         self.slots_per_round = slots_per_round
         self._slots: dict[NodeId, dict[int, float]] = {}
+        # Each node's cumulative_active, kept until its next record or round.
+        self._totals: dict[NodeId, float] = {}
 
     def start_round(self) -> None:
         self._slots.clear()
+        self._totals.clear()
 
     def record_active(self, node: NodeId, slot: int, seconds: float) -> None:
         if slot < 0 or slot >= self.slots_per_round:
@@ -50,13 +53,17 @@ class ActivityLedger:
             raise ValueError("active seconds must be >= 0")
         series = self._slots.setdefault(node, {})
         series[slot] = min(self.slot_width, series.get(slot, 0.0) + seconds)
+        self._totals.pop(node, None)
 
     def slot_value(self, node: NodeId, slot: int) -> float | None:
         return self._slots.get(node, {}).get(slot)
 
     def cumulative_active(self, node: NodeId) -> float:
         """Total recorded traffic-active seconds in the current round window."""
-        return sum_in_order(self._slots.get(node, {}).values())
+        total = self._totals.get(node)
+        if total is None:
+            total = self._totals[node] = sum_in_order(self._slots.get(node, {}).values())
+        return total
 
 
 def backward_diff(ledger: ActivityLedger, node: NodeId, slot: int) -> float:

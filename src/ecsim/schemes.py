@@ -144,6 +144,27 @@ class StaggeredPlane(DutyCyclePlane):
     staggered = True
 
 
+def window_push(samples: deque, key: tuple, value: object = None) -> None:
+    """Add ``(key, value)`` to a window-maximum deque. ``key`` is a
+    ``(measure, time)`` pair with ``time`` no earlier than any in ``samples``.
+
+    Entries whose key is strictly smaller can never be the maximum again and
+    leave; keys therefore fall from front to back, and of equal keys the first
+    added stays in front, as ``max`` would pick it.
+    """
+    while samples and samples[-1][0] < key:
+        samples.pop()
+    samples.append((key, value))
+
+
+def window_front(samples: deque, cutoff: float) -> tuple | None:
+    """Drop the entries of a window-maximum deque older than ``cutoff``;
+    the ``(key, value)`` with the largest key among the rest, or None."""
+    while samples and samples[0][0][1] < cutoff:
+        samples.popleft()
+    return samples[0] if samples else None
+
+
 def _busy(node: SimNode) -> bool:
     """The node's radio is in use or it still has packets to forward."""
     return bool(node.tx_active or node.rx_active or node.outbox)
@@ -167,9 +188,11 @@ class TrafficAwarePlane(SchemePlane):
         self.sp_history: list[list[float]] = []  # this round's grants, one list per cluster
         # Each packet's [last arrival, (hosting, transmission) per hop, senders].
         self.paths: dict[int, list] = {}
-        # Path-delay (time, delay, hops) and capacity (time, sum) windows.
+        # Window-maximum candidates (``window_push``) per node: path delays as
+        # ((delay, time), hops) and capacity sums as ((sum, time), None).
         self.dp_samples: defaultdict[NodeId, deque] = defaultdict(deque)
         self.cap_samples: defaultdict[NodeId, deque] = defaultdict(deque)
+        self.cap_sums: dict[int, float] = {}  # capacity sum by neighbour count
         self.sleep_audit: list[dict] = []  # member sleep grants
         self.sp_sleep_audit: list[dict] = []  # SP self-sleeps
 
@@ -221,7 +244,7 @@ class TrafficAwarePlane(SchemePlane):
     def moved(self, sim: Simulation, moved: list[NodeId]) -> None:
         for nid in moved:
             node = sim.nodes[nid]
-            sim.trace_event(nid, "moved", "")
+            sim.trace_event(nid, "moved")
             if node.phase is PHASE_SLEEP:
                 self._enter_idle(sim, node)  # location change wakes the node
 
@@ -232,10 +255,10 @@ class TrafficAwarePlane(SchemePlane):
             sim.set_phase(dst, PHASE_ACTIVE)
         # A flow's source and destination differ: a delivered packet made a hop.
         _, hops, senders = self.paths.pop(work.packet.id)
-        sample = (sim.now, path_delay(hops), len(hops))
+        key = (path_delay(hops), sim.now)
         # Packets move only by sends: the senders, then dst, are the nodes visited.
         for nid in dict.fromkeys(senders + [work.packet.dst]):
-            self.dp_samples[nid].append(sample)
+            window_push(self.dp_samples[nid], key, len(hops))
 
     def death(self, sim: Simulation, dead: NodeId) -> None:
         kept = []
@@ -338,7 +361,7 @@ class TrafficAwarePlane(SchemePlane):
                         continue
                     if pairwise_idle_decision(self.ledger, m, other):
                         self._enter_idle(sim, node)
-                        sim.trace_event(m, "inform-sp", f"sp={cluster.sp}")
+                        sim.trace_event(m, "inform-sp", "sp=%d", cluster.sp)
                         break
             for m in quiet:
                 # Idle assignment: an active member with no activity in the
@@ -409,35 +432,35 @@ class TrafficAwarePlane(SchemePlane):
 
     # -- intervals -------------------------------------------------------------
 
-    def _window_prune(self, sim: Simulation, samples: deque) -> None:
-        cutoff = sim.now - self.obs_window
-        while samples and samples[0][0] < cutoff:
-            samples.popleft()
-
     def _max_dp(self, sim: Simulation, nid: NodeId) -> tuple[float, int]:
-        """Largest windowed path delay and its hops; (0.0, 1) at cold start."""
-        samples = self.dp_samples[nid]
-        self._window_prune(sim, samples)
-        if not samples:
+        """Largest windowed path delay and its hops, the latest of equal
+        delays; (0.0, 1) at cold start."""
+        best = window_front(self.dp_samples[nid], sim.now - self.obs_window)
+        if best is None:
             return 0.0, 1
-        best = max(samples, key=lambda s: (s[1], s[0]))
-        return best[1], best[2]
+        return best[0][0], best[1]
 
     def _grant_sleep(self, sim: Simulation, nid: NodeId) -> tuple[float, float | None]:
         """Sleep interval for one member, from current capacities, cached
         backlog and the recent path-delay window, with the shortest hosting
         delay of the member's cached packets that went into it."""
-        cap_sum = sum_in_order((float(sim.link_bps),) * len(sim.graph.neighbors_of(nid)))
+        degree = len(sim.graph.neighbors_of(nid))
+        cap_sum = self.cap_sums.get(degree)
+        if cap_sum is None:
+            cap_sum = self.cap_sums[degree] = sum_in_order((float(sim.link_bps),) * degree)
         samples = self.cap_samples[nid]
-        samples.append((sim.now, cap_sum))
-        self._window_prune(sim, samples)
-        sup = max(v for _, v in samples)
+        window_push(samples, (cap_sum, sim.now))
+        sup = window_front(samples, sim.now - self.obs_window)[0][0]
         if sup <= 0:
             return 0.0, None  # isolated node: stays awake
         # Holders are exactly the alive nodes with bits cached for ``nid``.
-        caches = [sim.nodes[h].cache for h in sorted(sim.holders_by_dst.get(nid, ()))]
-        vol_sum = sum_in_order(float(cache.volume_for(nid)) for cache in caches)
-        min_delay = min((cache.hosting_delay(nid, sim.now) for cache in caches), default=None)
+        holders = sim.holders_by_dst.get(nid)
+        if holders is None:
+            vol_sum, min_delay = 0, None  # the sums below, over no caches
+        else:
+            caches = [sim.nodes[h].cache for h in sorted(holders)]
+            vol_sum = sum_in_order(float(cache.volume_for(nid)) for cache in caches)
+            min_delay = min(cache.hosting_delay(nid, sim.now) for cache in caches)
         # The delay budget is a round fraction: it bounds how long a chunk of
         # sleep may defer traffic. Cached backlog, capacity dips and hosting
         # delays shorten it; measured path delays feed the idle window and
@@ -477,8 +500,8 @@ class TrafficAwarePlane(SchemePlane):
         if aligned <= sim.now + 1e-9:
             return False
         sim.set_phase(node, PHASE_SLEEP, aligned)
-        sim.trace_event(node.nid, "sleep-grant",
-                         f"assigned={interval!r};realized={aligned - sim.now!r}")
+        sim.trace_event(node.nid, "sleep-grant", "assigned=%r;realized=%r",
+                        interval, aligned - sim.now)
         return True
 
 

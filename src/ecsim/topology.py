@@ -88,30 +88,33 @@ class Grid:
         return out
 
 
-def move_step(grid: Grid, node: NodeId, rng: random.Random, p_move: float) -> Position:
-    """One mobility step; returns the node's position. A node that stays
-    gets its current ``Position`` object back, so ``is`` tells a move apart.
+def move_step(grid: Grid, nodes: Iterable[NodeId], rng: random.Random,
+              p_move: float) -> Iterator[NodeId]:
+    """One mobility step of ``nodes``, in the given order; yields each node
+    that moved, right after moving it, so the caller can react before the
+    next node draws. Each node draws one ``rng.random()``, and a mover one
+    ``randrange`` for its cell.
 
     Draws from ``rng`` only when p_move > 0 so disabled mobility leaves the
-    stream untouched.
+    stream untouched. A bad ``p_move`` raises on the first iteration.
     """
     if not 0.0 <= p_move <= 1.0:
         raise ValueError(f"p_move must lie in [0, 1], got {p_move}")
-    pos = grid.position_of(node)
     if p_move == 0.0:
-        return pos
-    if rng.random() >= p_move:
-        return pos
-    candidates = [
-        Position(pos.x + dx, pos.y + dy)
-        for dx, dy in _STEP_OFFSETS
-        if grid.in_bounds(pos.x + dx, pos.y + dy)
-    ]
-    if not candidates:
-        return pos
-    new_pos = candidates[rng.randrange(len(candidates))]
-    grid.move(node, new_pos)
-    return new_pos
+        return
+    draw = rng.random
+    for node in nodes:
+        if draw() >= p_move:
+            continue
+        pos = grid.position_of(node)
+        candidates = [
+            Position(pos.x + dx, pos.y + dy)
+            for dx, dy in _STEP_OFFSETS
+            if grid.in_bounds(pos.x + dx, pos.y + dy)
+        ]
+        if candidates:
+            grid.move(node, candidates[rng.randrange(len(candidates))])
+            yield node
 
 
 class ConnectivityGraph:

@@ -16,6 +16,8 @@ import hashlib
 import json
 from pathlib import Path
 
+import pytest
+
 from ecsim.cli import main
 
 DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
@@ -146,7 +148,7 @@ GOLDEN_GRID = {
 }
 
 
-def compare_digests(tmp_path, **overrides) -> dict[str, str]:
+def compare_digests(tmp_path, trace: bool = True, **overrides) -> dict[str, str]:
     """sha256 of every file `ecsim compare` writes for the demo scenario
     with ``overrides`` applied, keyed by path under the output directory."""
     raw = json.loads(DEMO.read_text())
@@ -156,7 +158,8 @@ def compare_digests(tmp_path, **overrides) -> dict[str, str]:
     out = tmp_path / "out"
     code = main([
         "compare", "--config", str(config), "--seed", "42",
-        "--schemes", ",".join(SCHEMES), "--trace", "--out", str(out), "--quiet",
+        "--schemes", ",".join(SCHEMES), "--out", str(out), "--quiet",
+        *(["--trace"] if trace else []),
     ])
     assert code == 0
     return {
@@ -187,3 +190,21 @@ def test_grid_cluster_outputs_match_golden_digests(tmp_path):
         traffic_horizon_s=110.0,
     )
     assert digests == GOLDEN_GRID
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"initial_energy_j": 25.0, "horizon_s": 100.0, "traffic_horizon_s": 90.0, "p_move": 0.01}],
+    ids=["demo", "deaths"],
+)
+def test_untraced_outputs_match_traced(tmp_path, overrides):
+    """Every pin comes from a traced run; an untraced run builds no trace
+    text, and must still write the same reports and time series."""
+    (tmp_path / "traced").mkdir()
+    (tmp_path / "untraced").mkdir()
+    traced = compare_digests(tmp_path / "traced", **overrides)
+    untraced = compare_digests(tmp_path / "untraced", trace=False, **overrides)
+    assert untraced == {
+        path: digest for path, digest in traced.items() if not path.endswith("trace.csv")
+    }
+    assert len(untraced) == 1 + 2 * len(SCHEMES)  # compare.csv, reports, time series

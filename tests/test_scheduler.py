@@ -72,6 +72,44 @@ class TestPairwiseIdle:
         assert pairwise_idle_decision(ledger, 1, 2) is False
 
 
+class TestCumulativeActive:
+    """Each node's total is kept between reads; a record or a new round drops it."""
+
+    def test_record_after_a_read_gives_the_new_sum(self):
+        ledger = ledger_with(1, [2.0])
+        assert ledger.cumulative_active(1) == 2.0
+        ledger.record_active(1, 3, 0.5)
+        assert ledger.cumulative_active(1) == 2.5
+        ledger.record_active(1, 3, 0.25)  # the same slot again
+        assert ledger.cumulative_active(1) == 2.75
+
+    def test_start_round_empties_it(self):
+        ledger = ledger_with(1, [2.0, 1.0])
+        assert ledger.cumulative_active(1) == 3.0
+        ledger.start_round()
+        assert ledger.cumulative_active(1) == 0
+        ledger.record_active(1, 0, 0.5)
+        assert ledger.cumulative_active(1) == 0.5
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 4), st.floats(0.0, 3.0),
+                              st.integers(0, 9)), max_size=40))
+    def test_matches_a_ledger_read_once(self, ops):
+        ledger = ActivityLedger(slot_width=2.0, slots_per_round=5)
+        records = []  # this round's, replayed into a fresh ledger
+        for node, slot, seconds, draw in ops:
+            if draw == 0:
+                ledger.start_round()
+                records = []
+            ledger.record_active(node, slot, seconds)
+            records.append((node, slot, seconds))
+            fresh = ActivityLedger(slot_width=2.0, slots_per_round=5)
+            for record in records:
+                fresh.record_active(*record)
+            for other in range(3):
+                assert ledger.cumulative_active(other) == fresh.cumulative_active(other)
+
+
 class TestComputeIdle:
     def test_basic_division(self):
         assert compute_idle(10.0, 2.0, 4) == pytest.approx(2.0, abs=1e-12)

@@ -62,16 +62,26 @@ def test_move_step_zero_probability_keeps_position():
     grid = Grid(3, 3)
     grid.place(0, Position(1, 1))
     rng = random.Random(7)
-    assert move_step(grid, 0, rng, 0.0) == Position(1, 1)
+    state = rng.getstate()
+    assert list(move_step(grid, [0], rng, 0.0)) == []
+    assert grid.position_of(0) == Position(1, 1)
+    assert rng.getstate() == state  # disabled mobility draws nothing
+
+
+def test_move_step_rejects_a_bad_probability():
+    grid = Grid(3, 3)
+    grid.place(0, Position(1, 1))
+    with pytest.raises(ValueError):
+        list(move_step(grid, [0], random.Random(7), 1.5))
 
 
 def test_move_step_forced_move_goes_4_adjacent():
     grid = Grid(5, 5)
     grid.place(0, Position(2, 2))
     rng = random.Random(3)
-    new = move_step(grid, 0, rng, 1.0)
+    assert list(move_step(grid, [0], rng, 1.0)) == [0]
+    new = grid.position_of(0)
     assert abs(new.x - 2) + abs(new.y - 2) == 1
-    assert grid.position_of(0) == new
 
 
 def test_move_step_trajectory_deterministic():
@@ -79,7 +89,11 @@ def test_move_step_trajectory_deterministic():
         grid = Grid(6, 6)
         grid.place(0, Position(3, 3))
         rng = random.Random(seed)
-        return [move_step(grid, 0, rng, 0.5) for _ in range(200)]
+        out = []
+        for _ in range(200):
+            list(move_step(grid, [0], rng, 0.5))
+            out.append(grid.position_of(0))
+        return out
 
     assert trajectory(11) == trajectory(11)
     assert trajectory(11) != trajectory(12)
@@ -90,8 +104,30 @@ def test_move_step_stays_in_bounds():
     grid.place(0, Position(0, 0))
     rng = random.Random(1)
     for _ in range(100):
-        pos = move_step(grid, 0, rng, 1.0)
+        list(move_step(grid, [0], rng, 1.0))
+        pos = grid.position_of(0)
         assert grid.in_bounds(pos.x, pos.y)
+
+
+def test_move_step_draws_in_node_order_and_yields_each_mover_after_its_move():
+    grid = Grid(8, 8)
+    for nid in range(6):
+        grid.place(nid, Position(nid, nid))
+    rng, replay = random.Random(10), random.Random(10)  # 0 (a corner) and 2 move
+    seen = [(nid, grid.position_of(nid), rng.getstate())
+            for nid in move_step(grid, [4, 0, 2, 5], rng, 0.5)]
+    # One random() per node in the given order, randrange only for a mover,
+    # and each mover yielded before the next node draws.
+    expected = []
+    for nid in [4, 0, 2, 5]:
+        if replay.random() < 0.5:
+            cells = [Position(nid + dx, nid + dy)
+                     for dx, dy in ((0, -1), (0, 1), (-1, 0), (1, 0))
+                     if 0 <= nid + dx < 8 and 0 <= nid + dy < 8]
+            expected.append((nid, cells[replay.randrange(len(cells))], replay.getstate()))
+    assert seen == expected
+    assert 0 < len(seen) < 4
+    assert rng.getstate() == replay.getstate()
 
 
 def line_graph(n):
@@ -184,8 +220,7 @@ def test_incremental_refresh_matches_full_rebuild(seed):
     graph = build_connectivity(grid)
     for _ in range(30):
         node = rng.randrange(n)
-        moved = move_step(grid, node, rng, 1.0)
-        assert grid.position_of(node) == moved
+        assert list(move_step(grid, [node], rng, 1.0)) == [node]
         refresh_node(graph, grid, node)
         fresh = build_connectivity(grid)
         assert {a: fresh.neighbors_of(a) for a in fresh.nodes()} == {
@@ -263,7 +298,7 @@ def test_carried_maps_stay_exact_across_moves_and_deaths(seed):
             for dist in maps.values():
                 dist.pop(node, None)
         else:
-            move_step(grid, node, rng, 1.0)
+            list(move_step(grid, [node], rng, 1.0))
             removed, gained = refresh_node(graph, grid, node)
             lost = (node, *removed)
             added = [(node, v) for v in gained]
