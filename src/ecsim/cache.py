@@ -1,20 +1,19 @@
 """Neighbor caching for packets addressed to sleeping nodes.
 
 An active hop-neighbor of a sleeping destination stores the packet and hands
-it over when the destination wakes. Volumes per destination are maintained
-incrementally and must always match the recomputed sum. Total occupancy is
-the sum of those volumes, one term per destination rather than per entry, and
-must likewise match the sum recomputed from the entries. A network's caches
-share one holder index (destination -> holders with volume); ``_bump`` keeps it.
+it over when the destination wakes. Volumes per destination, and their total,
+the occupancy, are maintained incrementally and must always match the sums
+recomputed from the entries. A network's caches share one holder index
+(destination -> holders with volume); ``_bump`` keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from ecsim.core import NodeId
-from ecsim.traffic import Packet, PacketClass
+from ecsim.traffic import Packet
 
 
 class StoreResult(Enum):
@@ -23,8 +22,7 @@ class StoreResult(Enum):
     REJECTED_FULL = "full"
 
 
-@dataclass(frozen=True)
-class CacheEntry:
+class CacheEntry(NamedTuple):
     packet: Packet
     stored_at: float
 
@@ -41,14 +39,15 @@ class CacheStore:
         self._entries: list[CacheEntry] = []
         self._ids: set[int] = set()
         self._volume_by_dst: dict[NodeId, int] = {}
+        self._used_bits = 0
 
     @property
     def used_bits(self) -> int:
-        return sum(self._volume_by_dst.values())
+        return self._used_bits
 
     @property
     def free_bits(self) -> int:
-        return self.capacity_bits - self.used_bits
+        return self.capacity_bits - self._used_bits
 
     def entry_count(self) -> int:
         return len(self._entries)
@@ -81,18 +80,39 @@ class CacheStore:
             return StoreResult.DUPLICATE
         if packet.size_bits > self.free_bits:
             return StoreResult.REJECTED_FULL
-        self._entries.append(CacheEntry(packet=packet, stored_at=now))
+        self._entries.append(CacheEntry(packet, now))
         self._ids.add(packet.id)
         self._bump(packet.dst, packet.size_bits)
         return StoreResult.ACCEPTED
 
     def deliver_on_wake(self, woken: NodeId) -> list[CacheEntry]:
         """Pop all entries destined for the woken node, in stored (FIFO) order."""
-        handed = [e for e in self._entries if e.packet.dst == woken]
-        if handed:
-            self._entries = [e for e in self._entries if e.packet.dst != woken]
-            for entry in handed:
-                self._forget(entry.packet)
+        if woken not in self._volume_by_dst:
+            return []
+        handed = self._take(woken)
+        for entry in handed:
+            self._forget(entry.packet)
+        return handed
+
+    def renew(self, dst: NodeId, now: float) -> list[CacheEntry]:
+        """Cache ``dst``'s entries again at ``now``, except those past their
+        deadline, which leave; returns the old entries in FIFO order.
+
+        The effect is that of ``deliver_on_wake(dst)`` followed by
+        ``store(entry.packet, now)`` for each returned entry not past its
+        deadline, in order: each such store is accepted, since the entries
+        it puts back freed at least their own bits.
+        """
+        if dst not in self._volume_by_dst:
+            return []
+        handed = self._take(dst)
+        entries = self._entries
+        for entry in handed:
+            packet = entry.packet
+            if packet.past_deadline(now):
+                self._forget(packet)
+            else:
+                entries.append(CacheEntry(packet, now))
         return handed
 
     def evict_expired(self, now: float) -> list[Packet]:
@@ -101,14 +121,23 @@ class CacheStore:
         kept: list[CacheEntry] = []
         for entry in self._entries:
             packet = entry.packet
-            if (packet.klass is PacketClass.DELAY_SENSITIVE and packet.deadline is not None
-                    and now > packet.deadline):
+            if packet.past_deadline(now):
                 dropped.append(packet)
                 self._forget(packet)
             else:
                 kept.append(entry)
         self._entries = kept
         return dropped
+
+    def _take(self, dst: NodeId) -> list[CacheEntry]:
+        """Remove ``dst``'s entries from the FIFO, in one pass, and return
+        them in order; their bits are still counted."""
+        handed: list[CacheEntry] = []
+        kept: list[CacheEntry] = []
+        for entry in self._entries:
+            (handed if entry.packet.dst == dst else kept).append(entry)
+        self._entries = kept
+        return handed
 
     def _forget(self, packet: Packet) -> None:
         self._ids.discard(packet.id)
@@ -119,6 +148,7 @@ class CacheStore:
         value = old + delta
         if value < 0:
             raise AssertionError("cache volume accounting went negative")
+        self._used_bits += delta
         if value:
             self._volume_by_dst[dst] = value
             if not old:  # the volume just turned positive (sizes are never zero)

@@ -53,7 +53,7 @@ SLEEP_EXPIRY, IDLE_EXPIRY, MOBILITY_STEP, NODE_DEATH, CACHE_DELIVERY = (
     EventKind.SLEEP_EXPIRY, EventKind.IDLE_EXPIRY, EventKind.MOBILITY_STEP,
     EventKind.NODE_DEATH, EventKind.CACHE_DELIVERY,
 )
-ELASTIC, DELAY_SENSITIVE = PacketClass.ELASTIC, PacketClass.DELAY_SENSITIVE
+ELASTIC = PacketClass.ELASTIC
 ACCEPTED, DUPLICATE = StoreResult.ACCEPTED, StoreResult.DUPLICATE
 
 
@@ -333,8 +333,10 @@ class Simulation:
 
     def _schedule_death(self, node: SimNode) -> None:
         power = self.mode_power[node.mode]
-        if not node.alive or power <= 0 or node.e_residual <= 0:
+        if not node.alive or power <= 0:
             return
+        # A battery the last billed interval emptied gives ``eta == now``:
+        # the death prediction of the mode just left is stale now.
         eta = self.now + node.e_residual / power
         if eta <= self.horizon + 1e-9:
             self.push(eta, NODE_DEATH, node.nid, epoch=node.mode_epoch)
@@ -429,11 +431,7 @@ class Simulation:
             # loop or the node's death takes it out: it has not ended.
             work = node.outbox.popleft()
             packet = work.packet
-            if (
-                packet.klass is DELAY_SENSITIVE
-                and packet.deadline is not None
-                and self.now > packet.deadline
-            ):
+            if packet.past_deadline(self.now):
                 self._finish(work, LOST_DEADLINE)
                 continue
             dst_node = self.nodes[packet.dst]
@@ -697,6 +695,20 @@ class Simulation:
         if not holder.awake:
             if holder.cache.volume_for(woken) > 0:
                 self._hand_over(holder.nid, woken, holder)
+            return
+        dst = self.nodes[woken]
+        if (not holder.tx_active and not holder.outbox and dst.alive
+                and dst.phase is PHASE_SLEEP and self._hop_distances(woken).get(holder.nid) == 1):
+            # The destination is asleep again and next door: the outbox path
+            # would end each entry past its deadline and cache the rest here
+            # again, at ``now``, in order. Renew them in place instead.
+            now = self.now
+            for entry in holder.cache.renew(woken, now):
+                packet = entry.packet
+                if packet.past_deadline(now):
+                    self._finish(self.work[packet.id], LOST_DEADLINE)
+                else:
+                    self.trace_event(holder.nid, "cache-store", "pid=%d;dst=%d", packet.id, woken)
             return
         entries = holder.cache.deliver_on_wake(woken)
         if not entries:

@@ -17,6 +17,11 @@ class PacketClass(Enum):
     ELASTIC = "elastic"
 
 
+# A module name reads faster than a member off its class; ``past_deadline``
+# runs for every forwarded and every renewed packet.
+_DELAY_SENSITIVE = PacketClass.DELAY_SENSITIVE
+
+
 @dataclass(frozen=True)
 class Packet:
     id: int
@@ -33,6 +38,11 @@ class Packet:
         if self.klass is PacketClass.DELAY_SENSITIVE:
             if self.deadline is None or self.deadline <= self.created_at:
                 raise ValueError("delay-sensitive packets need a deadline after creation")
+
+    def past_deadline(self, now: float) -> bool:
+        """Whether this is a delay-sensitive packet whose deadline lies before ``now``."""
+        return (self.klass is _DELAY_SENSITIVE and self.deadline is not None
+                and now > self.deadline)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,34 @@ def make_config(**overrides):
     return from_dict(raw)
 
 
+def cached_for_sleeping_node(holder):
+    """A traced simulation at t = 14 s in which node 0 sleeps until 20 s and
+    ``holder`` has cached, at 12 s, packets 0-2 for node 0 around packet 3
+    for node 5. Packet 1 is delay-sensitive, with a deadline of 13 s.
+
+    On seed 4, node 0's neighbours are 2, 4 and 7, and node 3 is two hops
+    away through node 4."""
+    from ecsim.traffic import Packet, PacketClass
+
+    sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4, collect_trace=True)
+    assert sim._hop_distances(0)[2] == 1 and sim._hop_distances(0)[3] == 2
+    sim.now = 12.0
+    sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
+    for pid, dst in enumerate((0, 0, 0, 5)):
+        sensitive = pid == 1
+        packet = Packet(
+            id=pid, src=6, dst=dst, size_bits=8_000, created_at=12.0,
+            klass=PacketClass.DELAY_SENSITIVE if sensitive else PacketClass.ELASTIC,
+            deadline=13.0 if sensitive else None,
+        )
+        sim.packets.append(packet)
+        sim.work[pid] = PacketWork(packet, True)
+    for pid in (0, 3, 1, 2):
+        assert sim._cache_here(sim.nodes[holder], sim.work[pid])
+    sim.now = 14.0
+    return sim
+
+
 class TestDispatchScheme:
     def test_periodic_half_duty(self):
         scheme = PeriodicSleepWake(duty=0.5, period=2.0)
@@ -79,6 +107,21 @@ class TestRun:
             idle = per["time_in_mode_s"]["idle"]
             assert idle == pytest.approx(lifetime)
             assert per["consumed_j"] == pytest.approx(idle * 0.83, abs=1e-6)
+
+    def test_battery_emptied_by_the_interval_before_a_mode_change_dies_then(self):
+        # The mode change makes the pending death prediction stale; the node
+        # must still die at once rather than live on with an empty battery.
+        sim = Simulation(make_config(flows=[], scheme={"kind": "always-on"}), 1)
+        while sim.peek_time() < 1.0:
+            sim.step()
+        node = sim.nodes[1]
+        node.e_residual = node.e_max = 0.83  # one second of idle listening
+        sim.now = 1.0
+        sim.set_phase(node, NodePhase.SLEEP, 3.0)
+        assert node.e_residual == 0.0 and node.alive
+        while sim.peek_time() <= 1.0:
+            sim.step()
+        assert not node.alive and node.death_time == 1.0
 
     def test_same_seed_reports_byte_identical(self):
         config = make_config(horizon_s=60.0, p_move=0.2)
@@ -243,6 +286,48 @@ class TestStepTransitions:
         sim._evict_caches()  # both expire at the same boundary
         assert sim.holders_by_dst == {}
         assert [sim.work[pid].state for pid in (0, 1)] == ["lost-deadline"] * 2
+
+    def test_handover_to_a_sleeping_neighbor_renews_the_entries_in_place(self):
+        sim = cached_for_sleeping_node(holder=2)
+        holder = sim.nodes[2]
+        rows = len(sim.trace)
+        sim._on_cache_delivery(engine.Event(14.0, -1, EventKind.CACHE_DELIVERY, 2, {"woken": 0}))
+        # The entries for node 0 went to the back, stamped now; the expired one left.
+        assert [(e.packet.id, e.stored_at) for e in holder.cache._entries] == [
+            (3, 12.0), (0, 14.0), (2, 14.0)
+        ]
+        assert [(row[1], row[2], row[3]) for row in sim.trace[rows:]] == [
+            (2, "cache-store", "pid=0;dst=0"),
+            (0, "packet-lost-deadline", "pid=1"),
+            (2, "cache-store", "pid=2;dst=0"),
+        ]
+        assert [sim.work[pid].state for pid in range(4)] == [None, "lost-deadline", None, None]
+        assert not holder.outbox and not holder.tx_active
+        assert not [e for e in sim.pending() if e.kind is EventKind.TX_COMPLETE]
+
+    @pytest.mark.parametrize("case", ["transmitting", "two hops away"])
+    def test_handover_the_holder_cannot_renew_takes_the_outbox_path(self, case):
+        holder_id = 2 if case == "transmitting" else 3  # node 3 is two hops from 0
+        sim = cached_for_sleeping_node(holder_id)
+        holder = sim.nodes[holder_id]
+        if case == "transmitting":
+            sim._set_tx(holder, True)
+        rows = len(sim.trace)
+        sim._on_cache_delivery(
+            engine.Event(14.0, -1, EventKind.CACHE_DELIVERY, holder_id, {"woken": 0})
+        )
+        assert [e.packet.id for e in holder.cache._entries] == [3]
+        assert "cache-store" not in [row[2] for row in sim.trace[rows:]]
+        on_air = [e.payload["packet_id"] for e in sim.pending() if e.kind is EventKind.TX_COMPLETE]
+        if case == "transmitting":
+            # A busy radio leaves every entry queued, the expired one too.
+            assert [work.packet.id for work in holder.outbox] == [0, 1, 2]
+            assert on_air == []
+        else:
+            # The first entry goes on towards node 0 through node 4.
+            assert [work.packet.id for work in holder.outbox] == [1, 2]
+            assert on_air == [0]
+            assert ("tx-start", "pid=0;to=4") in [(row[2], row[3]) for row in sim.trace[rows:]]
 
     def test_dead_node_emits_and_receives_nothing(self):
         config = make_config(horizon_s=30.0, initial_energy_j=5.0, flows=[])

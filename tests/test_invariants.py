@@ -263,6 +263,10 @@ def assert_structural_invariants(sim):
         for dst in node.cache.destinations():
             assert node.cache.volume_for(dst) > 0
             cached.setdefault(dst, set()).add(nid)
+        # (j) Each cache's running occupancy is the sum of its entries and
+        # within its capacity.
+        cache = node.cache
+        assert cache.used_bits == sum(cache.recomputed_volumes().values()) <= cache.capacity_bits
         held.extend(work.packet.id for work in node.outbox)
         held.extend(entry.packet.id for entry in node.cache._entries)
         # (g) No outbox or cache holds a packet at its own destination.
