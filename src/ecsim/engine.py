@@ -451,7 +451,7 @@ class Simulation:
                 if self._cache_here(node, work):
                     continue
                 target = self._cache_target(node.nid, packet)
-                if target is not None and self.graph.has_edge(node.nid, target):
+                if target is not None:
                     self._start_tx(node, target, work)
                     break
                 self._defer(node, work, self._neighbor_wake(node.nid, dist, here))
@@ -499,13 +499,13 @@ class Simulation:
             return True
         return False
 
-    def _cache_target(self, exclude: NodeId, packet: Packet) -> NodeId | None:
-        """Active hop-neighbor of the sleeping destination with most free
-        cache space (ties to smallest id)."""
+    def _cache_target(self, sender: NodeId, packet: Packet) -> NodeId | None:
+        """Awake hop-neighbor of the sleeping destination, within reach of
+        ``sender``, with most free cache space (ties to smallest id)."""
         free_bits = {
             nid: self.nodes[nid].cache.free_bits
-            for nid in self.graph.neighbors_of(packet.dst)
-            if nid != exclude and self.nodes[nid].awake
+            for nid in self.graph.neighbors_of(packet.dst) & self.graph.neighbors_of(sender)
+            if self.nodes[nid].awake
         }
         candidates = [nid for nid, bits in free_bits.items() if bits >= packet.size_bits]
         return min(candidates, key=lambda nid: (-free_bits[nid], nid), default=None)

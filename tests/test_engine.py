@@ -5,6 +5,7 @@ import weakref
 import pytest
 
 from ecsim import engine
+from ecsim.cache import StoreResult
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase
 from ecsim.engine import PacketWork, Simulation, run_simulation
@@ -268,6 +269,32 @@ class TestStepTransitions:
             type("E", (), {"node": src, "payload": {"packet_id": packet.id}})()
         )
         assert sim.nodes[src].cache.volume_for(dst) == 8_000
+
+    def test_a_packet_for_a_sleeping_node_goes_to_a_cache_the_sender_reaches(self):
+        from ecsim.traffic import Packet, PacketClass
+
+        config = make_config(horizon_s=40.0, flows=[],
+                             cache={"enabled": True, "capacity_bits": 16_000})
+        sim = Simulation(config, 3)
+        # On seed 3, node 0's neighbours are 3, 4 and 5, and node 3 reaches
+        # node 5 but not node 4.
+        assert sim.graph.neighbors_of(0) == {3, 4, 5}
+        assert sim.graph.neighbors_of(3) & {4, 5} == {5}
+        sim.now = 12.0
+        sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
+        # Node 3's cache is full, node 5 has room for one packet and node 4
+        # for two.
+        for pid, holder in enumerate((3, 3, 5)):
+            filler = Packet(id=100 + pid, src=6, dst=1, size_bits=8_000,
+                            klass=PacketClass.ELASTIC, created_at=12.0)
+            assert sim.nodes[holder].cache.store(filler, 12.0) is StoreResult.ACCEPTED
+        packet = Packet(id=0, src=3, dst=0, size_bits=8_000,
+                        klass=PacketClass.ELASTIC, created_at=12.0)
+        sim.packets.append(packet)
+        sim._on_packet_arrival(type("E", (), {"node": 3, "payload": {"packet_id": 0}})())
+        on_air = [(e.node, e.payload) for e in sim.pending() if e.kind is EventKind.TX_COMPLETE]
+        assert on_air == [(5, {"packet_id": 0, "sender": 3})]
+        assert sim.work[0].defer_count == 0
 
     def test_evicting_two_packets_for_one_destination_unindexes_once(self):
         from ecsim.traffic import Packet, PacketClass
