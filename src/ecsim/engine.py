@@ -33,7 +33,7 @@ from ecsim.topology import (
     refresh_node,
     repair_distances,
 )
-from ecsim.traffic import Packet, PacketClass, generate, tx_delay
+from ecsim.traffic import Packet, generate, tx_delay
 
 if TYPE_CHECKING:
     from ecsim.config import ScenarioConfig
@@ -53,7 +53,6 @@ SLEEP_EXPIRY, IDLE_EXPIRY, MOBILITY_STEP, NODE_DEATH, CACHE_DELIVERY = (
     EventKind.SLEEP_EXPIRY, EventKind.IDLE_EXPIRY, EventKind.MOBILITY_STEP,
     EventKind.NODE_DEATH, EventKind.CACHE_DELIVERY,
 )
-ELASTIC = PacketClass.ELASTIC
 ACCEPTED, DUPLICATE = StoreResult.ACCEPTED, StoreResult.DUPLICATE
 
 
@@ -412,11 +411,7 @@ class Simulation:
         self.plane.delivered(self, work)
         packet = work.packet
         delay = self.now - packet.created_at
-        on_time = (
-            packet.klass is ELASTIC
-            or packet.deadline is None
-            or self.now <= packet.deadline + 1e-12
-        )
+        on_time = not packet.past_deadline(self.now)
         self._finish(work, DELIVERED if on_time else DELIVERED_LATE)
         self.delay_sum += delay
         if on_time:

@@ -18,7 +18,8 @@ class PacketClass(Enum):
 
 
 # A module name reads faster than a member off its class; ``past_deadline``
-# runs for every forwarded and every renewed packet.
+# runs for every packet forwarded or delivered, and for every cached packet
+# at each slot boundary.
 _DELAY_SENSITIVE = PacketClass.DELAY_SENSITIVE
 
 
