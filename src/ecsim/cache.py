@@ -1,7 +1,7 @@
 """Neighbor caching for packets addressed to sleeping nodes.
 
 An active hop-neighbor of a sleeping destination stores the packet and hands
-it over when the destination wakes. Volumes per destination, and their total,
+it over once the two are awake together. Volumes per destination, and their total,
 the occupancy, are maintained incrementally and must always match the sums
 recomputed from the entries. A network's caches share one holder index
 (destination -> holders with volume); ``_bump`` keeps it.
@@ -89,30 +89,13 @@ class CacheStore:
         """Pop all entries destined for the woken node, in stored (FIFO) order."""
         if woken not in self._volume_by_dst:
             return []
-        handed = self._take(woken)
+        handed: list[CacheEntry] = []
+        kept: list[CacheEntry] = []
+        for entry in self._entries:
+            (handed if entry.packet.dst == woken else kept).append(entry)
+        self._entries = kept
         for entry in handed:
             self._forget(entry.packet)
-        return handed
-
-    def renew(self, dst: NodeId, now: float) -> list[CacheEntry]:
-        """Cache ``dst``'s entries again at ``now``, except those past their
-        deadline, which leave; returns the old entries in FIFO order.
-
-        The effect is that of ``deliver_on_wake(dst)`` followed by
-        ``store(entry.packet, now)`` for each returned entry not past its
-        deadline, in order: each such store is accepted, since the entries
-        it puts back freed at least their own bits.
-        """
-        if dst not in self._volume_by_dst:
-            return []
-        handed = self._take(dst)
-        entries = self._entries
-        for entry in handed:
-            packet = entry.packet
-            if packet.past_deadline(now):
-                self._forget(packet)
-            else:
-                entries.append(CacheEntry(packet, now))
         return handed
 
     def evict_expired(self, now: float) -> list[Packet]:
@@ -128,16 +111,6 @@ class CacheStore:
                 kept.append(entry)
         self._entries = kept
         return dropped
-
-    def _take(self, dst: NodeId) -> list[CacheEntry]:
-        """Remove ``dst``'s entries from the FIFO, in one pass, and return
-        them in order; their bits are still counted."""
-        handed: list[CacheEntry] = []
-        kept: list[CacheEntry] = []
-        for entry in self._entries:
-            (handed if entry.packet.dst == dst else kept).append(entry)
-        self._entries = kept
-        return handed
 
     def _forget(self, packet: Packet) -> None:
         self._ids.discard(packet.id)

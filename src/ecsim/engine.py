@@ -587,30 +587,24 @@ class Simulation:
                 self._finish(self.work[packet.id], LOST_DEADLINE)
 
     def _after_wake(self, node: SimNode) -> None:
-        """Resume a node that woke: schedule handovers of cached packets,
-        then forward its queue.
+        """Resume a node that woke: queue, at ``now``, the handovers of cached
+        packets whose other end is awake, then forward its queue.
 
-        When the counterpart is asleep, the delivery is scheduled at its known
-        wake time so entries cannot starve on missed coincidences. Entries
-        whose holder drifted away from the destination re-enter the normal
-        forwarding pipeline instead.
+        Two nodes are awake together only after the later of their wakes, so
+        that wake finds every pair that can hand over. Entries whose holder
+        drifted away from the destination re-enter the normal forwarding
+        pipeline at once.
         """
         woken = node.nid
         # Holders are exactly the alive nodes caching something for ``woken``.
         for holder_id in sorted(self.holders_by_dst.get(woken, ())):
-            holder = self.nodes[holder_id]
-            self._hand_over(holder_id, woken, None if holder.awake else holder)
-        # Entries for a destination are dropped when it dies: ``other`` is alive.
+            if self.nodes[holder_id].awake:
+                self.push(self.now, CACHE_DELIVERY, holder_id, woken=woken)
+        # Entries for a destination are dropped when it dies: ``dst`` is alive.
         for dst in node.cache.destinations():
-            other = self.nodes[dst]
-            now = other.awake or not self.graph.has_edge(woken, dst)
-            self._hand_over(woken, dst, None if now else other)
+            if self.nodes[dst].awake or not self.graph.has_edge(woken, dst):
+                self.push(self.now, CACHE_DELIVERY, woken, woken=dst)
         self._try_transmit(node)
-
-    def _hand_over(self, holder: NodeId, woken: NodeId, sleeper: SimNode | None) -> None:
-        """Hand ``holder``'s entries for ``woken`` over now, or when ``sleeper`` wakes."""
-        at = self.now if sleeper is None else max(self.now, sleeper.wake_at)
-        self.push(at, CACHE_DELIVERY, holder, woken=woken)
 
     def _on_phase_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
@@ -684,32 +678,12 @@ class Simulation:
 
     def _on_cache_delivery(self, event: Event) -> None:
         holder = self.nodes[event.node]
-        woken = event.payload["woken"]
-        if not holder.alive:
-            return
+        # A holder that fell asleep since keeps its entries until a wake
+        # finds it and the destination awake together.
         if not holder.awake:
-            if holder.cache.volume_for(woken) > 0:
-                self._hand_over(holder.nid, woken, holder)
-            return
-        dst = self.nodes[woken]
-        if (not holder.tx_active and not holder.outbox and dst.alive
-                and dst.phase is PHASE_SLEEP and self._hop_distances(woken).get(holder.nid) == 1):
-            # The destination is asleep again and next door: the outbox path
-            # would end each entry past its deadline and cache the rest here
-            # again, at ``now``, in order. Renew them in place instead.
-            now = self.now
-            for entry in holder.cache.renew(woken, now):
-                packet = entry.packet
-                if packet.past_deadline(now):
-                    self._finish(self.work[packet.id], LOST_DEADLINE)
-                else:
-                    self.trace_event(holder.nid, "cache-store", "pid=%d;dst=%d", packet.id, woken)
-            return
-        entries = holder.cache.deliver_on_wake(woken)
-        if not entries:
             return
         # A cached packet is held by this cache alone and has not ended.
-        for entry in entries:
+        for entry in holder.cache.deliver_on_wake(event.payload["woken"]):
             holder.outbox.append(self.work[entry.packet.id])
         self._try_transmit(holder)
 

@@ -130,27 +130,11 @@ def test_shared_holder_index_lists_exactly_the_holders_with_volume():
     assert index == holders() == {}
 
 
-def test_renew_moves_entries_to_the_back_stamped_now():
-    store = CacheStore(capacity_bits=100_000)
-    store.store(packet(1, dst=9), now=1.0)
-    store.store(packet(2, dst=5), now=2.0)
-    store.store(packet(3, dst=9, created=0.0, deadline=3.0), now=2.5)
-    store.store(packet(4, dst=9), now=3.0)
-    old = store.renew(9, now=4.0)
-    assert [e.packet.id for e in old] == [1, 3, 4]
-    assert store._entries == [
-        CacheEntry(packet(2, dst=5), 2.0), CacheEntry(packet(1, dst=9), 4.0),
-        CacheEntry(packet(4, dst=9), 4.0),
-    ]
-    assert store.volume_for(9) == store.used_bits - 8_000 == 16_000
-    assert store.renew(7, now=5.0) == []
-
-
 # One op: (kind, destination, deadline of a new packet relative to its
 # creation or None for an elastic one, clock advance before the op).
 CACHE_OPS = st.lists(
     st.tuples(
-        st.sampled_from(["store", "store", "store again", "deliver", "renew"]),
+        st.sampled_from(["store", "store", "store again", "deliver", "evict"]),
         st.sampled_from([4, 5, 6]),
         st.sampled_from([None, None, 0.5, 2.0]),
         st.sampled_from([0.0, 0.5, 1.0]),
@@ -161,38 +145,46 @@ CACHE_OPS = st.lists(
 
 @settings(max_examples=300, deadline=None)
 @given(CACHE_OPS, st.sampled_from([16_000, 40_000, 1_000_000]))
-def test_renew_equals_deliver_then_store_of_each_unexpired_packet(ops, capacity):
-    """``renew(dst, now)`` on one store does what ``deliver_on_wake(dst)`` and
-    a ``store(packet, now)`` of each handed packet not past its deadline do
-    on a second one; every other op runs on both."""
-    subject = CacheStore(capacity, 3, {})
-    reference = CacheStore(capacity, 3, {})
+def test_running_counts_match_the_entries_after_every_op(ops, capacity):
+    """After each store, store again, deliver or eviction, the entries are
+    those of a plain FIFO model, each with the time it was first stored,
+    and ``used_bits``, the volumes and the holder index match
+    ``recomputed_volumes()``."""
+    index = {}
+    store = CacheStore(capacity, 3, index)
+    model = []  # the CacheEntry list a plain FIFO would hold
     made = []
     now = 0.0
     for kind, dst, deadline, step in ops:
         now += step
-        if kind == "store" or (kind == "store again" and not made):
-            pkt = packet(len(made), dst=dst, bits=8_000 * (1 + len(made) % 3), created=now,
-                         deadline=None if deadline is None else now + deadline)
-            made.append(pkt)
-            assert subject.store(pkt, now) is reference.store(pkt, now)
-        elif kind == "store again":
-            pkt = made[dst % len(made)]
-            assert subject.store(pkt, now) is reference.store(pkt, now)
+        if kind in ("store", "store again"):
+            if kind == "store" or not made:
+                pkt = packet(len(made), dst=dst, bits=8_000 * (1 + len(made) % 3), created=now,
+                             deadline=None if deadline is None else now + deadline)
+                made.append(pkt)
+            else:
+                pkt = made[dst % len(made)]
+            if pkt in [e.packet for e in model]:
+                expected = StoreResult.DUPLICATE
+            elif pkt.size_bits <= capacity - sum(e.packet.size_bits for e in model):
+                expected = StoreResult.ACCEPTED
+                model.append(CacheEntry(pkt, now))
+            else:
+                expected = StoreResult.REJECTED_FULL
+            assert store.store(pkt, now) is expected
         elif kind == "deliver":
-            assert subject.deliver_on_wake(dst) == reference.deliver_on_wake(dst)
+            assert store.deliver_on_wake(dst) == [e for e in model if e.packet.dst == dst]
+            model = [e for e in model if e.packet.dst != dst]
         else:
-            got = subject.renew(dst, now)
-            handed = reference.deliver_on_wake(dst)
-            for entry in handed:
-                pkt = entry.packet
-                if pkt.klass is PacketClass.ELASTIC or now <= pkt.deadline:
-                    assert reference.store(pkt, now) is StoreResult.ACCEPTED
-            assert got == handed
-        assert subject._entries == reference._entries  # packets and stamps, in order
-        assert {d: subject.volume_for(d) for d in (4, 5, 6)} == {
-            d: reference.volume_for(d) for d in (4, 5, 6)
+            assert store.evict_expired(now) == [
+                e.packet for e in model if e.packet.past_deadline(now)
+            ]
+            model = [e for e in model if not e.packet.past_deadline(now)]
+        assert store._entries == model  # packets and first stamps, in order
+        volumes = store.recomputed_volumes()
+        assert store.used_bits == sum(volumes.values()) <= capacity
+        assert {d: store.volume_for(d) for d in (4, 5, 6)} == {
+            d: volumes.get(d, 0) for d in (4, 5, 6)
         }
-        assert subject.used_bits == reference.used_bits
-        assert subject.used_bits == sum(subject.recomputed_volumes().values()) <= capacity
-        assert subject._index == reference._index
+        assert store.destinations() == sorted(volumes)
+        assert index == {d: {3} for d in volumes}

@@ -314,12 +314,13 @@ class TestStepTransitions:
         assert sim.holders_by_dst == {}
         assert [sim.work[pid].state for pid in (0, 1)] == ["lost-deadline"] * 2
 
-    def test_handover_to_a_sleeping_neighbor_renews_the_entries_in_place(self):
+    def test_handover_to_a_sleeping_neighbor_caches_the_entries_again(self):
         sim = cached_for_sleeping_node(holder=2)
         holder = sim.nodes[2]
         rows = len(sim.trace)
         sim._on_cache_delivery(engine.Event(14.0, -1, EventKind.CACHE_DELIVERY, 2, {"woken": 0}))
-        # The entries for node 0 went to the back, stamped now; the expired one left.
+        # The entries for node 0 took the outbox path and were cached again,
+        # at the back and stamped now; the expired one left.
         assert [(e.packet.id, e.stored_at) for e in holder.cache._entries] == [
             (3, 12.0), (0, 14.0), (2, 14.0)
         ]
@@ -331,6 +332,49 @@ class TestStepTransitions:
         assert [sim.work[pid].state for pid in range(4)] == [None, "lost-deadline", None, None]
         assert not holder.outbox and not holder.tx_active
         assert not [e for e in sim.pending() if e.kind is EventKind.TX_COMPLETE]
+
+    def test_handover_that_finds_its_holder_asleep_queues_nothing(self):
+        sim = cached_for_sleeping_node(holder=2)
+        holder = sim.nodes[2]
+        sim.set_phase(holder, NodePhase.SLEEP, 16.0)
+        entries = list(holder.cache._entries)
+        sim._on_cache_delivery(engine.Event(14.0, -1, EventKind.CACHE_DELIVERY, 2, {"woken": 0}))
+        assert holder.cache._entries == entries  # first stamps kept
+        assert not [e for e in sim.pending() if e.kind is EventKind.CACHE_DELIVERY]
+
+    def test_the_wake_that_finds_both_ends_awake_queues_one_handover(self):
+        sim = cached_for_sleeping_node(holder=2)
+        holder = sim.nodes[2]
+        sim.set_phase(holder, NodePhase.SLEEP, 16.0)
+        sim._on_cache_delivery(engine.Event(14.0, -1, EventKind.CACHE_DELIVERY, 2, {"woken": 0}))
+        sim.set_phase(sim.nodes[0], NodePhase.IDLE)  # its holder still sleeps
+        assert not [e for e in sim.pending() if e.kind is EventKind.CACHE_DELIVERY]
+        sim.now = 16.0
+        sim.set_phase(holder, NodePhase.IDLE)
+        handovers = [(e.time, e.node) for e in sim.pending()
+                     if e.kind is EventKind.CACHE_DELIVERY and e.payload == {"woken": 0}]
+        assert handovers == [(16.0, 2)]
+
+    def test_periodic_nodes_never_awake_together_leave_a_cached_packet_in_place(self):
+        from ecsim.traffic import Packet, PacketClass
+
+        # Two nodes at the default 25 % duty over 2 s: node 0 listens in
+        # [0, 0.5) of each period and node 1 in [1, 1.5).
+        config = make_config(grid={"width": 2, "height": 2}, nodes=2, flows=[],
+                             horizon_s=20.0, scheme={"kind": "periodic"})
+        sim = Simulation(config, 1, collect_trace=True)
+        assert sim.graph.has_edge(0, 1)
+        sim.packets.append(Packet(id=0, src=0, dst=1, size_bits=8_000,
+                                  klass=PacketClass.ELASTIC, created_at=0.1))
+        sim.push(0.1, EventKind.PACKET_ARRIVAL, 0, packet_id=0)
+        kinds = []
+        while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
+            kinds.append(sim.step().kind)
+        assert [row[1:] for row in sim.trace if row[2] == "cache-store"] == [
+            (0, "cache-store", "pid=0;dst=1")
+        ]
+        assert EventKind.CACHE_DELIVERY not in kinds
+        assert [tuple(e) for e in sim.nodes[0].cache._entries] == [(sim.packets[0], 0.1)]
 
     @pytest.mark.parametrize("case", ["transmitting", "two hops away"])
     def test_handover_the_holder_cannot_renew_takes_the_outbox_path(self, case):

@@ -32,7 +32,7 @@ GOLDEN = {
         "7e758f668c41dcfbc9eabf7435e63ae6c91c36ed11cfe60efd70191cb233d2c1"
     ),
     "traffic-aware/trace.csv": (
-        "0ffe3b2eff27174fd5097003dd7dfe996a0d1ced98612e1370f0c827f4cc0ccf"
+        "407ef1f134aade4898860f4042935eb3c349219195c3034afa88ec3779555adf"
     ),
     "periodic/report.json": (
         "cf96b0e70a63fda31ef165109fd2979de8660960cd0c2cce4a565a89d884d7d0"
@@ -66,15 +66,15 @@ GOLDEN = {
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "ea49abb9ae93d57136a5220d6440220141b0165af967b07c6edca91532e148b6",
+    "compare.csv": "1f0f94f1ea25ae77038c696763650a5d0e5c586938f061c4fedefd62d1487d8b",
     "traffic-aware/report.json": (
-        "3bbdafd0f5c2ebe868c163d3ad4ec423b6827545dd46158100276e18c3a6930c"
+        "375c558a53053a8cfc9413231c711196dce4cc15d8c86c60824eef181ec88fe9"
     ),
     "traffic-aware/timeseries.csv": (
         "d4af34eeb717802d07058d3844b35d7a6dd35c72d751e9b69c925fbd374b32e4"
     ),
     "traffic-aware/trace.csv": (
-        "0fa5f46e5670e4e71abd8813d0a0cedbb302e20a1788f2f9673f90d03ca02f0c"
+        "d2998d57af29943ab8ad5960419c8a1ff1cc695031bf73b0eb7432cc4a71445f"
     ),
     "periodic/report.json": (
         "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"
@@ -83,7 +83,7 @@ GOLDEN_DEATHS = {
         "01c4af12a3d944f46bffd561175f72bbf2246c9db49334cf92012e091078df4d"
     ),
     "periodic/trace.csv": (
-        "85f7b9915fe00497073eb40765781cf1b83e0a44caed2f2bf951220e4230af3a"
+        "9e6a31b7ee0111b70db579a5acf75230794b34cfd4dce1ca1abc8700744567aa"
     ),
     "coordinated/report.json": (
         "1c70627d0e8dde1073f5900e60c87abec89bef3417c657a0b84d2c42ba65d29a"
@@ -116,7 +116,7 @@ GOLDEN_GRID = {
         "9bfc8c028d95ec305f69679e61659347ef65b2a581be1b2051254ded9690210f"
     ),
     "traffic-aware/trace.csv": (
-        "a9038de1d1776a2a04506f131ee821ff1a551767d0c528f8914a5c957d1f42a1"
+        "ea7dbfcdbcaa95c23a5ed30b0d1f98f735bfa76ab061341b0808935e63a6f541"
     ),
     "periodic/report.json": (
         "d43ff5ab84a0deb9ece9f5ce8cdb93dd0892cd0687f0557e50d688194737f17d"
@@ -125,7 +125,7 @@ GOLDEN_GRID = {
         "eebb868969273b3487285adc3546792516a2675386939a0d4d74457e2917126f"
     ),
     "periodic/trace.csv": (
-        "eb6328f4dab906e9a145d2d79b5447be35495c6a1d12f8486608dd2513ffadc2"
+        "c4e9fc761ff680eba860e7b736c07244d5d62d607c40f4d16ef2d049ef268a2c"
     ),
     "coordinated/report.json": (
         "0d143e97bc2e60ca8e09e352da7ae048141b02c097e169e80e5eb50e16606008"

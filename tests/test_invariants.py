@@ -246,8 +246,9 @@ def strip_scenarios(draw):
 # The checks scan the whole event heap after every event, mostly stale death
 # predictions and future arrivals; comprehensions over these aliases keep the
 # test near 10 s.
-PACKET_ARRIVAL, TX_COMPLETE, NODE_DEATH = (
-    EventKind.PACKET_ARRIVAL, EventKind.TX_COMPLETE, EventKind.NODE_DEATH
+PACKET_ARRIVAL, TX_COMPLETE, NODE_DEATH, CACHE_DELIVERY = (
+    EventKind.PACKET_ARRIVAL, EventKind.TX_COMPLETE, EventKind.NODE_DEATH,
+    EventKind.CACHE_DELIVERY,
 )
 SLEEP_EXPIRY, SLEEP = EventKind.SLEEP_EXPIRY, NodePhase.SLEEP
 TIMERS = (SLEEP_EXPIRY, EventKind.IDLE_EXPIRY)
@@ -300,6 +301,17 @@ def assert_structural_invariants(sim):
         nid
         for _, _, kind, nid, p in pending
         if kind is PACKET_ARRIVAL and "retry" in p and sim.packets[p["packet_id"]].dst == nid
+    ]
+    # (k) A hand-over is queued only by the wake that finds both of its ends
+    # awake, for that instant: every queued one is due now, and every cached
+    # pair whose ends are both awake has one.
+    assert all(time == sim.now for time, _, kind, _, _ in pending if kind is CACHE_DELIVERY)
+    queued = {(nid, p["woken"]) for _, _, kind, nid, p in pending if kind is CACHE_DELIVERY}
+    assert not [
+        (holder, dst)
+        for dst, holders in cached.items()
+        for holder in holders
+        if nodes[holder].awake and nodes[dst].awake and (holder, dst) not in queued
     ]
     # (d) Each node has at most one timer whose epoch matches, and only an
     # alive node has one. An alive sleeping node has exactly one: a sleep
