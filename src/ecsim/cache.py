@@ -1,9 +1,9 @@
 """Neighbor caching for packets addressed to sleeping nodes.
 
 An active hop-neighbor of a sleeping destination stores the packet and hands
-it over once the two are awake together. Volumes per destination, and their total,
-the occupancy, are maintained incrementally and must always match the sums
-recomputed from the entries. A network's caches share one holder index
+it over once the two are awake together. Volumes per destination, and their
+total, the occupancy, are maintained incrementally and must always match the
+sums recomputed from the entries. A network's caches share one holder index
 (destination -> holders with volume); ``_bump`` keeps it.
 """
 

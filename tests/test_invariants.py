@@ -302,9 +302,8 @@ def assert_structural_invariants(sim):
         for _, _, kind, nid, p in pending
         if kind is PACKET_ARRIVAL and "retry" in p and sim.packets[p["packet_id"]].dst == nid
     ]
-    # (k) A hand-over is queued only by the wake that finds both of its ends
-    # awake, for that instant: every queued one is due now, and every cached
-    # pair whose ends are both awake has one.
+    # (k) A wake queues hand-overs only for its own instant: every queued one
+    # is due now, and every cached pair whose ends are both awake has one.
     assert all(time == sim.now for time, _, kind, _, _ in pending if kind is CACHE_DELIVERY)
     queued = {(nid, p["woken"]) for _, _, kind, nid, p in pending if kind is CACHE_DELIVERY}
     assert not [
