@@ -18,7 +18,6 @@ from ecsim.traffic import Packet
 
 class StoreResult(Enum):
     ACCEPTED = "accepted"
-    DUPLICATE = "duplicate"
     REJECTED_FULL = "full"
 
 
@@ -37,7 +36,6 @@ class CacheStore:
         self.holder = holder
         self._index: dict[NodeId, set[NodeId]] = {} if index is None else index
         self._entries: list[CacheEntry] = []
-        self._ids: set[int] = set()
         self._volume_by_dst: dict[NodeId, int] = {}
         self._used_bits = 0
 
@@ -75,13 +73,11 @@ class CacheStore:
         return None
 
     def store(self, packet: Packet, now: float) -> StoreResult:
-        """Store a packet for a sleeping destination; idempotent per packet id."""
-        if packet.id in self._ids:
-            return StoreResult.DUPLICATE
+        """Store a packet for a sleeping destination. A packet has one keeper:
+        the caller passes one that no cache holds."""
         if packet.size_bits > self.free_bits:
             return StoreResult.REJECTED_FULL
         self._entries.append(CacheEntry(packet, now))
-        self._ids.add(packet.id)
         self._bump(packet.dst, packet.size_bits)
         return StoreResult.ACCEPTED
 
@@ -95,7 +91,7 @@ class CacheStore:
             (handed if entry.packet.dst == woken else kept).append(entry)
         self._entries = kept
         for entry in handed:
-            self._forget(entry.packet)
+            self._bump(woken, -entry.packet.size_bits)
         return handed
 
     def evict_expired(self, now: float) -> list[Packet]:
@@ -106,15 +102,11 @@ class CacheStore:
             packet = entry.packet
             if packet.past_deadline(now):
                 dropped.append(packet)
-                self._forget(packet)
+                self._bump(packet.dst, -packet.size_bits)
             else:
                 kept.append(entry)
         self._entries = kept
         return dropped
-
-    def _forget(self, packet: Packet) -> None:
-        self._ids.discard(packet.id)
-        self._bump(packet.dst, -packet.size_bits)
 
     def _bump(self, dst: NodeId, delta: int) -> None:
         old = self._volume_by_dst.get(dst, 0)

@@ -54,7 +54,12 @@ class ScenarioConfig:
     traffic_horizon_s: float | None = None
 
     def validate_runtime(self) -> None:
-        errors = _check_semantics(self)
+        """Make the checks ``from_dict`` makes, on a config built in Python."""
+        errors: list[str] = []
+        for key, attr, parse in _SCHEMA:
+            parse(key, getattr(self, attr), None, errors)
+        # The semantic checks assume values that parse.
+        errors = errors or _check_semantics(self)
         if errors:
             raise ConfigError(errors)
 

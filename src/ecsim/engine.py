@@ -53,7 +53,7 @@ SLEEP_EXPIRY, IDLE_EXPIRY, MOBILITY_STEP, NODE_DEATH, CACHE_DELIVERY = (
     EventKind.SLEEP_EXPIRY, EventKind.IDLE_EXPIRY, EventKind.MOBILITY_STEP,
     EventKind.NODE_DEATH, EventKind.CACHE_DELIVERY,
 )
-ACCEPTED, DUPLICATE = StoreResult.ACCEPTED, StoreResult.DUPLICATE
+ACCEPTED = StoreResult.ACCEPTED
 
 
 class Event(NamedTuple):
@@ -222,7 +222,7 @@ class Simulation:
                        packet_id=packet.id)
 
         self.push(0.0, ROUND_SETUP)
-        if config.p_move > 0 and config.node_count > 0:
+        if config.p_move > 0:
             self.push(config.mobility_step_s, MOBILITY_STEP)
         # Deaths are predicted on each mode change; a node that keeps its
         # first mode dies on this prediction.
@@ -240,7 +240,7 @@ class Simulation:
                     Position(rng.randrange(config.grid_width), rng.randrange(config.grid_height)),
                 )
             graph = build_connectivity(grid)
-            if config.node_count <= 1 or len(connected_components(graph)) == 1:
+            if len(connected_components(graph)) == 1:
                 return grid, graph
         raise RuntimeError(
             f"no connected placement of {config.node_count} nodes on a "
@@ -287,7 +287,7 @@ class Simulation:
     def _timeseries_row(self) -> tuple[float, float, float]:
         alive = sum(1 for n in self.nodes.values() if n.alive)
         residual = sum_in_order(n.e_residual for n in self.nodes.values())
-        return (self.now, alive / max(1, len(self.nodes)), residual)
+        return (self.now, alive / len(self.nodes), residual)
 
     def trace_event(self, node: NodeId | None, kind: str, detail: str = "", *args) -> None:
         """Trace row ``detail % args``; without a trace nothing is formatted."""
@@ -366,14 +366,15 @@ class Simulation:
 
     def _bump_rx(self, node: SimNode, delta: int) -> None:
         self._touch(node)
-        node.rx_active = max(0, node.rx_active + delta)
+        node.rx_active += delta
+        assert node.rx_active >= 0, "receive count went negative"
         self._recompute_mode(node)
 
     # -- packet terminal accounting -----------------------------------------
 
     def _finish(self, work: PacketWork, state: str) -> None:
-        if work.state is not None:
-            return
+        # A packet has one keeper at a time, and only that keeper ends it.
+        assert work.state is None, "packet ended twice"
         work.state = state
         self.trace_event(work.packet.dst, "packet-" + state, "pid=%d", work.packet.id)
 
@@ -467,7 +468,7 @@ class Simulation:
         anyway), then healthy batteries, then already-active relays; the
         battery bucket rotates the role as a relay drains."""
         node = self.nodes[v]
-        bucket = int(10 * node.e_residual / node.e_max) if node.e_max else 0
+        bucket = int(10 * node.e_residual / node.e_max)
         abs_slot = self.round_index * self.slots_per_round + self.current_slot
         recent = abs_slot - node.last_relay_slot < RELAY_QUIET_SLOTS
         return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
@@ -488,8 +489,7 @@ class Simulation:
     def _cache_here(self, node: SimNode, work: PacketWork) -> bool:
         """Park the packet in this node's cache for its sleeping neighbor."""
         packet = work.packet
-        result = node.cache.store(packet, self.now)
-        if result is ACCEPTED or result is DUPLICATE:
+        if node.cache.store(packet, self.now) is ACCEPTED:
             self.trace_event(node.nid, "cache-store", "pid=%d;dst=%d", packet.id, packet.dst)
             return True
         return False

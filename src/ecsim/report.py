@@ -67,7 +67,7 @@ def finalize(sim: "Simulation") -> MetricsReport:
         per_node[str(nid)] = {
             "consumed_j": consumed,
             "residual_j": account.e_residual,
-            "fraction_remaining": fraction_remaining(account) if account.e_max > 0 else 0.0,
+            "fraction_remaining": fraction_remaining(account),
             "lifetime_s": lifetime,
             "time_in_mode_s": {
                 "tx": node.time_in_mode[RadioMode.ACTIVE_TX],
@@ -79,7 +79,7 @@ def finalize(sim: "Simulation") -> MetricsReport:
             "ch_rounds": sim.plane.service_ledger.ch_count(nid),
         }
 
-    node_count = max(1, len(sim.nodes))
+    node_count = len(sim.nodes)
     generated = len(sim.work)
     counts = Counter(work.state for work in sim.work.values())  # None: in flight
     delivered = counts["delivered"]

@@ -15,14 +15,6 @@ from ecsim.core import NodeId, sum_in_order
 SLEEP_EPSILON = 1e-6
 
 
-class InsufficientHistory(Exception):
-    """Raised when a backward difference is requested without enough slots."""
-
-
-class NoCapacityError(ValueError):
-    """Raised when a sleep interval is requested with zero channel capacity."""
-
-
 class ActivityLedger:
     """Per-node, per-slot traffic-active seconds over one round window.
 
@@ -66,18 +58,18 @@ class ActivityLedger:
         return total
 
 
-def backward_diff(ledger: ActivityLedger, node: NodeId, slot: int) -> float:
+def backward_diff(ledger: ActivityLedger, node: NodeId, slot: int) -> float | None:
     """Backward difference of the activity series: S(slot) - S(slot-1).
 
-    Negative values mean declining traffic. Raises InsufficientHistory for
-    slot 0 or unrecorded slots; the caller falls back to its default schedule.
+    Negative values mean declining traffic. None for slot 0 or unrecorded
+    slots; the caller falls back to its default schedule.
     """
     if slot < 1:
-        raise InsufficientHistory(f"slot {slot} has no predecessor")
+        return None
     current = ledger.slot_value(node, slot)
     previous = ledger.slot_value(node, slot - 1)
     if current is None or previous is None:
-        raise InsufficientHistory(f"slots {slot - 1}/{slot} not both recorded for node {node}")
+        return None
     return current - previous
 
 
@@ -126,7 +118,7 @@ def compute_sleep(cap_sum: float, vol_sum: float, sup_capacity: float, n_hops: i
     length and below the shortest current cache hosting delay, if any.
     """
     if sup_capacity <= 0:
-        raise NoCapacityError("sleep interval undefined without channel capacity")
+        raise ValueError("sleep interval undefined without channel capacity")
     # Cached volume can never exceed what the channel window could carry.
     if vol_sum > sup_capacity * round_length + 1e-9:
         raise ValueError("cached volume exceeds the channel window volume")

@@ -25,15 +25,6 @@ def test_store_rejects_when_full():
     assert store.entry_count() == 1
 
 
-def test_store_idempotent_per_packet_id():
-    store = CacheStore(capacity_bits=1_000_000)
-    pkt = packet(1)
-    assert store.store(pkt, now=0.0) is StoreResult.ACCEPTED
-    assert store.store(pkt, now=1.0) is StoreResult.DUPLICATE
-    assert store.entry_count() == 1
-    assert store.volume_for(9) == 8_000
-
-
 def test_deliver_on_wake_fifo_order():
     store = CacheStore(capacity_bits=1_000_000)
     for pid in (3, 1, 2):
@@ -118,7 +109,6 @@ def test_shared_holder_index_lists_exactly_the_holders_with_volume():
     stores[4].store(packet(3, dst=9), now=0.0)
     for pid in (4, 5):  # two packets for one destination in one cache
         stores[4].store(packet(pid, dst=5, deadline=2.0), now=0.0)
-    stores[4].store(packet(3, dst=9), now=1.0)  # a duplicate changes nothing
     assert index == holders() == {9: {3, 4}, 5: {3, 4}}
     stores[3].deliver_on_wake(9)
     assert index == holders() == {9: {4}, 5: {3, 4}}
@@ -147,40 +137,42 @@ CACHE_OPS = st.lists(
 @given(CACHE_OPS, st.sampled_from([16_000, 40_000, 1_000_000]))
 def test_running_counts_match_the_entries_after_every_op(ops, capacity):
     """After each store, store again, deliver or eviction, the entries are
-    those of a plain FIFO model, each with the time it was first stored,
-    and ``used_bits``, the volumes and the holder index match
-    ``recomputed_volumes()``."""
+    those of a plain FIFO model, each with the time it was stored, and
+    ``used_bits``, the volumes and the holder index match
+    ``recomputed_volumes()``. As in the engine, a packet is stored again
+    only after it left the cache, handed over or evicted."""
     index = {}
     store = CacheStore(capacity, 3, index)
     model = []  # the CacheEntry list a plain FIFO would hold
-    made = []
+    made = 0
+    gone = []  # packets handed over or evicted
     now = 0.0
     for kind, dst, deadline, step in ops:
         now += step
         if kind in ("store", "store again"):
-            if kind == "store" or not made:
-                pkt = packet(len(made), dst=dst, bits=8_000 * (1 + len(made) % 3), created=now,
+            if kind == "store" or not gone:
+                pkt = packet(made, dst=dst, bits=8_000 * (1 + made % 3), created=now,
                              deadline=None if deadline is None else now + deadline)
-                made.append(pkt)
+                made += 1
             else:
-                pkt = made[dst % len(made)]
-            if pkt in [e.packet for e in model]:
-                expected = StoreResult.DUPLICATE
-            elif pkt.size_bits <= capacity - sum(e.packet.size_bits for e in model):
+                pkt = gone.pop(dst % len(gone))
+            if pkt.size_bits <= capacity - sum(e.packet.size_bits for e in model):
                 expected = StoreResult.ACCEPTED
                 model.append(CacheEntry(pkt, now))
             else:
                 expected = StoreResult.REJECTED_FULL
             assert store.store(pkt, now) is expected
         elif kind == "deliver":
-            assert store.deliver_on_wake(dst) == [e for e in model if e.packet.dst == dst]
+            handed = [e for e in model if e.packet.dst == dst]
+            assert store.deliver_on_wake(dst) == handed
+            gone += [e.packet for e in handed]
             model = [e for e in model if e.packet.dst != dst]
         else:
-            assert store.evict_expired(now) == [
-                e.packet for e in model if e.packet.past_deadline(now)
-            ]
+            dropped = [e.packet for e in model if e.packet.past_deadline(now)]
+            assert store.evict_expired(now) == dropped
+            gone += dropped
             model = [e for e in model if not e.packet.past_deadline(now)]
-        assert store._entries == model  # packets and first stamps, in order
+        assert store._entries == model  # packets and their store times, in order
         volumes = store.recomputed_volumes()
         assert store.used_bits == sum(volumes.values()) <= capacity
         assert {d: store.volume_for(d) for d in (4, 5, 6)} == {

@@ -1,11 +1,12 @@
 import copy
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 
-from ecsim.config import ConfigError, ScenarioConfig, from_dict, parse_config
+from ecsim.config import _SCHEMA, ConfigError, ScenarioConfig, from_dict, parse_config
 from ecsim.core import EnergyModelParams
+from ecsim.engine import Simulation
 from ecsim.schemes import AlwaysOn, CoordinatedDutyCycle, PeriodicSleepWake, TrafficAware
 from ecsim.traffic import FlowSpec
 
@@ -300,6 +301,30 @@ def test_malformed_input_names_its_key(override, message):
     with pytest.raises(ConfigError) as err:
         from_dict({**minimal(), **override})
     assert message in err.value.errors
+
+
+def _attribute_value(override):
+    """(attribute, value) of a MALFORMED override that sets one scenario
+    attribute, else None."""
+    ((key, value),) = override.items()
+    if isinstance(value, dict) and len(value) == 1:
+        ((name, value),) = value.items()
+        key = f"{key}.{name}"
+    attr = {k: a for k, a, _ in _SCHEMA}.get(key)
+    return None if attr is None else (attr, value)
+
+
+BUILT = [(pair, m) for o, m in MALFORMED if (pair := _attribute_value(o)) is not None]
+
+
+@pytest.mark.parametrize("attr_value, message", BUILT, ids=[m for _, m in BUILT])
+def test_a_config_built_in_python_is_checked_as_from_dict_checks_it(attr_value, message):
+    attr, value = attr_value
+    config = replace(from_dict(minimal()), **{attr: value})
+    with pytest.raises(ConfigError) as err:
+        Simulation(config, 1)
+    assert message in err.value.errors
+    assert len(BUILT) >= 20
 
 
 def test_malformed_inputs_all_reported_in_one_error():

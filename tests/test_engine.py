@@ -58,18 +58,14 @@ def cached_for_sleeping_node(holder):
 class TestDispatchScheme:
     def test_periodic_half_duty(self):
         scheme = PeriodicSleepWake(duty=0.5, period=2.0)
-        first = dispatch_scheme(scheme, 0.0)
-        assert first.phase is NodePhase.ACTIVE
-        assert first.until == pytest.approx(1.0)
-        second = dispatch_scheme(scheme, 1.0)
-        assert second.phase is NodePhase.SLEEP
-        assert second.until == pytest.approx(2.0)
+        assert dispatch_scheme(scheme, 0.0) == (NodePhase.ACTIVE, pytest.approx(1.0))
+        assert dispatch_scheme(scheme, 1.0) == (NodePhase.SLEEP, pytest.approx(2.0))
 
     def test_coordinated_windows(self):
         scheme = CoordinatedDutyCycle(listen=0.5, sleep=1.5)
-        assert dispatch_scheme(scheme, 0.0).until == pytest.approx(0.5)
-        assert dispatch_scheme(scheme, 0.5).phase is NodePhase.SLEEP
-        assert dispatch_scheme(scheme, 2.0).phase is NodePhase.ACTIVE
+        assert dispatch_scheme(scheme, 0.0) == (NodePhase.ACTIVE, pytest.approx(0.5))
+        assert dispatch_scheme(scheme, 0.5)[0] is NodePhase.SLEEP
+        assert dispatch_scheme(scheme, 2.0)[0] is NodePhase.ACTIVE
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -430,6 +426,24 @@ class TestStepTransitions:
         sim = Simulation(config, 8)
         sim.run()
         assert any(work.state == "lost-no-cache" for work in sim.work.values())
+
+
+class TestCustody:
+    """A packet has one keeper at a time: ending it twice, or a receive
+    count below zero, is a fault that the engine reports."""
+
+    def test_ending_a_packet_twice_raises(self):
+        sim = Simulation(make_config(), 1)
+        work = PacketWork(sim.packets[0], False)
+        sim._finish(work, engine.DELIVERED)
+        with pytest.raises(AssertionError, match="ended twice"):
+            sim._finish(work, engine.LOST_DEAD)
+        assert work.state == engine.DELIVERED
+
+    def test_receive_count_below_zero_raises(self):
+        sim = Simulation(make_config(), 1)
+        with pytest.raises(AssertionError, match="receive count went negative"):
+            sim._bump_rx(sim.nodes[0], -1)
 
 
 class TestEventQueue:

@@ -1,0 +1,83 @@
+"""Relations between runs: pairs of runs whose outputs must be equal, or
+must move in a known direction (metamorphic testing; Chen et al.,
+"Metamorphic Testing: A Review of Challenges and Opportunities", ACM
+Computing Surveys 51(1), 2018).
+
+The reference digests and the golden pins say "the same as before"; a
+change of behaviour re-records them. A relation still holds after that, so
+it keeps checking behaviour. A relation that fails is a finding about the
+simulator, not a test to loosen.
+
+Every case runs the acceptance scenario cut to 600 s, at seeds 1 and 2.
+"""
+
+import json
+import math
+
+import pytest
+
+from ecsim.config import from_dict
+from ecsim.engine import run_simulation
+from ecsim.report import trace_csv
+from test_acceptance import SCENARIO
+
+SHORT = dict(SCENARIO, horizon_s=600.0, traffic_horizon_s=550.0)
+SEEDS = (1, 2)
+
+# A flow that never sends, added after the scenario's four.
+SILENT_FLOW = {"src": 1, "dst": 20, "rate_pps": 0.0}
+
+# Pairs of scenario overrides whose runs give the same bytes.
+SAME = {
+    "periodic at duty 1 is always-on": (
+        {"scheme": {"kind": "periodic", "duty": 1.0}},
+        {"scheme": "always-on"},
+    ),
+    "always-on without a cache": (
+        {"scheme": "always-on", "cache": {"enabled": False}},
+        {"scheme": "always-on"},
+    ),
+    "always-on at another sleep power": (
+        {"scheme": "always-on", "energy": {"p_sleep": 0.01}},
+        {"scheme": "always-on"},
+    ),
+    **{
+        f"{kind} with a silent flow": (
+            {"scheme": kind, "flows": SCENARIO["flows"] + [SILENT_FLOW]},
+            {"scheme": kind},
+        )
+        for kind in ("traffic-aware", "periodic", "coordinated")
+    },
+}
+
+
+def outputs(seed: int, scenario: dict, overrides: dict) -> tuple[str, str]:
+    """``report.json``, without the keys that name the scheme and the config,
+    and ``trace.csv`` of one traced run."""
+    report, trace = run_simulation(from_dict({**scenario, **overrides}), seed, collect_trace=True)
+    out = report.to_dict()
+    for key in ("scheme", "config", "scenario_fingerprint"):
+        del out["meta"][key]
+    return json.dumps(out, sort_keys=True, indent=2), trace_csv(trace)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("changed, base", SAME.values(), ids=list(SAME))
+def test_runs_that_must_agree_give_the_same_bytes(changed, base, seed):
+    changed_report, changed_trace = outputs(seed, SHORT, changed)
+    base_report, base_trace = outputs(seed, SHORT, base)
+    assert changed_report == base_report
+    assert changed_trace == base_trace
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["always-on", "coordinated"])
+def test_a_larger_battery_never_dies_first(kind, seed):
+    first_deaths = []
+    for energy in (40.0, 60.0, 80.0):
+        config = from_dict({**SHORT, "horizon_s": 400.0, "initial_energy_j": energy, "scheme": kind})
+        report, _ = run_simulation(config, seed)
+        death = report.network["first_death_s"]
+        first_deaths.append(math.inf if death is None else death)
+    assert first_deaths[0] < math.inf, "the smallest battery must run out within 400 s"
+    assert first_deaths == sorted(first_deaths)
