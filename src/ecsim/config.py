@@ -103,6 +103,19 @@ def _number(minimum=None, maximum=None):
     return parse
 
 
+def _whole(minimum):
+    """A count: a number with no fractional part (``5.0`` is read as 5)."""
+
+    def parse(key, value, default, errors):
+        value = _want_number(key, value, errors, default, minimum)
+        if isinstance(value, float) and not value.is_integer():
+            errors.append(f"{key}: expected a whole number, got {value!r}")
+            return default
+        return value
+
+    return parse
+
+
 def _flag(key, value, default, errors):
     if isinstance(value, bool):
         return value
@@ -131,21 +144,21 @@ def _one_of(*choices):
 # attribute, parser). A key's default is its attribute's dataclass default;
 # keys whose default is an int are read as ints.
 _SCHEMA = (
-    ("grid.width", "grid_width", _number(minimum=1)),
-    ("grid.height", "grid_height", _number(minimum=1)),
-    ("nodes", "node_count", _number(minimum=1)),
+    ("grid.width", "grid_width", _whole(minimum=1)),
+    ("grid.height", "grid_height", _whole(minimum=1)),
+    ("nodes", "node_count", _whole(minimum=1)),
     ("initial_energy_j", "initial_energy_j", _number(minimum=1e-9)),
     ("round_s", "round_s", _number(minimum=1e-9)),
-    ("slots_per_round", "slots_per_round", _number(minimum=1)),
+    ("slots_per_round", "slots_per_round", _whole(minimum=1)),
     ("p_move", "p_move", _number(minimum=0.0, maximum=1.0)),
     ("mobility_step_s", "mobility_step_s", _number(minimum=1e-9)),
     ("cache.enabled", "cache_enabled", _flag),
-    ("cache.capacity_bits", "cache_capacity_bits", _number(minimum=0)),
+    ("cache.capacity_bits", "cache_capacity_bits", _whole(minimum=0)),
     ("link_bps", "link_bps", _number(minimum=1e-9)),
     ("horizon_s", "horizon_s", _number(minimum=0.0)),
     ("seed", "seed", _integer),
     ("cluster.policy", "cluster_policy", _one_of("component", "grid")),
-    ("cluster.partition", "cluster_partition", _number(minimum=1)),
+    ("cluster.partition", "cluster_partition", _whole(minimum=1)),
     ("deadline_rounds", "deadline_rounds", _number(minimum=0.0)),
     ("retry_s", "retry_s", _number(minimum=1e-9)),
     ("observation_window_s", "observation_window_s", _number(minimum=1e-9)),

@@ -4,7 +4,10 @@ calls the run's scheme plane (``ecsim.schemes``).
 
 One simulation owns one heap of ``Event`` tuples ordered by (time, seq), its
 own RNG streams and all mutable world state, so identical (config, seed)
-pairs give bit-identical results. Each event reaches its handler through one
+pairs give bit-identical results. Only live events are queued: a packet's
+first arrival and a node's death prediction are pushed when needed, under
+the (time, seq) key reserved when they were made, so equal-time events run
+in the order they were made. Each event reaches its handler through one
 module-level table. Energy is charged lazily: whenever a node is touched,
 the elapsed interval is billed at its current radio mode's power, in place
 on the node's float residual.
@@ -54,6 +57,10 @@ SLEEP_EXPIRY, IDLE_EXPIRY, MOBILITY_STEP, NODE_DEATH, CACHE_DELIVERY = (
     EventKind.NODE_DEATH, EventKind.CACHE_DELIVERY,
 )
 ACCEPTED = StoreResult.ACCEPTED
+# ``Event(...)`` runs the NamedTuple's Python-level ``__new__``, a function
+# call on every queued event; ``tuple.__new__(Event, fields)`` builds the
+# same tuple without it.
+_new_tuple = tuple.__new__
 
 
 class Event(NamedTuple):
@@ -103,7 +110,8 @@ class SimNode:
         "tx_active",
         "rx_active",
         "mode",
-        "mode_epoch",
+        "death_key",
+        "death_queued",
         "last_touch",
         "outbox",
         "cache",
@@ -124,7 +132,11 @@ class SimNode:
         self.tx_active = False
         self.rx_active = 0
         self.mode = MODE_IDLE
-        self.mode_epoch = 0
+        # The live death prediction's (time, seq) key, and the key of the
+        # last NODE_DEATH entry pushed for this node until it fires: a later
+        # prediction waits for that entry to re-queue it. None when none.
+        self.death_key: tuple[float, int] | None = None
+        self.death_queued: tuple[float, int] | None = None
         self.last_touch = 0.0
         self.outbox: deque[PacketWork] = deque()
         self.cache = CacheStore(cache_capacity, nid, holders_by_dst)
@@ -170,6 +182,9 @@ class Simulation:
         self.params = config.energy
         # Power per radio mode; ``EnergyModelParams.power`` defines it.
         self.mode_power = {mode: self.params.power(mode) for mode in RadioMode}
+        # Trace text per radio mode, built once: ``mode.value`` goes through
+        # Enum's Python-level descriptor.
+        self.mode_row = {mode: f"mode={mode.value};dur=" for mode in RadioMode}
         self.link_bps = config.link_bps
         self.retry_s = config.retry_s
 
@@ -217,9 +232,10 @@ class Simulation:
             else []
         )
         # Packet ids are list indexes, so ``self.packets[pid]`` finds a packet.
-        for packet in self.packets:
-            self.push(packet.created_at, PACKET_ARRIVAL, packet.src,
-                       packet_id=packet.id)
+        # Packets are sorted by creation, and packet i's first arrival owns
+        # seq i: one is queued at a time, and each queues the next.
+        self._seq = len(self.packets)
+        self._queue_arrival(0)
 
         self.push(0.0, ROUND_SETUP)
         if config.p_move > 0:
@@ -250,8 +266,18 @@ class Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def push(self, time: float, kind: EventKind, node: NodeId | None = None, **payload) -> None:
-        heapq.heappush(self._heap, Event(time, self._seq, kind, node, payload))
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
+        heapq.heappush(self._heap, _new_tuple(Event, (time, seq, kind, node, payload)))
+
+    def _queue_arrival(self, pid: int) -> None:
+        """Queue packet ``pid``'s first arrival under its reserved seq, if the
+        packet exists."""
+        if pid < len(self.packets):
+            packet = self.packets[pid]
+            heapq.heappush(self._heap, _new_tuple(
+                Event, (packet.created_at, pid, PACKET_ARRIVAL, packet.src, {"packet_id": pid})
+            ))
 
     def pending(self) -> list[Event]:
         """The queued events, in no particular order."""
@@ -266,8 +292,10 @@ class Simulation:
         if not self._heap:
             return None
         event = heapq.heappop(self._heap)
-        assert event.time >= self.now - 1e-9, "event causality violated"
-        self.now = max(self.now, event.time)
+        time = event.time
+        assert time >= self.now - 1e-9, "event causality violated"
+        if time > self.now:
+            self.now = time
         _HANDLERS[event.kind](self, event)
         return event
 
@@ -312,7 +340,7 @@ class Simulation:
         if self.trace is not None:
             spent = before - node.e_residual
             self.trace.append(
-                (now, node.nid, "mode", f"mode={mode.value};dur={duration!r};energy={spent!r}")
+                (now, node.nid, "mode", f"{self.mode_row[mode]}{duration!r};energy={spent!r}")
             )
         node.last_touch = now
 
@@ -327,18 +355,29 @@ class Simulation:
             new = MODE_IDLE
         if new is not node.mode:
             node.mode = new
-            node.mode_epoch += 1
             self._schedule_death(node)
 
     def _schedule_death(self, node: SimNode) -> None:
+        """Predict the node's death in its current mode; the prediction
+        replaces the one of the mode it left."""
+        node.death_key = None
         power = self.mode_power[node.mode]
         if not node.alive or power <= 0:
             return
-        # A battery the last billed interval emptied gives ``eta == now``:
-        # the death prediction of the mode just left is stale now.
+        # A battery the last billed interval emptied gives ``eta == now``.
         eta = self.now + node.e_residual / power
         if eta <= self.horizon + 1e-9:
-            self.push(eta, NODE_DEATH, node.nid, epoch=node.mode_epoch)
+            node.death_key = (eta, self._seq)
+            self._seq += 1
+            self._queue_death(node)
+
+    def _queue_death(self, node: SimNode) -> None:
+        """Push the live prediction unless an earlier entry for the node is
+        queued: that entry re-queues it when it fires."""
+        key = node.death_key
+        if node.death_queued is None or key < node.death_queued:
+            node.death_queued = key
+            heapq.heappush(self._heap, _new_tuple(Event, (*key, NODE_DEATH, node.nid, {})))
 
     def set_phase(self, node: SimNode, phase: NodePhase, until: float | None = None) -> None:
         """Put ``node`` in ``phase``; with ``until``, arm its phase timer. A call
@@ -395,6 +434,7 @@ class Simulation:
                 return
         else:
             # An arrival without ``retry`` is the packet's first.
+            self._queue_arrival(pid + 1)
             packet = self.packets[pid]
             dst = self.nodes[packet.dst]
             work = PacketWork(packet, not dst.awake and dst.alive)
@@ -596,15 +636,20 @@ class Simulation:
         pipeline at once.
         """
         woken = node.nid
-        # Holders are exactly the alive nodes caching something for ``woken``.
-        for holder_id in sorted(self.holders_by_dst.get(woken, ())):
-            if self.nodes[holder_id].awake:
-                self.push(self.now, CACHE_DELIVERY, holder_id, woken=woken)
-        # Entries for a destination are dropped when it dies: ``dst`` is alive.
-        for dst in node.cache.destinations():
-            if self.nodes[dst].awake or not self.graph.has_edge(woken, dst):
-                self.push(self.now, CACHE_DELIVERY, woken, woken=dst)
-        self._try_transmit(node)
+        # Holders are exactly the alive nodes caching something for ``woken``;
+        # the index holds no empty set.
+        holders = self.holders_by_dst.get(woken)
+        if holders:
+            for holder_id in sorted(holders):
+                if self.nodes[holder_id].awake:
+                    self.push(self.now, CACHE_DELIVERY, holder_id, woken=woken)
+        if node.cache.used_bits:
+            # Entries for a destination are dropped when it dies: ``dst`` is alive.
+            for dst in node.cache.destinations():
+                if self.nodes[dst].awake or not self.graph.has_edge(woken, dst):
+                    self.push(self.now, CACHE_DELIVERY, woken, woken=dst)
+        if node.outbox:
+            self._try_transmit(node)
 
     def _on_phase_expiry(self, event: Event) -> None:
         node = self.nodes[event.node]
@@ -642,9 +687,16 @@ class Simulation:
 
     def _on_node_death(self, event: Event) -> None:
         node = self.nodes[event.node]
-        # Death bumps the mode epoch: a matching one means the node is alive.
-        if event.payload["epoch"] != node.mode_epoch:
+        key = (event.time, event.seq)
+        if key == node.death_queued:
+            node.death_queued = None
+        if key != node.death_key:
+            # Not the live prediction: an entry that fired before it re-queues
+            # it. A dead node, or one whose mode predicts no death, has none.
+            if node.death_key is not None:
+                self._queue_death(node)
             return
+        node.death_key = None
         self._touch(node)
         if node.e_residual > 1e-9:
             return  # stale prediction
@@ -654,7 +706,7 @@ class Simulation:
         node.alive = False
         node.death_time = self.now
         node.e_residual = 0.0
-        node.mode_epoch += 1
+        node.death_key = None
         node.phase_epoch += 1
         self.trace_event(node.nid, "death")
         while node.outbox:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 from ecsim import cluster as cluster_mod
@@ -538,7 +539,8 @@ class PeriodicSleepWake:
         if self.period <= 0:
             raise ValueError("period must be > 0")
 
-    @property
+    # Cached: ``dispatch_scheme`` reads it at every window change.
+    @cached_property
     def listen(self) -> float:
         return self.duty * self.period
 
@@ -557,7 +559,7 @@ class CoordinatedDutyCycle:
         if self.listen <= 0 or self.sleep <= 0:
             raise ValueError("listen and sleep windows must be > 0")
 
-    @property
+    @cached_property
     def period(self) -> float:
         return self.listen + self.sleep
 

@@ -286,6 +286,15 @@ MALFORMED = [
     ({"cache": {"enabled": "yes"}}, "cache.enabled: expected a bool, got 'yes'"),
     ({"seed": True}, "seed: expected an integer, got True"),
     ({"nodes": True}, "nodes: expected a number, got True"),
+    ({"nodes": 2.5}, "nodes: expected a whole number, got 2.5"),
+    ({"grid": {"width": 5.5}}, "grid.width: expected a whole number, got 5.5"),
+    ({"grid": {"height": 4.2}}, "grid.height: expected a whole number, got 4.2"),
+    ({"slots_per_round": 2.5}, "slots_per_round: expected a whole number, got 2.5"),
+    ({"cluster": {"partition": 1.5}}, "cluster.partition: expected a whole number, got 1.5"),
+    (
+        {"cache": {"capacity_bits": 8000.5}},
+        "cache.capacity_bits: expected a whole number, got 8000.5",
+    ),
     ({"flows": [{"src": -1, "dst": 2}]}, "flows[0].src: must be >= 0, got -1"),
     (
         {"flows": [{"src": 1, "dst": 1}, {"src": 0, "dst": 99}]},
@@ -325,6 +334,17 @@ def test_a_config_built_in_python_is_checked_as_from_dict_checks_it(attr_value, 
         Simulation(config, 1)
     assert message in err.value.errors
     assert len(BUILT) >= 20
+
+
+@pytest.mark.parametrize("key, attr", [
+    (key, attr) for key, attr, _ in _SCHEMA if type(getattr(ScenarioConfig(), attr)) is int
+])
+def test_a_whole_float_count_is_read_as_an_int(key, attr):
+    group, _, name = key.rpartition(".")
+    raw = minimal()
+    (raw.setdefault(group, {}) if group else raw)[name] = 2.0
+    value = getattr(from_dict(raw), attr)
+    assert value == 2 and type(value) is int
 
 
 def test_malformed_inputs_all_reported_in_one_error():

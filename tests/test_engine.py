@@ -449,13 +449,15 @@ class TestCustody:
 class TestEventQueue:
     def test_same_time_events_run_in_push_order(self):
         sim = Simulation(make_config(horizon_s=20.0, flows=[]), 4)
-        # Stale epochs and empty caches make every one of these handlers a no-op.
+        # Stale phase epochs, empty caches and death entries that are not the
+        # node's prediction (an earlier entry of its own stays queued) make
+        # every one of these handlers a no-op.
         pushed = [
-            (EventKind.NODE_DEATH, 1, {"epoch": -1}),
+            (EventKind.NODE_DEATH, 1, {}),
             (EventKind.SLEEP_EXPIRY, 2, {"epoch": -1}),
             (EventKind.CACHE_DELIVERY, 3, {"woken": 4}),
             (EventKind.IDLE_EXPIRY, 1, {"epoch": -1}),
-            (EventKind.NODE_DEATH, 5, {"epoch": -2}),
+            (EventKind.NODE_DEATH, 5, {}),
             (EventKind.CACHE_DELIVERY, 1, {"woken": 2}),
             (EventKind.SLEEP_EXPIRY, 1, {"epoch": -3}),
         ]
@@ -469,6 +471,50 @@ class TestEventQueue:
             if event.seq in ours:
                 seen.append((event.kind, event.node, event.payload))
         assert seen == pushed
+
+    def test_equal_time_deaths_keep_prediction_order_after_a_requeue(self):
+        # Node 1 is predicted to die before node 0 at the same float, but an
+        # earlier entry of node 1 is queued: node 1's prediction waits, and
+        # node 0's is pushed. The early entry re-queues node 1's prediction
+        # under its own key, so node 1 still dies first.
+        config = make_config(grid={"width": 2, "height": 2}, nodes=2, flows=[],
+                             horizon_s=200.0, scheme={"kind": "always-on"})
+        sim = Simulation(config, 1, collect_trace=True)
+        node0, node1 = sim.nodes[0], sim.nodes[1]
+        node1.e_residual = 1.0
+        sim._schedule_death(node1)
+        early = node1.death_key
+        node1.e_residual = node0.e_residual = 50.0
+        sim._schedule_death(node1)
+        sim._schedule_death(node0)
+        eta = 50.0 / 0.83
+        assert node1.death_key[0] == node0.death_key[0] == eta
+        assert node1.death_queued == early and node0.death_queued == node0.death_key
+        sim.run()
+        assert [row[:3] for row in sim.trace if row[2] == "death"] == [
+            (eta, 1, "death"), (eta, 0, "death")
+        ]
+
+    def test_a_prediction_after_an_entry_fired_without_one_is_queued(self):
+        # Node 1's first prediction is replaced by none; its entry fires
+        # while the node has no prediction, and a later one still kills it.
+        config = make_config(grid={"width": 2, "height": 2}, nodes=2, flows=[],
+                             horizon_s=200.0, scheme={"kind": "always-on"})
+        sim = Simulation(config, 1)
+        node = sim.nodes[1]
+        first = node.death_key
+        node.e_residual = 1e6  # lasts beyond the horizon: no prediction
+        sim._schedule_death(node)
+        assert node.death_key is None and node.death_queued == first
+        while sim.peek_time() <= first[0]:
+            sim.step()
+        assert node.alive and node.death_queued is None
+        sim._touch(node)
+        node.e_residual = 8.3  # ten seconds of idle listening
+        sim._schedule_death(node)
+        sim.run()
+        assert not node.alive
+        assert node.death_time == pytest.approx(first[0] + 10.0)
 
     def test_pending_and_peek_time(self):
         sim = Simulation(make_config(horizon_s=20.0), 4)

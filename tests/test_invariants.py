@@ -1,5 +1,6 @@
 """Cross-module invariants that need a full simulation to exercise."""
 
+import math
 from collections import Counter
 from datetime import timedelta
 
@@ -243,9 +244,8 @@ def strip_scenarios(draw):
     return raw, draw(st.integers(0, 10_000)), draw(st.sampled_from(SCHEMES))
 
 
-# The checks scan the whole event heap after every event, mostly stale death
-# predictions and future arrivals; comprehensions over these aliases keep the
-# test near 10 s.
+# The checks scan the whole event heap after every event; comprehensions
+# over these aliases keep the test fast.
 PACKET_ARRIVAL, TX_COMPLETE, NODE_DEATH, CACHE_DELIVERY = (
     EventKind.PACKET_ARRIVAL, EventKind.TX_COMPLETE, EventKind.NODE_DEATH,
     EventKind.CACHE_DELIVERY,
@@ -325,11 +325,23 @@ def assert_structural_invariants(sim):
     assert {nid: time for nid, kind, time in live if kind is SLEEP_EXPIRY} == {
         nid: node.wake_at for nid, node in nodes.items() if node.alive and node.phase is SLEEP
     }
-    assert not [
-        nid
-        for _, _, kind, nid, p in pending
-        if kind is NODE_DEATH and p["epoch"] == nodes[nid].mode_epoch and not nodes[nid].alive
-    ]
+    # (l) A dead node has no death prediction. An alive node's prediction has
+    # a death entry queued at or before its (time, seq) key: the prediction
+    # itself, or an earlier entry that re-queues it when it fires.
+    earliest_death = {}
+    for time, seq, kind, nid, _ in pending:
+        if kind is NODE_DEATH and (time, seq) < earliest_death.get(nid, (math.inf, 0)):
+            earliest_death[nid] = (time, seq)
+    for nid, node in nodes.items():
+        if not node.alive:
+            assert node.death_key is None, nid
+        elif node.death_key is not None:
+            assert earliest_death.get(nid, (math.inf, 0)) <= node.death_key, nid
+    # (m) First arrivals are queued one at a time, in packet order: while a
+    # packet has not arrived, the next one's is the only one queued.
+    firsts = [p["packet_id"] for _, _, kind, _, p in pending
+              if kind is PACKET_ARRIVAL and "retry" not in p]
+    assert firsts == ([len(sim.work)] if len(sim.work) < len(sim.packets) else [])
     # (c) An unended packet is held in exactly one place, an ended one nowhere:
     # outboxes, caches, pending retry arrivals and pending transmissions.
     counts = Counter(held)
