@@ -4,10 +4,10 @@ calls the run's scheme plane (``ecsim.schemes``).
 
 One simulation owns one heap of ``Event`` tuples ordered by (time, seq), its
 own RNG streams and all mutable world state, so identical (config, seed)
-pairs give bit-identical results. Only live events are queued: a packet's
-first arrival and a node's death prediction are pushed when needed, under
-the (time, seq) key reserved when they were made, so equal-time events run
-in the order they were made. Each event reaches its handler through one
+pairs give bit-identical results. A packet's first arrival and a node's
+death prediction are pushed only when needed, under the (time, seq) key
+reserved when they were made, so equal-time events run in the order they
+were made. Each event reaches its handler through one
 module-level table. Energy is charged lazily: whenever a node is touched,
 the elapsed interval is billed at its current radio mode's power, in place
 on the node's float residual.

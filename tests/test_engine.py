@@ -473,10 +473,10 @@ class TestEventQueue:
         assert seen == pushed
 
     def test_equal_time_deaths_keep_prediction_order_after_a_requeue(self):
-        # Node 1 is predicted to die before node 0 at the same float, but an
-        # earlier entry of node 1 is queued: node 1's prediction waits, and
-        # node 0's is pushed. The early entry re-queues node 1's prediction
-        # under its own key, so node 1 still dies first.
+        # Node 1's prediction is made before node 0's, for the same float
+        # time, while an earlier entry of node 1 is queued: node 1's waits,
+        # and node 0's is pushed. The early entry re-queues node 1's under
+        # its own key, so node 1 still dies first.
         config = make_config(grid={"width": 2, "height": 2}, nodes=2, flows=[],
                              horizon_s=200.0, scheme={"kind": "always-on"})
         sim = Simulation(config, 1, collect_trace=True)
