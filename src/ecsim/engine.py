@@ -610,11 +610,6 @@ class Simulation:
 
     def _on_slot_boundary(self, event: Event) -> None:
         slot = event.payload["slot"]
-        for node in self.nodes.values():
-            # Flush ongoing radio activity under every scheme: the split
-            # billing shows in the trace's mode rows and in the float sums.
-            if node.alive and (node.tx_active or node.rx_active):
-                self._touch(node)
         self._evict_caches()
         self.plane.slot_boundary(self, slot)
         self.current_slot = slot + 1

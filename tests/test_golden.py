@@ -24,15 +24,15 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "38c2e51af4d8c9192afd310b47479828d4984a1bbf886e4846aac4cf8c4d41b9",
+    "compare.csv": "3c619abdfdf4d6d401b4675efb5dd32a11ffdb47e46029ec8808dacc3f8f1bf8",
     "traffic-aware/report.json": (
-        "ebe34c718b6c096fb2242b9540136679495adebe940289daa7d6d4363938c77c"
+        "f0ca9564e000e9a7a564f67586855c5192e018726871e6df3e13d55eb4ebfaa0"
     ),
     "traffic-aware/timeseries.csv": (
         "7e758f668c41dcfbc9eabf7435e63ae6c91c36ed11cfe60efd70191cb233d2c1"
     ),
     "traffic-aware/trace.csv": (
-        "407ef1f134aade4898860f4042935eb3c349219195c3034afa88ec3779555adf"
+        "567d5b431f4d6f617328e26077490f59cffdf30ea9f88bf2982f17267042973f"
     ),
     "periodic/report.json": (
         "cf96b0e70a63fda31ef165109fd2979de8660960cd0c2cce4a565a89d884d7d0"
@@ -59,7 +59,7 @@ GOLDEN = {
         "a3f248e80c02b4675f6baa68da6f1ae4823af41f743e02b334a2be42ead9b566"
     ),
     "always-on/trace.csv": (
-        "e4e21e5ce68b3b41c8c2f0b23a883aaae6f808946482210ba3d8737836f7f935"
+        "89ac53f64793e78eebdcb449786312a2c7cd7b36036860385e00336b464360f0"
     ),
 }
 
@@ -68,13 +68,13 @@ GOLDEN = {
 GOLDEN_DEATHS = {
     "compare.csv": "1f0f94f1ea25ae77038c696763650a5d0e5c586938f061c4fedefd62d1487d8b",
     "traffic-aware/report.json": (
-        "375c558a53053a8cfc9413231c711196dce4cc15d8c86c60824eef181ec88fe9"
+        "4f67238334f33b99e6dde34bfb504c49f63340424e1eb34d3ee324f897c67fb8"
     ),
     "traffic-aware/timeseries.csv": (
         "d4af34eeb717802d07058d3844b35d7a6dd35c72d751e9b69c925fbd374b32e4"
     ),
     "traffic-aware/trace.csv": (
-        "d2998d57af29943ab8ad5960419c8a1ff1cc695031bf73b0eb7432cc4a71445f"
+        "9aa82c2177d31a1de7eb13c22ce5ad824a2be285950fd2f9179ea9a02bcada15"
     ),
     "periodic/report.json": (
         "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"
@@ -101,7 +101,7 @@ GOLDEN_DEATHS = {
         "12ffac0a509e8b2062c79ee0e35adb42d5472366801639b2a17361920b924231"
     ),
     "always-on/trace.csv": (
-        "d6267bd2efe5b42bdd1e09dfe4bbb6004dfb7b6ececbf324ce6fc9c45e102fa3"
+        "06d55ae78ce3051cab1d519a22fba5061c1c94b1880bcd4cf86dfbe9af88e866"
     ),
 }
 
@@ -110,13 +110,13 @@ GOLDEN_DEATHS = {
 GOLDEN_GRID = {
     "compare.csv": "c9a8cf7719637b98746715a44a3af64cd2c9db8c3d7962f7be14909292d5c2e5",
     "traffic-aware/report.json": (
-        "284c9093a432072bfdd84f4609241015edd8795f97683037aa8ab513f7c9b4e0"
+        "c9ea022881460a24586b20b2a7ea685c885da44e4f58745f73ac9fb36ba958a9"
     ),
     "traffic-aware/timeseries.csv": (
-        "9bfc8c028d95ec305f69679e61659347ef65b2a581be1b2051254ded9690210f"
+        "b1cc9f0ee4c2bac29c70ebcd27cf06fabce60e1352344361d46cc9ed4222ec27"
     ),
     "traffic-aware/trace.csv": (
-        "ea7dbfcdbcaa95c23a5ed30b0d1f98f735bfa76ab061341b0808935e63a6f541"
+        "24577954af141663c319c5b0b6e305fc1b8699829f3019af910da49ca9855d03"
     ),
     "periodic/report.json": (
         "d43ff5ab84a0deb9ece9f5ce8cdb93dd0892cd0687f0557e50d688194737f17d"
