@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
 from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume, sum_in_order
-from ecsim.schemes import RELAY_QUIET_SLOTS, SchemePlane
+from ecsim.schemes import SchemePlane
 from ecsim.topology import (
     ConnectivityGraph,
     Grid,
@@ -118,7 +118,6 @@ class SimNode:
         "time_in_mode",
         "death_time",
         "wake_at",
-        "last_relay_slot",
         "retry_heap",
     )
 
@@ -143,7 +142,6 @@ class SimNode:
         self.time_in_mode = {mode: 0.0 for mode in RadioMode}
         self.death_time: float | None = None
         self.wake_at: float | None = None  # scheduled sleep exit, while sleeping
-        self.last_relay_slot = -(10**9)  # absolute slot of last forwarding work
         self.retry_heap: list[float] = []  # retry times of packets deferred here
 
     @property
@@ -209,9 +207,7 @@ class Simulation:
         self.now = 0.0
         self.round_index = -1
         self.round_start = 0.0
-        self.current_slot = 0
         self._heap: list[Event] = []
-        self._seq = 0
 
         # Every generated packet by id, ended or not.
         self.work: dict[int, PacketWork] = {}
@@ -505,13 +501,11 @@ class Simulation:
 
     def _relay_pref(self, v: NodeId) -> tuple:
         """Relay choice: the cluster head costs nothing extra (it is awake
-        anyway), then healthy batteries, then already-active relays; the
-        battery bucket rotates the role as a relay drains."""
+        anyway), then healthy batteries; the battery bucket rotates the role
+        as a relay drains."""
         node = self.nodes[v]
         bucket = int(10 * node.e_residual / node.e_max)
-        abs_slot = self.round_index * self.slots_per_round + self.current_slot
-        recent = abs_slot - node.last_relay_slot < RELAY_QUIET_SLOTS
-        return (0 if v in self.plane.ch_ids else 1, -bucket, 0 if recent else 1, v)
+        return (0 if v in self.plane.ch_ids else 1, -bucket, v)
 
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
         """Hop counts to ``dst`` over the full alive topology (cached, and
@@ -574,12 +568,6 @@ class Simulation:
     def _start_tx(self, sender: SimNode, receiver_id: NodeId, work: PacketWork) -> None:
         receiver = self.nodes[receiver_id]
         duration = tx_delay(work.packet.size_bits, self.link_bps)
-        if work.packet.dst != receiver_id:
-            # The receiver now owes onward forwarding: it stays
-            # grant-ineligible for a few slots so the path survives.
-            receiver.last_relay_slot = (
-                self.round_index * self.slots_per_round + self.current_slot
-            )
         self._set_tx(sender, True)
         self._bump_rx(receiver, +1)
         self.plane.transmit(self, work, sender.nid, receiver_id, duration)
@@ -612,7 +600,6 @@ class Simulation:
         slot = event.payload["slot"]
         self._evict_caches()
         self.plane.slot_boundary(self, slot)
-        self.current_slot = slot + 1
 
     def _evict_caches(self) -> None:
         # Holders are exactly the alive nodes with cached entries, and only
@@ -672,7 +659,6 @@ class Simulation:
                 self._touch(node)
         self.round_index += 1
         self.round_start = self.now
-        self.current_slot = 0
         self.timeseries.append(self._timeseries_row())
         self.plane.round_setup(self)
         for j in range(1, self.slots_per_round + 1):

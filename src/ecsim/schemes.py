@@ -33,11 +33,6 @@ if TYPE_CHECKING:
 # 3.10 and 3.11 a class attribute read costs about ten times a global's.
 PHASE_ACTIVE, PHASE_IDLE, PHASE_SLEEP = NodePhase.ACTIVE, NodePhase.IDLE, NodePhase.SLEEP
 
-# Slots a node stays grant-ineligible after receiving forwarding work for
-# others: it must stay up long enough to move the packet onward, while a
-# sleeping destination's traffic is recovered by the neighbor cache.
-RELAY_QUIET_SLOTS = 1
-
 
 class SchemePlane:
     """Per-run behaviour of a scheme. The engine calls these hooks where
@@ -368,7 +363,7 @@ class TrafficAwarePlane(SchemePlane):
                 node = sim.nodes[m]
                 if node.phase is not PHASE_IDLE or _busy(node):
                     continue
-                if not self._sleep_eligible(sim, m, closed_slot):
+                if not self._sleep_eligible(m, closed_slot):
                     continue
                 interval, min_cache_delay = self._grant_sleep(sim, m)
                 if m == cluster.ch:
@@ -409,11 +404,7 @@ class TrafficAwarePlane(SchemePlane):
                 {"node": sp_node.nid, "time": sim.now, "t_sleep": interval}
             )
 
-    def _sleep_eligible(self, sim: Simulation, nid: NodeId, closed_slot: int) -> bool:
-        node = sim.nodes[nid]
-        closed_abs = sim.round_index * sim.slots_per_round + closed_slot
-        if closed_abs - node.last_relay_slot < RELAY_QUIET_SLOTS:
-            return False  # recently carried traffic for others
+    def _sleep_eligible(self, nid: NodeId, closed_slot: int) -> bool:
         # Only traffic is recorded, always as a positive share: an idle slot has
         # no entry, so a busy slot after it has no backward difference.
         if not self.ledger.slot_value(nid, closed_slot):

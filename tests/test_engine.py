@@ -631,7 +631,7 @@ def test_traffic_pending_for_a_member_keeps_it_from_idling(pending):
     node = sim.nodes[member]
     sim.set_phase(node, NodePhase.ACTIVE)
     assert sim.nodes[other].awake
-    sim.plane.ledger.record_active(member, sim.current_slot, 0.5)
+    sim.plane.ledger.record_active(member, 0, 0.5)  # the round just began: slot 0
     if pending:
         packet = Packet(id=0, src=other, dst=member, size_bits=8_000,
                         klass=PacketClass.ELASTIC, created_at=sim.now)

@@ -24,15 +24,15 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "3c619abdfdf4d6d401b4675efb5dd32a11ffdb47e46029ec8808dacc3f8f1bf8",
+    "compare.csv": "5070d85a549e26f438975b8286d389f87c369992ff3ccbecb57fd2d4aa4d7db8",
     "traffic-aware/report.json": (
-        "f0ca9564e000e9a7a564f67586855c5192e018726871e6df3e13d55eb4ebfaa0"
+        "1ce3612a35c51f6e2f08a8aed143136d9391477082d8d57395abc2887fa16b13"
     ),
     "traffic-aware/timeseries.csv": (
-        "7e758f668c41dcfbc9eabf7435e63ae6c91c36ed11cfe60efd70191cb233d2c1"
+        "3562644503fa9cec91428eb0df1f3eaa14fd7a220d38839ef9e82cf7c336b610"
     ),
     "traffic-aware/trace.csv": (
-        "567d5b431f4d6f617328e26077490f59cffdf30ea9f88bf2982f17267042973f"
+        "7a555f9859100f29e7eeff0999ca72236f89edf49c223b683624b98a74c9e0e7"
     ),
     "periodic/report.json": (
         "cf96b0e70a63fda31ef165109fd2979de8660960cd0c2cce4a565a89d884d7d0"
@@ -53,28 +53,28 @@ GOLDEN = {
         "f026fbde3dd93e65d529bdad5d26120c2f86b0b4672f8dcbd623dc307692f0eb"
     ),
     "always-on/report.json": (
-        "c338e18ad72ba3073fa40730c672ba9195840e39ea50b3ebbc31eda57dac01ea"
+        "eeb5094392253d6855149d15cd9ab09296dd942f89ae3574de8b60c119411cf6"
     ),
     "always-on/timeseries.csv": (
-        "a3f248e80c02b4675f6baa68da6f1ae4823af41f743e02b334a2be42ead9b566"
+        "961cef27eb24d263e718f0115bda620607943a76e52e12e7dd28c60539290f26"
     ),
     "always-on/trace.csv": (
-        "89ac53f64793e78eebdcb449786312a2c7cd7b36036860385e00336b464360f0"
+        "2c78c73a6be7cf4e56d06ea8b16ffca765b5cff041f8a30a3db57c82e4191f95"
     ),
 }
 
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "1f0f94f1ea25ae77038c696763650a5d0e5c586938f061c4fedefd62d1487d8b",
+    "compare.csv": "ec87536dad0f8e2d67a7d64e80d69647134c263d40a7322751f08d557c8df232",
     "traffic-aware/report.json": (
-        "4f67238334f33b99e6dde34bfb504c49f63340424e1eb34d3ee324f897c67fb8"
+        "a7c2eba9dce748c9d8c0dd32c5ae6d3967b1a4a0df9eaea04f1d8a9c4ee1f2e3"
     ),
     "traffic-aware/timeseries.csv": (
-        "d4af34eeb717802d07058d3844b35d7a6dd35c72d751e9b69c925fbd374b32e4"
+        "c529871690bf42d3f2646ad754a2543a9912183645746382438e24184a0174f4"
     ),
     "traffic-aware/trace.csv": (
-        "9aa82c2177d31a1de7eb13c22ce5ad824a2be285950fd2f9179ea9a02bcada15"
+        "baa4d708a65c3ce8e81faa12cae6f4f5af4b3b33821c5e9376e6cae501235561"
     ),
     "periodic/report.json": (
         "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"
@@ -86,37 +86,37 @@ GOLDEN_DEATHS = {
         "9e6a31b7ee0111b70db579a5acf75230794b34cfd4dce1ca1abc8700744567aa"
     ),
     "coordinated/report.json": (
-        "1c70627d0e8dde1073f5900e60c87abec89bef3417c657a0b84d2c42ba65d29a"
+        "c690e090950d2bc5fb2c1ed2ab0bb1252c48cfb0aaa2580a36ae8d3e65ceeea6"
     ),
     "coordinated/timeseries.csv": (
-        "2d92eaf9874cd76215a06666797f42bba2168e2ca354d75326770ff7b7432643"
+        "052c91048e26323fe24f3c158875f3ccc0b999a3b1ac36ba8d40f43809f99fe4"
     ),
     "coordinated/trace.csv": (
-        "48cdf7489e622f956dd03a0a5ddc46c8cdcf0244b1a734e91f902e2d2eba9f49"
+        "a1f93e54178b0986cbbc4de2bd76e681faee7313d5072bfca36294ded63459dc"
     ),
     "always-on/report.json": (
-        "01a9f86b441278122116c0e7c1f120548f8427e76718a57978f290411fac9b62"
+        "ed246fab28f94c1e9494fe850e7d9fb3823163e4ea10cd31c88c59564ce39327"
     ),
     "always-on/timeseries.csv": (
-        "12ffac0a509e8b2062c79ee0e35adb42d5472366801639b2a17361920b924231"
+        "67e815c858f4506a00d33abea1d25f0273ad86426570baead79d848b7d66ef17"
     ),
     "always-on/trace.csv": (
-        "06d55ae78ce3051cab1d519a22fba5061c1c94b1880bcd4cf86dfbe9af88e866"
+        "f45a4d607acad63eeb20af2fadf816079f03a99c14b7ecc811e6848b527f7e77"
     ),
 }
 
 
 # Traffic-aware forms 4 clusters and sees 66 moves, 12 deaths and 897 sleep grants.
 GOLDEN_GRID = {
-    "compare.csv": "c9a8cf7719637b98746715a44a3af64cd2c9db8c3d7962f7be14909292d5c2e5",
+    "compare.csv": "46d1235958412316d3d92107e5514e282c5607e7333fdc4853f6885162d513cf",
     "traffic-aware/report.json": (
-        "c9ea022881460a24586b20b2a7ea685c885da44e4f58745f73ac9fb36ba958a9"
+        "54064ee074a15263062b349873e79cee5af7bf328d6d24b0c6174a082dcfcacf"
     ),
     "traffic-aware/timeseries.csv": (
-        "b1cc9f0ee4c2bac29c70ebcd27cf06fabce60e1352344361d46cc9ed4222ec27"
+        "9653ac131465b5b6ce86f049b366fb20383ceaa0e3922b5d9382f1c72ef7bce7"
     ),
     "traffic-aware/trace.csv": (
-        "24577954af141663c319c5b0b6e305fc1b8699829f3019af910da49ca9855d03"
+        "f6b08795a4fb9753003d2565669e024d5f2c527dd9796239502a1bf83098c18b"
     ),
     "periodic/report.json": (
         "d43ff5ab84a0deb9ece9f5ce8cdb93dd0892cd0687f0557e50d688194737f17d"
@@ -128,22 +128,22 @@ GOLDEN_GRID = {
         "c4e9fc761ff680eba860e7b736c07244d5d62d607c40f4d16ef2d049ef268a2c"
     ),
     "coordinated/report.json": (
-        "0d143e97bc2e60ca8e09e352da7ae048141b02c097e169e80e5eb50e16606008"
+        "718fd28550e0e368e1221e221ed0596177601a71c301fe15c2112460e1f5ca47"
     ),
     "coordinated/timeseries.csv": (
-        "be2d5a5abb3fd404ded39ad81ed06ba71e9a31f4db4f84fcf1ebbd548521ec90"
+        "aa8fa6f1102130ffad43c0cadf0dde6800c60c08794d503ea6860a914501f8b0"
     ),
     "coordinated/trace.csv": (
-        "0a4a31a9fa1a29c7437058c914eb31cba492577911bc6362b61f423b71e2679c"
+        "67d1ea35fc2e2fcbfb37fdcc8a0d2f0bdc8b7ef738e9ddf3c31c842c6385d6b9"
     ),
     "always-on/report.json": (
-        "f8b34d0ee1909a129bdd2b0b328adccbc782983446a7b6b76ac924755ca18fe4"
+        "2bb4d1bd21718f260660ba0ce109bfd59e27f967ff1ae92bf0a381a9fa9d39f5"
     ),
     "always-on/timeseries.csv": (
-        "eccbb97fe1dae2963af35bc07f133f4111019ba258c2992a3ae4c79261c21c8a"
+        "62498ff46a9832138f12fcb11dca8119ca9a8dc1713f4deb3f27d6705147a95b"
     ),
     "always-on/trace.csv": (
-        "63727f50497b15e6a47e75cf32b5bd5ff4ebfba5e3234de0f1786ed9079a0b86"
+        "6c05bbbcb3ecec9b5ba490b9a05420eac94cf270e9c83034158cd570ed4289cd"
     ),
 }
 

@@ -41,6 +41,12 @@ SAME = {
         {"scheme": "always-on", "energy": {"p_sleep": 0.01}},
         {"scheme": "always-on"},
     ),
+    # Slots matter only to traffic-aware's proxy and to cache eviction, which
+    # always-on never reaches; periodic evicts at slot boundaries.
+    "always-on at another slot count": (
+        {"scheme": "always-on", "slots_per_round": 5},
+        {"scheme": "always-on"},
+    ),
     **{
         f"{kind} with a silent flow": (
             {"scheme": kind, "flows": SCENARIO["flows"] + [SILENT_FLOW]},
