@@ -648,6 +648,7 @@ class Simulation:
         for nid in move_step(self.grid, alive, self.mobility_rng, p_step):
             removed, added = refresh_node(self.graph, self.grid, nid)
             self._repair_maps((nid, *removed), [(nid, v) for v in added])
+            self.trace_event(nid, "moved")
             moved.append(nid)
         self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, MOBILITY_STEP)

@@ -233,7 +233,6 @@ class TrafficAwarePlane(SchemePlane):
     def moved(self, sim: Simulation, moved: list[NodeId]) -> None:
         for nid in moved:
             node = sim.nodes[nid]
-            sim.trace_event(nid, "moved")
             if node.phase is PHASE_SLEEP:
                 self._enter_idle(sim, node)  # location change wakes the node
 

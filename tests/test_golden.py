@@ -41,7 +41,7 @@ GOLDEN = {
         "32599f071c9f5e9ef3eae7d198bba6a5c82680ec9f8197236703c151bec64c96"
     ),
     "periodic/trace.csv": (
-        "871898e46d7609dd6fcffefe7c3b867103b86d5d2706cc98a46bd0f7a60a69ac"
+        "48aa89458d28f59d750fc6264c542ef80f71feab34f2b2dd9f19741782f7420c"
     ),
     "coordinated/report.json": (
         "b5a4028082359100f4676e18db7af5ac2a2fcff45edab89cdb497652f4834299"
@@ -50,7 +50,7 @@ GOLDEN = {
         "aced2a2e1d26917f4423b85afab1d172b3b12ef6613ed00c04fa6c09628694de"
     ),
     "coordinated/trace.csv": (
-        "f026fbde3dd93e65d529bdad5d26120c2f86b0b4672f8dcbd623dc307692f0eb"
+        "2eee714d4fdaa9c6ef1b401c2d58c1a9cf3afb6e8403b1738336aa44493769a2"
     ),
     "always-on/report.json": (
         "eeb5094392253d6855149d15cd9ab09296dd942f89ae3574de8b60c119411cf6"
@@ -59,7 +59,7 @@ GOLDEN = {
         "961cef27eb24d263e718f0115bda620607943a76e52e12e7dd28c60539290f26"
     ),
     "always-on/trace.csv": (
-        "2c78c73a6be7cf4e56d06ea8b16ffca765b5cff041f8a30a3db57c82e4191f95"
+        "206ac4febf3ed2579f5f1f85276ff5fcc21ba05d8210c6356371d079a56b06e6"
     ),
 }
 
@@ -74,7 +74,7 @@ GOLDEN_DEATHS = {
         "c529871690bf42d3f2646ad754a2543a9912183645746382438e24184a0174f4"
     ),
     "traffic-aware/trace.csv": (
-        "baa4d708a65c3ce8e81faa12cae6f4f5af4b3b33821c5e9376e6cae501235561"
+        "9644bd6cd0baf6e4086195530d9f384fb2279a6d6a015da3b03843adf339efdd"
     ),
     "periodic/report.json": (
         "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"
@@ -83,7 +83,7 @@ GOLDEN_DEATHS = {
         "01c4af12a3d944f46bffd561175f72bbf2246c9db49334cf92012e091078df4d"
     ),
     "periodic/trace.csv": (
-        "9e6a31b7ee0111b70db579a5acf75230794b34cfd4dce1ca1abc8700744567aa"
+        "18d16232ab2ae9e3ed7aa20e0a874aa3b53df38916e9972a1ea213a43f058de3"
     ),
     "coordinated/report.json": (
         "c690e090950d2bc5fb2c1ed2ab0bb1252c48cfb0aaa2580a36ae8d3e65ceeea6"
@@ -92,7 +92,7 @@ GOLDEN_DEATHS = {
         "052c91048e26323fe24f3c158875f3ccc0b999a3b1ac36ba8d40f43809f99fe4"
     ),
     "coordinated/trace.csv": (
-        "a1f93e54178b0986cbbc4de2bd76e681faee7313d5072bfca36294ded63459dc"
+        "0dcc8f82c8074369a0bc005e508c5c8f48f28695d3d21ffed948dc00aeba83b4"
     ),
     "always-on/report.json": (
         "ed246fab28f94c1e9494fe850e7d9fb3823163e4ea10cd31c88c59564ce39327"
@@ -101,7 +101,7 @@ GOLDEN_DEATHS = {
         "67e815c858f4506a00d33abea1d25f0273ad86426570baead79d848b7d66ef17"
     ),
     "always-on/trace.csv": (
-        "f45a4d607acad63eeb20af2fadf816079f03a99c14b7ecc811e6848b527f7e77"
+        "e6fa345319a5045764d470be01cd35e08d0ee948cac9b2ad56cce37b37840410"
     ),
 }
 
@@ -116,7 +116,7 @@ GOLDEN_GRID = {
         "9653ac131465b5b6ce86f049b366fb20383ceaa0e3922b5d9382f1c72ef7bce7"
     ),
     "traffic-aware/trace.csv": (
-        "f6b08795a4fb9753003d2565669e024d5f2c527dd9796239502a1bf83098c18b"
+        "90964afc07ee5a2f329ba0899778a388a79b006a3ecdc0262a13cf0d9316666d"
     ),
     "periodic/report.json": (
         "d43ff5ab84a0deb9ece9f5ce8cdb93dd0892cd0687f0557e50d688194737f17d"
@@ -125,7 +125,7 @@ GOLDEN_GRID = {
         "eebb868969273b3487285adc3546792516a2675386939a0d4d74457e2917126f"
     ),
     "periodic/trace.csv": (
-        "c4e9fc761ff680eba860e7b736c07244d5d62d607c40f4d16ef2d049ef268a2c"
+        "d337eef3ce0218b08f30156ff23a5d4523bf1d58169040cc91a3b2d36a6976df"
     ),
     "coordinated/report.json": (
         "718fd28550e0e368e1221e221ed0596177601a71c301fe15c2112460e1f5ca47"
@@ -134,7 +134,7 @@ GOLDEN_GRID = {
         "aa8fa6f1102130ffad43c0cadf0dde6800c60c08794d503ea6860a914501f8b0"
     ),
     "coordinated/trace.csv": (
-        "67d1ea35fc2e2fcbfb37fdcc8a0d2f0bdc8b7ef738e9ddf3c31c842c6385d6b9"
+        "3b486219ceec318ec1737cdebdfa8db90781a258c1339ccfdb5ffa57b18ff4b5"
     ),
     "always-on/report.json": (
         "2bb4d1bd21718f260660ba0ce109bfd59e27f967ff1ae92bf0a381a9fa9d39f5"
@@ -143,7 +143,7 @@ GOLDEN_GRID = {
         "62498ff46a9832138f12fcb11dca8119ca9a8dc1713f4deb3f27d6705147a95b"
     ),
     "always-on/trace.csv": (
-        "6c05bbbcb3ecec9b5ba490b9a05420eac94cf270e9c83034158cd570ed4289cd"
+        "047100f801e700c0e32367af8e6ddba7ed8d9fddc2054b8a85e97fb6e3f5e03a"
     ),
 }
 

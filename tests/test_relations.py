@@ -77,6 +77,20 @@ def test_runs_that_must_agree_give_the_same_bytes(changed, base, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+def test_every_scheme_traces_the_same_moves(seed):
+    # Moves are drawn from the alive nodes alone: while no node dies, every
+    # scheme sees the same ones, and each must say so in its trace.
+    moves = []
+    for kind in ("traffic-aware", "periodic", "coordinated", "always-on"):
+        report, trace = run_simulation(from_dict({**SHORT, "scheme": kind}), seed,
+                                       collect_trace=True)
+        assert report.network["first_death_s"] is None
+        moves.append([(row[0], row[1]) for row in trace if row[2] == "moved"])
+    assert moves[0]
+    assert all(pairs == moves[0] for pairs in moves)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("kind", ["always-on", "coordinated"])
 def test_a_larger_battery_never_dies_first(kind, seed):
     first_deaths = []
