@@ -57,7 +57,13 @@ class ScenarioConfig:
         """Make the checks ``from_dict`` makes, on a config built in Python."""
         errors: list[str] = []
         for key, attr, parse in _SCHEMA:
-            parse(key, getattr(self, attr), None, errors)
+            value = getattr(self, attr)
+            found = len(errors)
+            parse(key, value, None, errors)
+            # ``from_dict`` reads a whole float as an int; here nothing
+            # converts it, and the engine cannot count with a float.
+            if len(errors) == found and type(_DEFAULTS[attr]) is int and type(value) is not int:
+                errors.append(f"{key}: expected an int, got {value!r}")
         # The semantic checks assume values that parse.
         errors = errors or _check_semantics(self)
         if errors:

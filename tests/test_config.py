@@ -336,15 +336,40 @@ def test_a_config_built_in_python_is_checked_as_from_dict_checks_it(attr_value, 
     assert len(BUILT) >= 20
 
 
-@pytest.mark.parametrize("key, attr", [
+COUNTS = [
     (key, attr) for key, attr, _ in _SCHEMA if type(getattr(ScenarioConfig(), attr)) is int
-])
+]
+
+
+@pytest.mark.parametrize("key, attr", COUNTS)
 def test_a_whole_float_count_is_read_as_an_int(key, attr):
     group, _, name = key.rpartition(".")
     raw = minimal()
     (raw.setdefault(group, {}) if group else raw)[name] = 2.0
     value = getattr(from_dict(raw), attr)
     assert value == 2 and type(value) is int
+
+
+@pytest.mark.parametrize("key, attr", COUNTS)
+@pytest.mark.parametrize("value", [2.0, None])
+def test_a_config_built_in_python_holds_an_int_for_each_count(key, attr, value):
+    config = replace(from_dict(minimal()), **{attr: value})
+    with pytest.raises(ConfigError) as err:
+        Simulation(config, 1)
+    assert err.value.errors == [f"{key}: expected an int, got {value!r}"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"node_count": 5.0, "grid_width": 4, "grid_height": 4}, "nodes: expected an int, got 5.0"),
+    ({"slots_per_round": 4.0}, "slots_per_round: expected an int, got 4.0"),
+    ({"grid_width": 4.0}, "grid.width: expected an int, got 4.0"),
+])
+def test_a_whole_float_count_built_in_python_is_rejected(overrides, message):
+    # Unchecked, the first two raise TypeError inside the run, and the third
+    # writes 4.0 into the report's config where the same scenario file gives 4.
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**overrides).validate_runtime()
+    assert err.value.errors == [message]
 
 
 def test_malformed_inputs_all_reported_in_one_error():
