@@ -597,9 +597,8 @@ class Simulation:
             self._try_transmit(receiver)
 
     def _on_slot_boundary(self, event: Event) -> None:
-        slot = event.payload["slot"]
         self._evict_caches()
-        self.plane.slot_boundary(self, slot)
+        self.plane.slot_boundary(self, event.payload["slot"])
 
     def _evict_caches(self) -> None:
         # Holders are exactly the alive nodes with cached entries, and only

@@ -475,15 +475,15 @@ class TrafficAwarePlane(SchemePlane):
         """
         wake_raw = sim.now + interval
         # Both rules below are load-bearing. Measured on the acceptance
-        # scenario, seeds 1-3 (delivery 0.967-0.998, 469-479 J per device,
-        # mean delay 5.1-14.0 s with both): without the alignment, each
-        # device spends 702-705 J.
+        # scenario, seeds 1-3 (delivery 0.963-0.997, 464-473 J per device,
+        # mean delay 5.4-12.2 s with both): without the alignment, each
+        # device spends 694-697 J.
         aligned = math.floor(wake_raw / sim.slot_width + 1e-9) * sim.slot_width - 1e-6
         if node.retry_heap:
             # Packets deferred here: sleep only until just before the earliest
             # retry, so the handover happens the moment both ends are awake.
-            # Without this clamp, delivery falls to 0.838-0.896 and the mean
-            # delay rises to 29.5-65.4 s.
+            # Without this clamp, delivery falls to 0.839-0.890 and the mean
+            # delay rises to 29.5-49.8 s.
             aligned = min(aligned, node.retry_heap[0] - 1e-6)
         if aligned <= sim.now + 1e-9:
             return False
