@@ -60,10 +60,16 @@ class ScenarioConfig:
             value = getattr(self, attr)
             found = len(errors)
             parse(key, value, None, errors)
+            if len(errors) > found:
+                continue
+            default = _DEFAULTS[attr]
             # ``from_dict`` reads a whole float as an int; here nothing
             # converts it, and the engine cannot count with a float.
-            if len(errors) == found and type(_DEFAULTS[attr]) is int and type(value) is not int:
+            if type(default) is int and type(value) is not int:
                 errors.append(f"{key}: expected an int, got {value!r}")
+            # A parser reads None as the default it is handed, here None.
+            elif type(default) is float and value is None:
+                errors.append(f"{key}: expected a number, got None")
         # The semantic checks assume values that parse.
         errors = errors or _check_semantics(self)
         if errors:

@@ -372,6 +372,28 @@ def test_a_whole_float_count_built_in_python_is_rejected(overrides, message):
     assert err.value.errors == [message]
 
 
+NUMBERS = [
+    (key, attr) for key, attr, _ in _SCHEMA if type(getattr(ScenarioConfig(), attr)) is float
+]
+
+
+@pytest.mark.parametrize("key, attr", NUMBERS)
+def test_none_for_a_number_built_in_python_is_rejected(key, attr):
+    # Unchecked, horizon_s and round_s raise TypeError inside the checks, and
+    # initial_energy_j passes them and fails the run.
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**{attr: None}).validate_runtime()
+    assert err.value.errors == [f"{key}: expected a number, got None"]
+    assert {"horizon_s", "round_s", "initial_energy_j"} <= {k for k, _ in NUMBERS}
+
+
+@pytest.mark.parametrize("attr", ["observation_window_s", "traffic_horizon_s"])
+def test_none_stays_valid_for_a_key_whose_default_is_none(attr):
+    config = ScenarioConfig(**{attr: None})
+    config.validate_runtime()
+    assert getattr(config, attr) is None
+
+
 def test_malformed_inputs_all_reported_in_one_error():
     raw, expected = {}, set()
     for override, message in MALFORMED:
