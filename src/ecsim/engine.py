@@ -428,6 +428,15 @@ class Simulation:
             if not node.alive:
                 self._finish(work, LOST_DEAD)
                 return
+            # A retry that finds its holder asleep was timed by the plane
+            # (``retry_at``) for a meeting with a next hop: wake the holder
+            # for its transfer. Its phase timer runs out at once, and the
+            # plane's ``expired`` returns it to its schedule when its radio
+            # frees. A holder with no hop count to the destination (its map
+            # is gone only if the destination died) has nothing to meet, and
+            # the packet waits in its outbox for its own wake.
+            if node.phase is PHASE_SLEEP and nid in self._dist_cache.get(work.packet.dst, ()):
+                self.set_phase(node, PHASE_ACTIVE, self.now)
         else:
             # An arrival without ``retry`` is the packet's first.
             self._queue_arrival(pid + 1)
@@ -456,8 +465,8 @@ class Simulation:
 
     def _try_transmit(self, node: SimNode) -> None:
         """Store-and-forward: move each queued packet one hop closer to its
-        destination via an awake neighbor, cache it next to a sleeping
-        destination, or defer until a blocking neighbor's wake-up."""
+        destination via an awake neighbor. When no closer neighbor is awake,
+        the plane's ``retry_at`` parks the packet or says when to try again."""
         while node.outbox and node.awake and not node.tx_active:
             # A queued packet is held by this outbox alone, and only this
             # loop or the node's death takes it out: it has not ended.
@@ -476,28 +485,19 @@ class Simulation:
                 continue
             dist = self._hop_distances(packet.dst)
             here = dist.get(node.nid)
-            if here is None:
-                self._defer(node, work, self.now + self.retry_s)
-                continue
-            if here == 1 and not dst_node.awake:
-                if self._cache_here(node, work):
-                    continue
-                target = self._cache_target(node.nid, packet)
-                if target is not None:
-                    self._start_tx(node, target, work)
+            if here is not None:
+                closer = [
+                    v
+                    for v in self.graph.neighbors_of(node.nid)
+                    if dist.get(v, math.inf) < here and self.nodes[v].awake
+                ]
+                if closer:
+                    hop = min(closer, key=lambda v: (dist[v],) + self._relay_pref(v))
+                    self._start_tx(node, hop, work)
                     break
-                self._defer(node, work, self._neighbor_wake(node.nid, dist, here))
-                continue
-            closer = [
-                v
-                for v in self.graph.neighbors_of(node.nid)
-                if dist.get(v, math.inf) < here and self.nodes[v].awake
-            ]
-            if closer:
-                hop = min(closer, key=lambda v: (dist[v],) + self._relay_pref(v))
-                self._start_tx(node, hop, work)
-                break
-            self._defer(node, work, self._neighbor_wake(node.nid, dist, here))
+            retry_at = self.plane.retry_at(self, node, work, dist, here)
+            if retry_at is not None:
+                self._defer(node, work, retry_at)
 
     def _relay_pref(self, v: NodeId) -> tuple:
         """Relay choice: the cluster head costs nothing extra (it is awake
@@ -539,28 +539,20 @@ class Simulation:
         candidates = [nid for nid, bits in free_bits.items() if bits >= packet.size_bits]
         return min(candidates, key=lambda nid: (-free_bits[nid], nid), default=None)
 
-    def _neighbor_wake(self, nid: NodeId, dist: dict[NodeId, int], here: int) -> float:
-        """Earliest wake among neighbors that could unblock forwarding."""
-        wakes = [
-            self.nodes[v].wake_at
-            for v in self.graph.neighbors_of(nid)
-            if dist.get(v, math.inf) <= here
-            and self.nodes[v].alive
-            and self.nodes[v].phase is PHASE_SLEEP
-            and self.nodes[v].wake_at is not None
-        ]
-        if wakes:
-            return max(self.now, min(wakes))
-        return self.now + self.retry_s
+    def park(self, node: SimNode, work: PacketWork) -> bool:
+        """Park a packet that ``node`` holds one hop from its sleeping
+        destination: in ``node``'s cache, else sent to the awake neighbor of
+        both with the most free cache space. False when neither takes it."""
+        if self._cache_here(node, work):
+            return True
+        target = self._cache_target(node.nid, work.packet)
+        if target is None:
+            return False
+        self._start_tx(node, target, work)
+        return True
 
     def _defer(self, node: SimNode, work: PacketWork, retry_at: float) -> None:
-        retry_at = max(retry_at, self.now)
         work.defer_count += 1
-        if work.defer_count > 3:
-            # Repeatedly unforwardable (e.g. schedules never overlapping):
-            # back off so hopeless packets stop flooding the event queue.
-            backoff = min(self.retry_s * 2.0 ** (work.defer_count - 3), self.round_length)
-            retry_at = max(retry_at, self.now + backoff)
         heapq.heappush(node.retry_heap, retry_at)
         self.push(retry_at, PACKET_ARRIVAL, node.nid,
                    packet_id=work.packet.id, retry=True)

@@ -47,13 +47,18 @@ class SchemePlane:
       still in the phase the timer was armed in;
     - ``moved(sim, nids)``: these nodes changed position in a mobility step;
     - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
-    - ``death(sim, nid)``: a node died and left the topology.
+    - ``death(sim, nid)``: a node died and left the topology;
+    - ``retry_at(sim, node, work, dist, here)``: no neighbor of ``node``
+      strictly closer to the packet's destination is awake; returns when
+      ``node`` tries the packet again, or None when the hook parked it.
 
-    Every hook does nothing here, which is all always-on needs. A plane acts
-    only through the simulation's ``set_phase``, which also arms the phase
-    timer and wakes a sleeper, and ``trace_event``. It keeps no reference to
-    the simulation (each hook is handed it), so a finished run is freed
-    without the cyclic collector.
+    Every hook but ``retry_at`` does nothing here, which is all always-on
+    needs. A plane acts only through the simulation's ``set_phase``, which
+    also arms the phase timer and wakes a sleeper, ``park`` and
+    ``trace_event``. A retry that finds its holder asleep, with a hop count
+    to the destination, wakes it with a phase timer due at once. A plane
+    keeps no reference to the simulation (each hook is handed it), so a
+    finished run is freed without the cyclic collector.
     """
 
     # Without a control plane there are no clusters, heads or sleep grants.
@@ -70,6 +75,36 @@ class SchemePlane:
 
     start = round_setup = slot_boundary = expired = _nothing
     radio_busy = transmit = moved = delivered = death = _nothing
+
+    def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
+                 dist: dict[NodeId, int], here: int | None) -> float | None:
+        """Polling: a packet one hop from its sleeping destination is parked
+        next to it if a cache takes it. Otherwise it is tried again at the
+        earliest wake of a sleeping neighbor no farther from the destination,
+        else after ``retry_s``, and from its fourth deferral on no sooner
+        than a backoff that doubles up to one round, so that packets no
+        schedule will unblock stop flooding the event queue."""
+        if here == 1 and sim.park(node, work):  # the destination sleeps
+            return None
+        now = sim.now
+        retry = now + sim.retry_s
+        if here is not None:
+            nodes = sim.nodes
+            wakes = [
+                nodes[v].wake_at
+                for v in sim.graph.neighbors_of(node.nid)
+                if dist.get(v, math.inf) <= here
+                and nodes[v].alive
+                and nodes[v].phase is PHASE_SLEEP
+                and nodes[v].wake_at is not None
+            ]
+            if wakes:
+                retry = max(now, min(wakes))
+        deferred = work.defer_count
+        if deferred >= 3:
+            backoff = min(sim.retry_s * 2.0 ** (deferred - 2), sim.round_length)
+            retry = max(retry, now + backoff)
+        return retry
 
 
 def dispatch_scheme(
@@ -90,8 +125,9 @@ def dispatch_scheme(
 
 class DutyCyclePlane(SchemePlane):
     """Duty-cycle baselines: each expiry re-applies the window the node is
-    in. Coordinated windows are shared by every node; periodic (staggered)
-    ones start i/N of a period late for node i."""
+    in, also for a sender woken for a meeting (``retry_at``). Coordinated
+    windows are shared by every node; periodic (staggered) ones start i/N of
+    a period late for node i."""
 
     staggered = False
 
@@ -104,6 +140,24 @@ class DutyCyclePlane(SchemePlane):
             for nid in sim.nodes
         }
         self.busy_until: dict[NodeId, float] = {}  # latest end of each node's transfers
+
+    def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
+                 dist: dict[NodeId, int], here: int | None) -> float:
+        """The exact meeting, as in WiseMAC: the earliest wake of a strictly
+        closer neighbor, which is the destination's own when it is one hop
+        away. None of them is awake, and a sleeping node wakes at the start of
+        its next window, so the meeting is less than a period away. No cache
+        is tried: under staggered windows a holder and a destination that
+        never share one would strand the packet. A packet with no hop count
+        polls, as under the other schemes."""
+        if here is None:
+            return super().retry_at(sim, node, work, dist, here)
+        nodes = sim.nodes
+        return max(sim.now, min(
+            nodes[v].wake_at
+            for v in sim.graph.neighbors_of(node.nid)
+            if dist.get(v, math.inf) < here
+        ))
 
     def transmit(self, sim: Simulation, work: PacketWork, sender: NodeId, receiver: NodeId,
                  duration: float) -> None:

@@ -351,7 +351,8 @@ class TestStepTransitions:
                      if e.kind is EventKind.CACHE_DELIVERY and e.payload == {"woken": 0}]
         assert handovers == [(16.0, 2)]
 
-    def test_periodic_nodes_never_awake_together_leave_a_cached_packet_in_place(self):
+    def test_periodic_sender_meets_a_receiver_it_never_shares_a_window_with(self):
+        from ecsim.core import RadioMode
         from ecsim.traffic import Packet, PacketClass
 
         # Two nodes at the default 25 % duty over 2 s: node 0 listens in
@@ -363,14 +364,18 @@ class TestStepTransitions:
         sim.packets.append(Packet(id=0, src=0, dst=1, size_bits=8_000,
                                   klass=PacketClass.ELASTIC, created_at=0.1))
         sim.push(0.1, EventKind.PACKET_ARRIVAL, 0, packet_id=0)
-        kinds = []
-        while sim.peek_time() is not None and sim.peek_time() <= sim.horizon:
-            kinds.append(sim.step().kind)
-        assert [row[1:] for row in sim.trace if row[2] == "cache-store"] == [
-            (0, "cache-store", "pid=0;dst=1")
-        ]
-        assert EventKind.CACHE_DELIVERY not in kinds
-        assert sim.nodes[0].cache._entries == [(sim.packets[0], 0.1)]  # first stamp kept
+        sim.run()
+        rows = [row for row in sim.trace if row[2] in ("tx-start", "packet-delivered")]
+        transfer = 8_000 / 11e6
+        # Node 0 sleeps from 0.5 s and wakes for node 1's first window.
+        assert rows == [(1.0, 0, "tx-start", "pid=0;to=1"),
+                        (1.0 + transfer, 1, "packet-delivered", "pid=0")]
+        assert "cache-store" not in [row[2] for row in sim.trace]
+        # Node 0 sleeps three quarters of the 20 s but for its transfer, and
+        # the 1e-9 s its radio is held past it.
+        held = (1.0 + transfer + 1e-9) - 1.0
+        assert sim.nodes[0].time_in_mode[RadioMode.SLEEP] == pytest.approx(15.0 - held, abs=1e-12)
+        assert sim.nodes[1].time_in_mode[RadioMode.SLEEP] == pytest.approx(15.0, abs=1e-12)
 
     @pytest.mark.parametrize("case", ["transmitting", "two hops away"])
     def test_handover_the_holder_cannot_renew_takes_the_outbox_path(self, case):

@@ -24,7 +24,7 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "5070d85a549e26f438975b8286d389f87c369992ff3ccbecb57fd2d4aa4d7db8",
+    "compare.csv": "6fd16263031dc30fe1e0181aa497266e02e672bc127a7f700f1fd6cab42cc07a",
     "traffic-aware/report.json": (
         "1ce3612a35c51f6e2f08a8aed143136d9391477082d8d57395abc2887fa16b13"
     ),
@@ -35,13 +35,13 @@ GOLDEN = {
         "7a555f9859100f29e7eeff0999ca72236f89edf49c223b683624b98a74c9e0e7"
     ),
     "periodic/report.json": (
-        "cf96b0e70a63fda31ef165109fd2979de8660960cd0c2cce4a565a89d884d7d0"
+        "2808a85e77f996c6a978bf759dc263f619023bff3f2c4c8fc25b2b6e8ff2c1be"
     ),
     "periodic/timeseries.csv": (
-        "32599f071c9f5e9ef3eae7d198bba6a5c82680ec9f8197236703c151bec64c96"
+        "3bbc795e67b2570e301817ff99a8127d7930fb35c063a11bc875e1683094f249"
     ),
     "periodic/trace.csv": (
-        "48aa89458d28f59d750fc6264c542ef80f71feab34f2b2dd9f19741782f7420c"
+        "689a77757cde2b263b0d3b5ac7f4a4f07aaf751a6e2fd6cf2f57b8cced6a4970"
     ),
     "coordinated/report.json": (
         "b5a4028082359100f4676e18db7af5ac2a2fcff45edab89cdb497652f4834299"
@@ -66,7 +66,7 @@ GOLDEN = {
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "ec87536dad0f8e2d67a7d64e80d69647134c263d40a7322751f08d557c8df232",
+    "compare.csv": "74840c658f05257423305e812663bad6ff766a2c0e50c92a92bd9047d3813d85",
     "traffic-aware/report.json": (
         "a7c2eba9dce748c9d8c0dd32c5ae6d3967b1a4a0df9eaea04f1d8a9c4ee1f2e3"
     ),
@@ -77,13 +77,13 @@ GOLDEN_DEATHS = {
         "9644bd6cd0baf6e4086195530d9f384fb2279a6d6a015da3b03843adf339efdd"
     ),
     "periodic/report.json": (
-        "f41b28c3aa6b8370c9c9a03aff2376b81686feb74c0b55e36f6accc98833ee21"
+        "7ea04f7c8c46ce644f9f629cf8848dcc4f8564780b6779bb17dbd7acfa7eca88"
     ),
     "periodic/timeseries.csv": (
-        "01c4af12a3d944f46bffd561175f72bbf2246c9db49334cf92012e091078df4d"
+        "499a43de60b89f314b6d113ca356f5c48d3a32abc06026cde5b3e432d8506ac3"
     ),
     "periodic/trace.csv": (
-        "18d16232ab2ae9e3ed7aa20e0a874aa3b53df38916e9972a1ea213a43f058de3"
+        "6db04349147b14e0fc5996b90614244afc90525f90f99a4e04a28c477c6f6c6b"
     ),
     "coordinated/report.json": (
         "c690e090950d2bc5fb2c1ed2ab0bb1252c48cfb0aaa2580a36ae8d3e65ceeea6"
@@ -108,7 +108,7 @@ GOLDEN_DEATHS = {
 
 # Traffic-aware forms 4 clusters and sees 66 moves, 12 deaths and 897 sleep grants.
 GOLDEN_GRID = {
-    "compare.csv": "46d1235958412316d3d92107e5514e282c5607e7333fdc4853f6885162d513cf",
+    "compare.csv": "3bf804969f0e8f4be53f2e9af1c328074ef90b629a985b3329de800a09626720",
     "traffic-aware/report.json": (
         "54064ee074a15263062b349873e79cee5af7bf328d6d24b0c6174a082dcfcacf"
     ),
@@ -119,22 +119,22 @@ GOLDEN_GRID = {
         "90964afc07ee5a2f329ba0899778a388a79b006a3ecdc0262a13cf0d9316666d"
     ),
     "periodic/report.json": (
-        "d43ff5ab84a0deb9ece9f5ce8cdb93dd0892cd0687f0557e50d688194737f17d"
+        "95bf063646b93c332e98afd25a86c394cabf35b773e2edb85023731f8c91b3c5"
     ),
     "periodic/timeseries.csv": (
-        "eebb868969273b3487285adc3546792516a2675386939a0d4d74457e2917126f"
+        "3b974b18ccc22868f472519a9c7e15f9fe5762089fe403a89776591f3c820a9e"
     ),
     "periodic/trace.csv": (
-        "d337eef3ce0218b08f30156ff23a5d4523bf1d58169040cc91a3b2d36a6976df"
+        "32b20b08eb4879e73d62eafafbeab7628820c4cd79c8c6db7c598e4d32378861"
     ),
     "coordinated/report.json": (
-        "718fd28550e0e368e1221e221ed0596177601a71c301fe15c2112460e1f5ca47"
+        "6a3824b9ad8703e4f6c095add73a7b4e1a67fcf3062cac4f43f4a8059a5c0da3"
     ),
     "coordinated/timeseries.csv": (
-        "aa8fa6f1102130ffad43c0cadf0dde6800c60c08794d503ea6860a914501f8b0"
+        "e2da959d321da8a93f24d1ca3d6e9f2f39deb1e46b0e2f13cd8ea0dc7041b428"
     ),
     "coordinated/trace.csv": (
-        "3b486219ceec318ec1737cdebdfa8db90781a258c1339ccfdb5ffa57b18ff4b5"
+        "f9ed186010ea3805eaec95c8ebe661a25559ff5ff830f51f6958f4f09c7a613a"
     ),
     "always-on/report.json": (
         "2bb4d1bd21718f260660ba0ce109bfd59e27f967ff1ae92bf0a381a9fa9d39f5"
