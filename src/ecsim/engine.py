@@ -428,13 +428,13 @@ class Simulation:
             if not node.alive:
                 self._finish(work, LOST_DEAD)
                 return
-            # A retry that finds its holder asleep was timed by the plane
-            # (``retry_at``) for a meeting with a next hop: wake the holder
-            # for its transfer. Its phase timer runs out at once, and the
-            # plane's ``expired`` returns it to its schedule when its radio
-            # frees. A holder with no hop count to the destination (its map
-            # is gone only if the destination died) has nothing to meet, and
-            # the packet waits in its outbox for its own wake.
+            # A retry that finds its holder asleep wakes it when it has a hop
+            # count to the destination: the plane (``retry_at``) timed the
+            # retry for a meeting with a next hop, or a move gave the holder
+            # a route. A phase timer due at once lets the plane's ``expired``
+            # return it to its schedule when its radio frees. Otherwise (the
+            # map is gone only if the destination died) the packet waits in
+            # the outbox for the holder's own wake.
             if node.phase is PHASE_SLEEP and nid in self._dist_cache.get(work.packet.dst, ()):
                 self.set_phase(node, PHASE_ACTIVE, self.now)
         else:

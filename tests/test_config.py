@@ -387,13 +387,6 @@ def test_none_for_a_number_built_in_python_is_rejected(key, attr):
     assert {"horizon_s", "round_s", "initial_energy_j"} <= {k for k, _ in NUMBERS}
 
 
-@pytest.mark.parametrize("attr", ["observation_window_s", "traffic_horizon_s"])
-def test_none_stays_valid_for_a_key_whose_default_is_none(attr):
-    config = ScenarioConfig(**{attr: None})
-    config.validate_runtime()
-    assert getattr(config, attr) is None
-
-
 def test_malformed_inputs_all_reported_in_one_error():
     raw, expected = {}, set()
     for override, message in MALFORMED:
