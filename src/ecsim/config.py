@@ -91,6 +91,9 @@ class ScenarioConfig:
 
 def _want_number(key: str, value, errors: list[str], default, minimum=None, maximum=None):
     if value is None:
+        # null leaves a key unset only where unset is its default.
+        if default is not None:
+            errors.append(f"{key}: expected a number, got None")
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{key}: expected a number, got {value!r}")

@@ -295,6 +295,9 @@ MALFORMED = [
         {"cache": {"capacity_bits": 8000.5}},
         "cache.capacity_bits: expected a whole number, got 8000.5",
     ),
+    ({"horizon_s": None}, "horizon_s: expected a number, got None"),
+    ({"round_s": None}, "round_s: expected a number, got None"),
+    ({"initial_energy_j": None}, "initial_energy_j: expected a number, got None"),
     ({"flows": [{"src": -1, "dst": 2}]}, "flows[0].src: must be >= 0, got -1"),
     (
         {"flows": [{"src": 1, "dst": 1}, {"src": 0, "dst": 99}]},
@@ -385,6 +388,27 @@ def test_none_for_a_number_built_in_python_is_rejected(key, attr):
         ScenarioConfig(**{attr: None}).validate_runtime()
     assert err.value.errors == [f"{key}: expected a number, got None"]
     assert {"horizon_s", "round_s", "initial_energy_j"} <= {k for k, _ in NUMBERS}
+
+
+@pytest.mark.parametrize("key, attr", COUNTS + NUMBERS)
+def test_null_for_a_number_key_is_rejected(key, attr):
+    group, _, name = key.rpartition(".")
+    raw = minimal()
+    (raw.setdefault(group, {}) if group else raw)[name] = None
+    with pytest.raises(ConfigError) as err:
+        from_dict(raw)
+    assert err.value.errors == [f"{key}: expected a number, got None"]
+
+
+UNSET = [key for key, attr, _ in _SCHEMA if getattr(ScenarioConfig(), attr) is None]
+
+
+@pytest.mark.parametrize("key", UNSET)
+def test_null_leaves_a_key_without_a_default_unset(key):
+    # ``to_dict`` writes such a key as null, and ``ecsim compare`` parses
+    # that dict again.
+    assert from_dict({**minimal(), key: None}).to_dict()[key] is None
+    assert {"seed", "observation_window_s", "traffic_horizon_s"} == set(UNSET)
 
 
 def test_malformed_inputs_all_reported_in_one_error():
