@@ -178,6 +178,10 @@ def compare_csv(rows: list[dict]) -> str:
 
 def trace_csv(rows: list[tuple[float, int, str, str]]) -> str:
     lines = ["time,node,kind,detail"]
+    # An instant writes about ten rows: format its time once.
+    last, stamp = None, ""
     for t, node, kind, detail in rows:
-        lines.append(f"{t:.6f},{node},{kind},{detail}")
+        if t != last:
+            last, stamp = t, f"{t:.6f}"
+        lines.append(f"{stamp},{node},{kind},{detail}")
     return "\n".join(lines) + "\n"

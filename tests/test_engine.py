@@ -548,6 +548,15 @@ def test_simulation_is_freed_without_cyclic_gc(kind):
         gc.enable()
 
 
+@pytest.mark.parametrize("collect_trace", [False, True])
+@pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
+def test_a_simulation_keeps_at_most_29_attributes(kind, collect_trace):
+    # See the ``Simulation`` docstring: a 30th slows every attribute read.
+    sim = Simulation(make_config(scheme={"kind": kind}), 3, collect_trace=collect_trace)
+    sim.run()
+    assert len(vars(sim)) <= 29
+
+
 def test_duty_cycle_node_sleeps_just_after_a_transfer_across_its_window_end():
     from ecsim.traffic import Packet, PacketClass
 

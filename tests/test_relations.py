@@ -77,6 +77,19 @@ def test_runs_that_must_agree_give_the_same_bytes(changed, base, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["traffic-aware", "periodic", "coordinated", "always-on"])
+def test_a_trace_changes_no_other_output(kind, seed):
+    # Every other relation and reference run keeps its trace.
+    config = from_dict({**SHORT, "scheme": kind})
+    texts = []
+    for collect_trace in (False, True):
+        report, trace = run_simulation(config, seed, collect_trace=collect_trace)
+        assert (trace is not None) is collect_trace
+        texts.append((report.to_json(), report.timeseries_csv()))
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_every_scheme_traces_the_same_moves(seed):
     # Moves are drawn from the alive nodes alone: while no node dies, every
     # scheme sees the same ones, and each must say so in its trace.

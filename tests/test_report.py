@@ -137,3 +137,33 @@ def test_trace_csv_format():
     _, trace = run_simulation(small_config(), 6, collect_trace=True)
     text = trace_csv(trace)
     assert text.startswith("time,node,kind,detail\n")
+
+
+def test_trace_csv_writes_what_per_row_formatting_writes():
+    rows = [
+        (0.0, 1, "mode", "a"),
+        (0.0, -1, "round-start", ""),  # a shared time
+        (1.0000001, 2, "moved", ""),
+        (1.0000004, 2, "death", ""),  # equal to the sixth decimal
+        (2.5, 3, "moved", ""),
+        (1.0000001, 3, "death", ""),  # a time that comes back after another
+        (2.5, 4, "moved", ""),
+    ]
+    expected = [f"{t:.6f},{node},{kind},{detail}" for t, node, kind, detail in rows]
+    assert trace_csv(rows) == "\n".join(["time,node,kind,detail"] + expected) + "\n"
+
+
+def test_mode_rows_write_each_float_as_its_repr():
+    config = small_config(scheme={"kind": "coordinated"}, energy={"p_sleep": 0.0})
+    _, trace = run_simulation(config, 3, collect_trace=True)
+    # (mode, dur text, energy text) of each mode row
+    fields = [
+        tuple(field.split("=")[1] for field in detail.split(";"))
+        for _, _, kind, detail in trace
+        if kind == "mode"
+    ]
+    texts = [text for _, dur, energy in fields for text in (dur, energy)]
+    assert texts and all(text == repr(float(text)) for text in texts)
+    # A sleeping node at no power spends +0.0, never -0.0.
+    asleep = {energy for mode, _, energy in fields if mode == "sleep"}
+    assert asleep == {"0.0"}
