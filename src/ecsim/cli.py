@@ -44,8 +44,7 @@ def _config_with_scheme(config_dict: dict, scheme_kind: str) -> ScenarioConfig:
 
 def _run_worker(args: tuple) -> str:
     """Run one (config, seed) and write its outputs; used by sweep workers."""
-    raw_config, seed, outdir, trace, quiet = args
-    config = from_dict(raw_config)
+    config, seed, outdir, trace, quiet = args
     report, trace_rows = run_simulation(config, seed, collect_trace=trace)
     _write_outputs(Path(outdir), report, trace_rows, quiet)
     return outdir
@@ -82,9 +81,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             if args.scheme:
                 run_raw["scheme"] = {"kind": args.scheme}
             _set_by_path(run_raw, args.param, value)
-            from_dict(run_raw)  # validate before launching anything
+            config = from_dict(run_raw)  # every point parses before any run starts
             outdir = Path(args.out) / f"{args.param.replace('.', '_')}={value}" / f"seed={seed}"
-            jobs.append((run_raw, seed, str(outdir), args.trace, args.quiet))
+            jobs.append((config, seed, str(outdir), args.trace, args.quiet))
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
         list(pool.map(_run_worker, jobs))
     if not args.quiet:
@@ -98,13 +97,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if len(schemes) < 2:
         raise ConfigError(["compare needs at least two schemes"])
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            raise ConfigError([f"unknown scheme {scheme!r}; choices: {tuple(SCHEMES)}"])
+    # Every kind parses before the first run writes anything.
+    configs = [_config_with_scheme(raw, scheme) for scheme in schemes]
     outdir = Path(args.out)
     reports = []
-    for scheme in schemes:
-        config = _config_with_scheme(raw, scheme)
+    for scheme, config in zip(schemes, configs):
         report, trace_rows = run_simulation(config, args.seed, collect_trace=args.trace)
         _write_outputs(outdir / scheme, report, trace_rows, args.quiet)
         reports.append((scheme, report))

@@ -7,7 +7,7 @@ are reported at once, not just the first.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 from ecsim.core import EnergyModelParams
@@ -54,24 +54,15 @@ class ScenarioConfig:
     traffic_horizon_s: float | None = None
 
     def validate_runtime(self) -> None:
-        """Make the checks ``from_dict`` makes, on a config built in Python."""
-        errors: list[str] = []
-        for key, attr, parse in _SCHEMA:
-            value = getattr(self, attr)
-            found = len(errors)
-            parse(key, value, None, errors)
-            if len(errors) > found:
-                continue
-            default = _DEFAULTS[attr]
-            # ``from_dict`` reads a whole float as an int; here nothing
-            # converts it, and the engine cannot count with a float.
-            if type(default) is int and type(value) is not int:
-                errors.append(f"{key}: expected an int, got {value!r}")
-            # A parser reads None as the default it is handed, here None.
-            elif type(default) is float and value is None:
-                errors.append(f"{key}: expected a number, got None")
-        # The semantic checks assume values that parse.
-        errors = errors or _check_semantics(self)
+        """Check a config built in Python as ``from_dict`` checks a file."""
+        parsed = from_dict(self.to_dict())
+        # ``from_dict`` reads a whole float as an int; here nothing converts
+        # it, and the engine cannot count with a float.
+        errors = [
+            f"{key}: expected an int, got {getattr(self, attr)!r}"
+            for key, attr, _ in _SCHEMA
+            if type(getattr(self, attr)) is not type(getattr(parsed, attr))
+        ]
         if errors:
             raise ConfigError(errors)
 
@@ -82,7 +73,8 @@ class ScenarioConfig:
             (out.setdefault(group, {}) if group else out)[name] = getattr(self, attr)
         out["energy"] = asdict(self.energy)
         out["flows"] = [
-            {key: getattr(flow, attr) for key, attr in _FLOW_KEYS.items()} for flow in self.flows
+            {key: getattr(flow, attr) for key, (attr, _, _) in _FIELDS[FlowSpec].items()}
+            for flow in self.flows
         ]
         out["scheme"] = {"kind": self.scheme.name}
         out["scheme"].update((key, getattr(self.scheme, attr)) for key, attr in self.scheme.keys)
@@ -126,7 +118,7 @@ def _whole(minimum):
         if isinstance(value, float) and not value.is_integer():
             errors.append(f"{key}: expected a whole number, got {value!r}")
             return default
-        return value
+        return int(value) if isinstance(value, float) else value
 
     return parse
 
@@ -156,8 +148,7 @@ def _one_of(*choices):
 
 
 # One row per single-valued scenario key: (dotted key, ScenarioConfig
-# attribute, parser). A key's default is its attribute's dataclass default;
-# keys whose default is an int are read as ints.
+# attribute, parser). A key's default is its attribute's dataclass default.
 _SCHEMA = (
     ("grid.width", "grid_width", _whole(minimum=1)),
     ("grid.height", "grid_height", _whole(minimum=1)),
@@ -174,7 +165,7 @@ _SCHEMA = (
     ("seed", "seed", _integer),
     ("cluster.policy", "cluster_policy", _one_of("component", "grid")),
     ("cluster.partition", "cluster_partition", _whole(minimum=1)),
-    ("deadline_rounds", "deadline_rounds", _number(minimum=0.0)),
+    ("deadline_rounds", "deadline_rounds", _number(minimum=1e-9)),
     ("retry_s", "retry_s", _number(minimum=1e-9)),
     ("observation_window_s", "observation_window_s", _number(minimum=1e-9)),
     ("sleep_epsilon", "sleep_epsilon", _number(minimum=0.0, maximum=0.5)),
@@ -184,16 +175,31 @@ _SCHEMA = (
 
 _DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
-# Flow entry key -> FlowSpec attribute.
-_FLOW_KEYS = {
-    ("deadline_offset_s" if f.name == "deadline_offset" else f.name): f.name
-    for f in fields(FlowSpec)
-}
+
+def _fields(cls, keys=()) -> dict:
+    """Key -> (attribute, parser, default) for each field of the dataclass
+    ``cls``, keyed as ``keys`` (pairs of key and attribute) names it, else by
+    its own name. A field annotated ``int`` is a count."""
+    names = {attr: key for key, attr in keys}
+    count, number = _whole(minimum=0), _number()
+    return {
+        names.get(f.name, f.name): (f.name, count if f.type in ("int", int) else number, f.default)
+        for f in fields(cls)
+    }
+
+
+# The fields of each object-valued key's dataclass, read once: ``from_dict``
+# runs twice for every Simulation.
+_FIELDS = {cls: _fields(cls, cls.keys) for cls in SCHEMES.values()}
+_FIELDS[EnergyModelParams] = _fields(EnergyModelParams)
+_FIELDS[FlowSpec] = _fields(FlowSpec, [("deadline_offset_s", "deadline_offset")])
+# FlowSpec requires a rate; a flow entry without one has rate 0.
+_FIELDS[FlowSpec]["rate_pps"] = ("rate_pps", _number(), 0.0)
 
 # Object-valued keys -> their keys, in declaration order.
 _NESTED = [key.split(".") for key, _, _ in _SCHEMA if "." in key]
 _GROUPS = {group: [name for g, name in _NESTED if g == group] for group, _ in _NESTED}
-_GROUPS["energy"] = [f.name for f in fields(EnergyModelParams)]
+_GROUPS["energy"] = list(_FIELDS[EnergyModelParams])
 
 _TOP_KEYS = {key.split(".")[0] for key, _, _ in _SCHEMA} | {"energy", "flows", "scheme"}
 
@@ -209,29 +215,50 @@ def _parse_group(raw: dict, name: str, errors: list[str]) -> dict:
     return group
 
 
+def _build(cls, label: str, given, errors: list[str]):
+    """A ``cls`` from the object ``given``, each key checked by its parser
+    before the dataclass checks the whole; None after appending the errors."""
+    if not isinstance(given, dict):
+        errors.append(f"{label}: expected an object")
+        return None
+    table = _FIELDS[cls]
+    unknown = given.keys() - table.keys()
+    if unknown:
+        errors.append(f"{label}: unknown keys {sorted(unknown)}")
+        return None
+    found = len(errors)
+    values = {}
+    for key, (attr, parse, default) in table.items():
+        if key in given:
+            values[attr] = parse(f"{label}.{key}", given[key], default, errors)
+        elif default is MISSING:
+            errors.append(f"{label}.{key}: required")
+        else:
+            values[attr] = default
+    if len(errors) > found:
+        return None
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        errors.append(f"{label}: {exc}")
+        return None
+
+
 def _parse_scheme(raw, errors: list[str]) -> Scheme:
-    fallback = TrafficAware()
     if raw is None:
-        return fallback
+        return TrafficAware()
     if isinstance(raw, str):
         raw = {"kind": raw}
     if not isinstance(raw, dict):
         errors.append(f"scheme: expected an object or kind string, got {raw!r}")
-        return fallback
-    kind = raw.get("kind")
+        return TrafficAware()
+    given = dict(raw)
+    kind = given.pop("kind", None)
     cls = SCHEMES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         errors.append(f"scheme.kind: must be one of {tuple(SCHEMES)}, got {kind!r}")
-        return fallback
-    try:
-        scheme = cls(**{attr: raw[key] for key, attr in cls.keys if key in raw})
-    except (TypeError, ValueError) as exc:
-        errors.append(f"scheme: {exc}")
-        return fallback
-    unknown = set(raw) - {"kind"} - {key for key, _ in cls.keys}
-    if unknown:
-        errors.append(f"scheme: unknown keys {sorted(unknown)}")
-    return scheme
+        return TrafficAware()
+    return _build(cls, "scheme", given, errors) or TrafficAware()
 
 
 def _parse_flows(raw, errors: list[str]) -> list[FlowSpec | None]:
@@ -242,31 +269,7 @@ def _parse_flows(raw, errors: list[str]) -> list[FlowSpec | None]:
     if not isinstance(raw, list):
         errors.append(f"flows: expected a list, got {raw!r}")
         return []
-    return [_parse_flow(item, f"flows[{i}]", errors) for i, item in enumerate(raw)]
-
-
-def _parse_flow(item, label: str, errors: list[str]) -> FlowSpec | None:
-    if not isinstance(item, dict):
-        errors.append(f"{label}: expected an object")
-        return None
-    unknown = set(item) - set(_FLOW_KEYS)
-    if unknown:
-        errors.append(f"{label}: unknown keys {sorted(unknown)}")
-        return None
-    src = _want_number(f"{label}.src", item.get("src"), errors, None, minimum=0)
-    dst = _want_number(f"{label}.dst", item.get("dst"), errors, None, minimum=0)
-    if src is None or dst is None:
-        errors.append(f"{label}: src and dst are required")
-        return None
-    # FlowSpec requires a rate; a flow entry without one has rate 0.
-    spec = {"rate_pps": 0.0}
-    spec.update((attr, item[key]) for key, attr in _FLOW_KEYS.items() if key in item)
-    spec.update(src=int(src), dst=int(dst))
-    try:
-        return FlowSpec(**spec)
-    except (TypeError, ValueError) as exc:
-        errors.append(f"{label}: {exc}")
-        return None
+    return [_build(FlowSpec, f"flows[{i}]", item, errors) for i, item in enumerate(raw)]
 
 
 def _check_semantics(cfg: ScenarioConfig) -> list[str]:
@@ -306,12 +309,8 @@ def from_dict(raw: dict) -> ScenarioConfig:
     for key, attr, parse in _SCHEMA:
         group, _, name = key.rpartition(".")
         source, default = groups[group], _DEFAULTS[attr]
-        value = parse(key, source[name], default, errors) if name in source else default
-        values[attr] = int(value) if type(default) is int else value
-    try:
-        values["energy"] = EnergyModelParams(**groups["energy"])
-    except (TypeError, ValueError) as exc:
-        errors.append(f"energy: {exc}")
+        values[attr] = parse(key, source[name], default, errors) if name in source else default
+    values["energy"] = _build(EnergyModelParams, "energy", groups["energy"], errors)
     values["scheme"] = _parse_scheme(raw.get("scheme"), errors)
     values["flows"] = _parse_flows(raw.get("flows"), errors)
     cfg = ScenarioConfig(**values)

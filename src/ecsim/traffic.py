@@ -68,6 +68,8 @@ class FlowSpec:
             raise ValueError("packet size must be > 0 bits")
         if not 0.0 <= self.ds_fraction <= 1.0:
             raise ValueError("ds_fraction must lie in [0, 1]")
+        if self.deadline_offset is not None and self.deadline_offset <= 0:
+            raise ValueError("deadline_offset_s must be > 0")
         if (self.burst_on_s is None) != (self.burst_off_s is None):
             raise ValueError("burst_on_s and burst_off_s must be set together")
         if self.burst_on_s is not None and (self.burst_on_s <= 0 or self.burst_off_s <= 0):

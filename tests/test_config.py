@@ -272,7 +272,7 @@ MALFORMED = [
     ({"mobility_step_s": 0}, "mobility_step_s: must be >= 1e-09, got 0"),
     ({"link_bps": 0}, "link_bps: must be >= 1e-09, got 0"),
     ({"horizon_s": -5.0}, "horizon_s: must be >= 0.0, got -5.0"),
-    ({"deadline_rounds": -1.0}, "deadline_rounds: must be >= 0.0, got -1.0"),
+    ({"deadline_rounds": -1.0}, "deadline_rounds: must be >= 1e-09, got -1.0"),
     ({"retry_s": 0.0}, "retry_s: must be >= 1e-09, got 0.0"),
     ({"observation_window_s": 0.0}, "observation_window_s: must be >= 1e-09, got 0.0"),
     ({"sleep_epsilon": -0.1}, "sleep_epsilon: must be >= 0.0, got -0.1"),
@@ -303,6 +303,40 @@ MALFORMED = [
         {"flows": [{"src": 1, "dst": 1}, {"src": 0, "dst": 99}]},
         "flows[1]: src/dst must reference existing nodes (< 10)",
     ),
+    # A deadline at or before a packet's creation fails the run, not the file.
+    ({"deadline_rounds": 0}, "deadline_rounds: must be >= 1e-09, got 0"),
+    (
+        {"flows": [{"src": 0, "dst": 1, "deadline_offset_s": 0}]},
+        "flows[0]: deadline_offset_s must be > 0",
+    ),
+    ({"nodes": None}, "nodes: expected a number, got None"),
+    # Nested keys follow the rules of the top-level ones.
+    ({"flows": [{"src": 0.5, "dst": 1}]}, "flows[0].src: expected a whole number, got 0.5"),
+    (
+        {"flows": [{"src": 0, "dst": 1, "packet_bits": 2.5}]},
+        "flows[0].packet_bits: expected a whole number, got 2.5",
+    ),
+    (
+        {"flows": [{"src": 0, "dst": 1, "rate_pps": True}]},
+        "flows[0].rate_pps: expected a number, got True",
+    ),
+    (
+        {"flows": [{"src": 0, "dst": 1, "packet_bits": True}]},
+        "flows[0].packet_bits: expected a number, got True",
+    ),
+    (
+        {"flows": [{"src": 0, "dst": 1, "ds_fraction": None}]},
+        "flows[0].ds_fraction: expected a number, got None",
+    ),
+    ({"flows": [{"dst": 1}]}, "flows[0].src: required"),
+    ({"flows": [7]}, "flows[0]: expected an object"),
+    ({"scheme": {"kind": "periodic", "duty": True}}, "scheme.duty: expected a number, got True"),
+    (
+        {"scheme": {"kind": "periodic", "period_s": None}},
+        "scheme.period_s: expected a number, got None",
+    ),
+    ({"energy": {"p_tx": True}}, "energy.p_tx: expected a number, got True"),
+    ({"energy": {"p_tx": None}}, "energy.p_tx: expected a number, got None"),
 ]
 
 
@@ -354,12 +388,36 @@ def test_a_whole_float_count_is_read_as_an_int(key, attr):
 
 
 @pytest.mark.parametrize("key, attr", COUNTS)
-@pytest.mark.parametrize("value", [2.0, None])
-def test_a_config_built_in_python_holds_an_int_for_each_count(key, attr, value):
+@pytest.mark.parametrize(
+    "value, expected", [(2.0, "expected an int"), (None, "expected a number")]
+)
+def test_a_config_built_in_python_holds_an_int_for_each_count(key, attr, value, expected):
     config = replace(from_dict(minimal()), **{attr: value})
     with pytest.raises(ConfigError) as err:
         Simulation(config, 1)
-    assert err.value.errors == [f"{key}: expected an int, got {value!r}"]
+    assert err.value.errors == [f"{key}: {expected}, got {value!r}"]
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"flows": [FlowSpec(0, 1, True)]}, "flows[0].rate_pps: expected a number, got True"),
+    ({"scheme": PeriodicSleepWake(duty=True)}, "scheme.duty: expected a number, got True"),
+])
+def test_a_config_built_in_python_is_checked_key_by_key_in_nested_values(change, message):
+    # Each dataclass accepts True, as a number; the file's rules do not.
+    config = replace(from_dict(minimal()), **change)
+    with pytest.raises(ConfigError) as err:
+        Simulation(config, 1)
+    assert err.value.errors == [message]
+
+
+@pytest.mark.parametrize("flow, attr", [
+    ({"src": 1.0, "dst": 2, "rate_pps": 1.0}, "src"),
+    ({"src": 1, "dst": 2.0, "rate_pps": 1.0}, "dst"),
+    ({"src": 1, "dst": 2, "rate_pps": 1.0, "packet_bits": 800.0}, "packet_bits"),
+])
+def test_a_whole_float_count_in_a_flow_is_read_as_an_int(flow, attr):
+    (parsed,) = from_dict({**minimal(), "flows": [flow]}).flows
+    assert type(getattr(parsed, attr)) is int
 
 
 @pytest.mark.parametrize("overrides, message", [

@@ -100,3 +100,6 @@ def test_flow_validation():
         FlowSpec(src=0, dst=1, rate_pps=-1.0)
     with pytest.raises(ValueError):
         FlowSpec(src=0, dst=1, rate_pps=1.0, burst_on_s=5.0)
+    for offset in (0.0, -1.0):
+        with pytest.raises(ValueError, match="deadline_offset_s must be > 0"):
+            FlowSpec(src=0, dst=1, rate_pps=1.0, deadline_offset=offset)
