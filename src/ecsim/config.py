@@ -188,8 +188,8 @@ def _fields(cls, keys=()) -> dict:
     }
 
 
-# The fields of each object-valued key's dataclass, read once: ``from_dict``
-# runs twice for every Simulation.
+# The fields of each object-valued key's dataclass, read once: every
+# Simulation runs ``from_dict`` through ``validate_runtime``.
 _FIELDS = {cls: _fields(cls, cls.keys) for cls in SCHEMES.values()}
 _FIELDS[EnergyModelParams] = _fields(EnergyModelParams)
 _FIELDS[FlowSpec] = _fields(FlowSpec, [("deadline_offset_s", "deadline_offset")])

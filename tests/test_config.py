@@ -303,7 +303,8 @@ MALFORMED = [
         {"flows": [{"src": 1, "dst": 1}, {"src": 0, "dst": 99}]},
         "flows[1]: src/dst must reference existing nodes (< 10)",
     ),
-    # A deadline at or before a packet's creation fails the run, not the file.
+    # A deadline at or before a packet's creation is rejected with the file,
+    # not in the run.
     ({"deadline_rounds": 0}, "deadline_rounds: must be >= 1e-09, got 0"),
     (
         {"flows": [{"src": 0, "dst": 1, "deadline_offset_s": 0}]},
