@@ -7,6 +7,7 @@ are reported at once, not just the first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -58,10 +59,16 @@ class ScenarioConfig:
         parsed = from_dict(self.to_dict())
         # ``from_dict`` reads a whole float as an int; here nothing converts
         # it, and the engine cannot count with a float.
+        checked = [(key, self, parsed, attr) for key, attr, _ in _SCHEMA]
+        checked += [
+            (f"flows[{i}].{key}", flow, echo, attr)
+            for i, (flow, echo) in enumerate(zip(self.flows, parsed.flows))
+            for key, (attr, _, _) in _FIELDS[FlowSpec].items()
+        ]
         errors = [
-            f"{key}: expected an int, got {getattr(self, attr)!r}"
-            for key, attr, _ in _SCHEMA
-            if type(getattr(self, attr)) is not type(getattr(parsed, attr))
+            f"{key}: expected an int, got {getattr(built, attr)!r}"
+            for key, built, read, attr in checked
+            if type(getattr(built, attr)) is not type(getattr(read, attr))
         ]
         if errors:
             raise ConfigError(errors)
@@ -89,6 +96,11 @@ def _want_number(key: str, value, errors: list[str], default, minimum=None, maxi
         return default
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         errors.append(f"{key}: expected a number, got {value!r}")
+        return default
+    if isinstance(value, float) and not math.isfinite(value):
+        # NaN passes every bound check below, and an infinite horizon never
+        # ends the traffic generator.
+        errors.append(f"{key}: expected a finite number, got {value!r}")
         return default
     if minimum is not None and value < minimum:
         errors.append(f"{key}: must be >= {minimum}, got {value}")

@@ -135,7 +135,6 @@ class SimNode:
         "time_in_mode",
         "death_time",
         "wake_at",
-        "retry_heap",
     )
 
     def __init__(self, nid: NodeId, initial_energy: float, cache_capacity: int,
@@ -159,7 +158,6 @@ class SimNode:
         self.time_in_mode = {mode: 0.0 for mode in RadioMode}
         self.death_time: float | None = None
         self.wake_at: float | None = None  # scheduled sleep exit, while sleeping
-        self.retry_heap: list[float] = []  # retry times of packets deferred here
 
     @property
     def account(self) -> EnergyAccount:
@@ -444,8 +442,6 @@ class Simulation:
         nid = event.node
         node = self.nodes[nid]
         if event.payload.get("retry"):
-            while node.retry_heap and node.retry_heap[0] <= self.now + 1e-9:
-                heapq.heappop(node.retry_heap)
             # A deferred packet is held by its retry event alone, so nothing
             # has ended it in the meantime.
             work = self.work[pid]
@@ -455,8 +451,9 @@ class Simulation:
             # A retry that finds its holder asleep wakes it when it has a hop
             # count to the destination: the plane (``retry_at``) timed the
             # retry for a meeting with a next hop, or a move gave the holder
-            # a route. A phase timer due at once lets the plane's ``expired``
-            # return it to its schedule when its radio frees. Otherwise (the
+            # a route. A phase timer due at once hands it to the plane's
+            # ``expired``: a duty cycle returns it to its window when its
+            # radio frees, traffic-aware keeps it active. Otherwise (the
             # map is gone only if the destination died) the packet waits in
             # the outbox for the holder's own wake.
             if node.phase is PHASE_SLEEP and nid in self._dist_cache.get(work.packet.dst, ()):
@@ -577,7 +574,6 @@ class Simulation:
 
     def _defer(self, node: SimNode, work: PacketWork, retry_at: float) -> None:
         work.defer_count += 1
-        heapq.heappush(node.retry_heap, retry_at)
         self.push(retry_at, PACKET_ARRIVAL, node.nid,
                    packet_id=work.packet.id, retry=True)
 

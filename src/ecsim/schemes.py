@@ -52,7 +52,8 @@ class SchemePlane:
       strictly closer to the packet's destination is awake; returns when
       ``node`` tries the packet again, or None when the hook parked it.
 
-    Every hook but ``retry_at`` does nothing here, which is all always-on
+    ``retry_at`` holds every scheme's waiting rule, the meeting with the next
+    hop's wake; every other hook does nothing here, which is all always-on
     needs. A plane acts only through the simulation's ``set_phase``, which
     also arms the phase timer and wakes a sleeper, ``park`` and
     ``trace_event``. A retry that finds its holder asleep, with a hop count
@@ -78,28 +79,22 @@ class SchemePlane:
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
                  dist: dict[NodeId, int], here: int | None) -> float | None:
-        """Polling: a packet one hop from its sleeping destination is parked
-        next to it if a cache takes it. Otherwise it is tried again at the
-        earliest wake of a sleeping neighbor no farther from the destination,
-        else after ``retry_s``, and from its fourth deferral on no sooner
-        than a backoff that doubles up to one round, so that packets no
-        schedule will unblock stop flooding the event queue."""
-        if here == 1 and sim.park(node, work):  # the destination sleeps
-            return None
+        """The exact meeting, as in WiseMAC: the earliest wake of a strictly
+        closer neighbor, which is the destination's own when it is one hop
+        away. None of them is awake, so each sleeps until its ``wake_at``.
+        A packet whose holder has no hop count polls every ``retry_s``, and
+        from its fourth deferral on no sooner than a backoff that doubles up
+        to one round, so that packets no route will unblock stop flooding
+        the event queue."""
         now = sim.now
-        retry = now + sim.retry_s
         if here is not None:
             nodes = sim.nodes
-            wakes = [
+            return max(now, min(
                 nodes[v].wake_at
                 for v in sim.graph.neighbors_of(node.nid)
-                if dist.get(v, math.inf) <= here
-                and nodes[v].alive
-                and nodes[v].phase is PHASE_SLEEP
-                and nodes[v].wake_at is not None
-            ]
-            if wakes:
-                retry = max(now, min(wakes))
+                if dist.get(v, math.inf) < here
+            ))
+        retry = now + sim.retry_s
         deferred = work.defer_count
         if deferred >= 3:
             backoff = min(sim.retry_s * 2.0 ** (deferred - 2), sim.round_length)
@@ -125,9 +120,12 @@ def dispatch_scheme(
 
 class DutyCyclePlane(SchemePlane):
     """Duty-cycle baselines: each expiry re-applies the window the node is
-    in, also for a sender woken for a meeting (``retry_at``). Coordinated
-    windows are shared by every node; periodic (staggered) ones start i/N of
-    a period late for node i."""
+    in, also for a sender woken for a meeting (``retry_at``). A sleeping node
+    wakes at the start of its next window, so a meeting is less than a period
+    away. No cache is tried: under staggered windows a holder and a
+    destination that never share one would strand a parked packet.
+    Coordinated windows are shared by every node; periodic (staggered) ones
+    start i/N of a period late for node i."""
 
     staggered = False
 
@@ -140,24 +138,6 @@ class DutyCyclePlane(SchemePlane):
             for nid in sim.nodes
         }
         self.busy_until: dict[NodeId, float] = {}  # latest end of each node's transfers
-
-    def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
-                 dist: dict[NodeId, int], here: int | None) -> float:
-        """The exact meeting, as in WiseMAC: the earliest wake of a strictly
-        closer neighbor, which is the destination's own when it is one hop
-        away. None of them is awake, and a sleeping node wakes at the start of
-        its next window, so the meeting is less than a period away. No cache
-        is tried: under staggered windows a holder and a destination that
-        never share one would strand the packet. A packet with no hop count
-        polls, as under the other schemes."""
-        if here is None:
-            return super().retry_at(sim, node, work, dist, here)
-        nodes = sim.nodes
-        return max(sim.now, min(
-            nodes[v].wake_at
-            for v in sim.graph.neighbors_of(node.nid)
-            if dist.get(v, math.inf) < here
-        ))
 
     def transmit(self, sim: Simulation, work: PacketWork, sender: NodeId, receiver: NodeId,
                  duration: float) -> None:
@@ -281,8 +261,17 @@ class TrafficAwarePlane(SchemePlane):
         if node.phase is PHASE_SLEEP:
             self._enter_idle(sim, node)
         else:
-            # Only _enter_idle arms a timer outside sleep: the node is idle.
+            # An idle window ran out, or a retry woke the node to send (the
+            # engine's timer due at once): it is active until a proxy idles it.
             sim.set_phase(node, PHASE_ACTIVE)
+
+    def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
+                 dist: dict[NodeId, int], here: int | None) -> float | None:
+        """A packet one hop from its sleeping destination is parked next to
+        it if a cache takes it; any other waits for its next hop's wake."""
+        if here == 1 and sim.park(node, work):
+            return None
+        return super().retry_at(sim, node, work, dist, here)
 
     def moved(self, sim: Simulation, moved: list[NodeId]) -> None:
         for nid in moved:
@@ -528,17 +517,11 @@ class TrafficAwarePlane(SchemePlane):
         Returns False when less than one slot would remain.
         """
         wake_raw = sim.now + interval
-        # Both rules below are load-bearing. Measured on the acceptance
-        # scenario, seeds 1-3 (delivery 0.963-0.997, 464-473 J per device,
-        # mean delay 5.4-12.2 s with both): without the alignment, each
-        # device spends 694-697 J.
+        # The alignment is load-bearing. Measured on the acceptance
+        # scenario, seeds 1-3 (delivery 0.983-1.000, 456-474 J per device,
+        # mean delay 4.8-10.9 s with it): without it, each device spends
+        # 684-696 J.
         aligned = math.floor(wake_raw / sim.slot_width + 1e-9) * sim.slot_width - 1e-6
-        if node.retry_heap:
-            # Packets deferred here: sleep only until just before the earliest
-            # retry, so the handover happens the moment both ends are awake.
-            # Without this clamp, delivery falls to 0.839-0.890 and the mean
-            # delay rises to 29.5-49.8 s.
-            aligned = min(aligned, node.retry_heap[0] - 1e-6)
         if aligned <= sim.now + 1e-9:
             return False
         sim.set_phase(node, PHASE_SLEEP, aligned)

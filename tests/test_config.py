@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 from dataclasses import fields, replace
 
 import pytest
@@ -338,6 +339,16 @@ MALFORMED = [
     ),
     ({"energy": {"p_tx": True}}, "energy.p_tx: expected a number, got True"),
     ({"energy": {"p_tx": None}}, "energy.p_tx: expected a number, got None"),
+    # JSON's NaN and Infinity pass every bound; an infinite horizon would
+    # never end the traffic generator.
+    ({"p_move": math.nan}, "p_move: expected a finite number, got nan"),
+    ({"link_bps": math.nan}, "link_bps: expected a finite number, got nan"),
+    ({"horizon_s": math.inf}, "horizon_s: expected a finite number, got inf"),
+    (
+        {"flows": [{"src": 0, "dst": 1, "rate_pps": math.inf}]},
+        "flows[0].rate_pps: expected a finite number, got inf",
+    ),
+    ({"energy": {"p_sleep": -math.inf}}, "energy.p_sleep: expected a finite number, got -inf"),
 ]
 
 
@@ -361,7 +372,12 @@ def _attribute_value(override):
     return None if attr is None else (attr, value)
 
 
-BUILT = [(pair, m) for o, m in MALFORMED if (pair := _attribute_value(o)) is not None]
+# A non-finite value is checked through ``from_dict`` alone: should a check
+# let it through, the run built here would never end.
+BUILT = [
+    (pair, m) for o, m in MALFORMED
+    if (pair := _attribute_value(o)) is not None and "finite" not in m
+]
 
 
 @pytest.mark.parametrize("attr_value, message", BUILT, ids=[m for _, m in BUILT])
@@ -425,10 +441,17 @@ def test_a_whole_float_count_in_a_flow_is_read_as_an_int(flow, attr):
     ({"node_count": 5.0, "grid_width": 4, "grid_height": 4}, "nodes: expected an int, got 5.0"),
     ({"slots_per_round": 4.0}, "slots_per_round: expected an int, got 4.0"),
     ({"grid_width": 4.0}, "grid.width: expected an int, got 4.0"),
+    ({"flows": [FlowSpec(1.0, 2, 1.0)]}, "flows[0].src: expected an int, got 1.0"),
+    ({"flows": [FlowSpec(1, 2.0, 1.0)]}, "flows[0].dst: expected an int, got 2.0"),
+    (
+        {"flows": [FlowSpec(1, 2, 1.0, packet_bits=800.0)]},
+        "flows[0].packet_bits: expected an int, got 800.0",
+    ),
 ])
 def test_a_whole_float_count_built_in_python_is_rejected(overrides, message):
-    # Unchecked, the first two raise TypeError inside the run, and the third
-    # writes 4.0 into the report's config where the same scenario file gives 4.
+    # Unchecked, the first two raise TypeError inside the run, and the others
+    # write a float into the report's config where the same scenario file
+    # gives an int.
     with pytest.raises(ConfigError) as err:
         ScenarioConfig(**overrides).validate_runtime()
     assert err.value.errors == [message]
@@ -447,6 +470,13 @@ def test_none_for_a_number_built_in_python_is_rejected(key, attr):
         ScenarioConfig(**{attr: None}).validate_runtime()
     assert err.value.errors == [f"{key}: expected a number, got None"]
     assert {"horizon_s", "round_s", "initial_energy_j"} <= {k for k, _ in NUMBERS}
+
+
+@pytest.mark.parametrize("key, attr", NUMBERS)
+def test_nan_for_a_number_built_in_python_is_rejected(key, attr):
+    with pytest.raises(ConfigError) as err:
+        ScenarioConfig(**{attr: math.nan}).validate_runtime()
+    assert err.value.errors == [f"{key}: expected a finite number, got nan"]
 
 
 @pytest.mark.parametrize("key, attr", COUNTS + NUMBERS)

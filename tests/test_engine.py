@@ -377,6 +377,40 @@ class TestStepTransitions:
         assert sim.nodes[0].time_in_mode[RadioMode.SLEEP] == pytest.approx(15.0 - held, abs=1e-12)
         assert sim.nodes[1].time_in_mode[RadioMode.SLEEP] == pytest.approx(15.0, abs=1e-12)
 
+    def test_traffic_aware_holder_meets_its_next_hops_wake_and_is_woken_for_it(self):
+        from ecsim.traffic import Packet, PacketClass
+
+        # On seed 4, node 7 is one hop from node 0, and nodes 2 and 4 are
+        # one hop from both. No cache takes a packet, so none is parked.
+        config = make_config(horizon_s=40.0, flows=[], cache={"capacity_bits": 0})
+        sim = Simulation(config, 4, collect_trace=True)
+        assert sim.graph.neighbors_of(7) & sim.graph.neighbors_of(0) == {2, 4}
+        while sim.peek_time() <= 12.0:
+            sim.step()
+        sim.now = 12.0
+        # The destination wakes after the two neighbours no farther from it.
+        for nid, wake in ((0, 15.5), (2, 13.5), (4, 13.5), (7, None)):
+            sim.set_phase(sim.nodes[nid], NodePhase.IDLE)
+            if wake is not None:
+                sim.set_phase(sim.nodes[nid], NodePhase.SLEEP, wake)
+        sim.packets.append(Packet(id=0, src=7, dst=0, size_bits=8_000,
+                                  klass=PacketClass.ELASTIC, created_at=12.0))
+        sim.push(12.0, EventKind.PACKET_ARRIVAL, 7, packet_id=0)
+        sim.step()
+        retries = [e.time for e in sim.pending()
+                   if e.kind is EventKind.PACKET_ARRIVAL and e.payload.get("retry")]
+        assert retries == [sim.nodes[0].wake_at] == [15.5]
+        holder = sim.nodes[7]
+        sim.set_phase(holder, NodePhase.SLEEP, 18.0)
+        rows = len(sim.trace)
+        while sim.peek_time() <= 15.5:
+            sim.step()
+        # The retry woke the holder, which sent at once.
+        assert holder.phase is NodePhase.ACTIVE
+        assert [row for row in sim.trace[rows:] if row[2] == "tx-start"] == [
+            (15.5, 7, "tx-start", "pid=0;to=0")
+        ]
+
     @pytest.mark.parametrize("case", ["transmitting", "two hops away"])
     def test_handover_the_holder_cannot_renew_takes_the_outbox_path(self, case):
         holder_id = 2 if case == "transmitting" else 3  # node 3 is two hops from 0

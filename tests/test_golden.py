@@ -24,15 +24,15 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "6fd16263031dc30fe1e0181aa497266e02e672bc127a7f700f1fd6cab42cc07a",
+    "compare.csv": "eac9df40e607ad96b0770043213d318cf8c711029ae5ccb7883623e8beaf160c",
     "traffic-aware/report.json": (
-        "1ce3612a35c51f6e2f08a8aed143136d9391477082d8d57395abc2887fa16b13"
+        "e299b83093b0d45b58cf748e9604bb235b24663d50d0ad3549fea4db306fef86"
     ),
     "traffic-aware/timeseries.csv": (
-        "3562644503fa9cec91428eb0df1f3eaa14fd7a220d38839ef9e82cf7c336b610"
+        "249997897c39f4f4d147517d880dadd0d598f67615efd9eb1ca269b95f807612"
     ),
     "traffic-aware/trace.csv": (
-        "7a555f9859100f29e7eeff0999ca72236f89edf49c223b683624b98a74c9e0e7"
+        "bc464047bc354e3291c736194f25cf693f4e272737eb3d9bb2ff523b07bcecaf"
     ),
     "periodic/report.json": (
         "2808a85e77f996c6a978bf759dc263f619023bff3f2c4c8fc25b2b6e8ff2c1be"
@@ -66,15 +66,15 @@ GOLDEN = {
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "74840c658f05257423305e812663bad6ff766a2c0e50c92a92bd9047d3813d85",
+    "compare.csv": "3e9c6d4d4d8ffd0360fb5cd2863ab58cef66287c41eeb9032ae4ab0d3a254755",
     "traffic-aware/report.json": (
-        "a7c2eba9dce748c9d8c0dd32c5ae6d3967b1a4a0df9eaea04f1d8a9c4ee1f2e3"
+        "7c2ed78d856ec0c5c3a68b15c5478a733456f3b4da29211490d680066f17908a"
     ),
     "traffic-aware/timeseries.csv": (
-        "c529871690bf42d3f2646ad754a2543a9912183645746382438e24184a0174f4"
+        "68b96cae100307cf5b22b7b9c4d4ff243a8cd18140b7e1d6adae51f735785342"
     ),
     "traffic-aware/trace.csv": (
-        "9644bd6cd0baf6e4086195530d9f384fb2279a6d6a015da3b03843adf339efdd"
+        "da7dcfab7c31249cdf3e6f49e8089fcf59e9120f02ae224b63d2a8ed5243dd50"
     ),
     "periodic/report.json": (
         "7ea04f7c8c46ce644f9f629cf8848dcc4f8564780b6779bb17dbd7acfa7eca88"
@@ -106,17 +106,17 @@ GOLDEN_DEATHS = {
 }
 
 
-# Traffic-aware forms 4 clusters and sees 66 moves, 12 deaths and 897 sleep grants.
+# Traffic-aware forms 4 clusters and traces 65 moves, 10 deaths and 1192 sleep grants.
 GOLDEN_GRID = {
-    "compare.csv": "3bf804969f0e8f4be53f2e9af1c328074ef90b629a985b3329de800a09626720",
+    "compare.csv": "dbe788e11f76839b8a78541bb812c1bfbb0f9ab960feeb7412f0b0520c39ea7f",
     "traffic-aware/report.json": (
-        "54064ee074a15263062b349873e79cee5af7bf328d6d24b0c6174a082dcfcacf"
+        "505343a5ecd0be0b4e37a06e9826de88c5fabf36cb16dd4e87ab58b382c14291"
     ),
     "traffic-aware/timeseries.csv": (
-        "9653ac131465b5b6ce86f049b366fb20383ceaa0e3922b5d9382f1c72ef7bce7"
+        "97ab0911358eaa3f9f6193453840705e51a1f50748cbd0b61e35ec9e143f6524"
     ),
     "traffic-aware/trace.csv": (
-        "90964afc07ee5a2f329ba0899778a388a79b006a3ecdc0262a13cf0d9316666d"
+        "7c15441047fcdbc6f0e4152ce7d5589a92651d8e6e4a8479c8c5fe47b8c97592"
     ),
     "periodic/report.json": (
         "95bf063646b93c332e98afd25a86c394cabf35b773e2edb85023731f8c91b3c5"

@@ -254,20 +254,19 @@ TIMERS = (SLEEP_EXPIRY, EventKind.IDLE_EXPIRY)
 
 
 def checked_simulation(raw, seed):
-    """The simulation of ``raw`` for the every-event checks. Under the
-    duty-cycle baselines its plane keeps ``met``: the packets whose latest
-    deferral a meeting timed, because their holder had a hop count."""
+    """The simulation of ``raw`` for the every-event checks. Its plane keeps
+    ``met``: the packets whose latest deferral a meeting timed, because their
+    holder had a hop count."""
     sim = Simulation(from_dict(raw), seed)
     plane = sim.plane
-    if isinstance(plane, DutyCyclePlane):
-        plane.met = set()
-        retry_at = plane.retry_at
+    plane.met = set()
+    retry_at = plane.retry_at
 
-        def recorded(sim, node, work, dist, here):
-            (plane.met.discard if here is None else plane.met.add)(work.packet.id)
-            return retry_at(sim, node, work, dist, here)
+    def recorded(sim, node, work, dist, here):
+        (plane.met.discard if here is None else plane.met.add)(work.packet.id)
+        return retry_at(sim, node, work, dist, here)
 
-        plane.retry_at = recorded
+    plane.retry_at = recorded
     return sim
 
 
@@ -354,22 +353,25 @@ def assert_structural_invariants(sim):
             assert node.death_key is None, nid
         elif node.death_key is not None:
             assert earliest_death.get(nid, (math.inf, 0)) <= node.death_key, nid
-    # (n) Under the duty-cycle baselines a packet waits less than a period
-    # for a next hop: every pending retry that a meeting timed is due within
-    # one period of now. A retry timed while its holder had no hop count
-    # polls with backoff, and a move may give the holder a route before it
-    # is due, so only ``checked_simulation``'s record tells the two apart.
-    # With staggered windows, drawn pairs that never share a window meet
-    # this way (with 4 nodes, no two nodes share one).
-    met = getattr(sim.plane, "met", None)
-    if met is not None:
+    # (n) A packet waits for a next hop no longer than a sleep lasts: every
+    # pending retry that a meeting timed is due within one period of now
+    # under the duty-cycle baselines, and within one round under the others,
+    # whose sleep grants are shorter than a round. A retry timed while its
+    # holder had no hop count polls with backoff, and a move may give the
+    # holder a route before it is due, so only ``checked_simulation``'s
+    # record tells the two apart. With staggered windows, drawn pairs that
+    # never share a window meet this way (with 4 nodes, no two nodes share
+    # one).
+    if isinstance(sim.plane, DutyCyclePlane):
         latest = sim.now + sim.config.scheme.period
-        assert not [
-            (nid, p["packet_id"], time)
-            for time, _, kind, nid, p in pending
-            if kind is PACKET_ARRIVAL and "retry" in p and time > latest
-            and p["packet_id"] in met
-        ]
+    else:
+        latest = sim.now + sim.round_length
+    assert not [
+        (nid, p["packet_id"], time)
+        for time, _, kind, nid, p in pending
+        if kind is PACKET_ARRIVAL and "retry" in p and time > latest
+        and p["packet_id"] in sim.plane.met
+    ]
     # (m) First arrivals are queued one at a time, in packet order: while a
     # packet has not arrived, the next one's is the only one queued.
     firsts = [p["packet_id"] for _, _, kind, _, p in pending
