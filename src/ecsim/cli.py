@@ -69,11 +69,22 @@ def _set_by_path(raw: dict, dotted: str, value) -> None:
     target[parts[-1]] = value
 
 
+def _parse_list(option: str, text: str, parse) -> list:
+    """Parse each comma-separated item of an option; a bad one is a config error."""
+    items = []
+    for item in text.split(","):
+        try:
+            items.append(parse(item))
+        except ValueError as exc:  # json.JSONDecodeError is a ValueError
+            raise ConfigError([f"{option}: {item!r}: {exc}"]) from None
+    return items
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     base = parse_config(args.config)
     raw = base.to_dict()
-    values = [json.loads(v) for v in args.values.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else [args.seed]
+    values = _parse_list("--values", args.values, json.loads)
+    seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else [args.seed]
     jobs = []
     for value in values:
         for seed in seeds:

@@ -486,8 +486,9 @@ class Simulation:
 
     def _try_transmit(self, node: SimNode) -> None:
         """Store-and-forward: move each queued packet one hop closer to its
-        destination via an awake neighbor. When no closer neighbor is awake,
-        the plane's ``retry_at`` parks the packet or says when to try again."""
+        destination, to the awake neighbor nearest to it (ties to the
+        smallest id). When no closer neighbor is awake, the plane's
+        ``retry_at`` parks the packet or says when to try again."""
         while node.outbox and node.awake and not node.tx_active:
             # A queued packet is held by this outbox alone, and only this
             # loop or the node's death takes it out: it has not ended.
@@ -513,20 +514,12 @@ class Simulation:
                     if dist.get(v, math.inf) < here and self.nodes[v].awake
                 ]
                 if closer:
-                    hop = min(closer, key=lambda v: (dist[v],) + self._relay_pref(v))
+                    hop = min(closer, key=lambda v: (dist[v], v))
                     self._start_tx(node, hop, work)
                     break
             retry_at = self.plane.retry_at(self, node, work, dist, here)
             if retry_at is not None:
                 self._defer(node, work, retry_at)
-
-    def _relay_pref(self, v: NodeId) -> tuple:
-        """Relay choice: the cluster head costs nothing extra (it is awake
-        anyway), then healthy batteries; the battery bucket rotates the role
-        as a relay drains."""
-        node = self.nodes[v]
-        bucket = int(10 * node.e_residual / node.e_max)
-        return (0 if v in self.plane.ch_ids else 1, -bucket, v)
 
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
         """Hop counts to ``dst`` over the full alive topology (cached, and
@@ -654,14 +647,11 @@ class Simulation:
     def _on_mobility_step(self, event: Event) -> None:
         p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
         alive = [nid for nid, node in self.nodes.items() if node.alive]
-        moved: list[NodeId] = []
         # Each mover's edges and the maps are repaired before the next node draws.
         for nid in move_step(self.grid, alive, self.mobility_rng, p_step):
             removed, added = refresh_node(self.graph, self.grid, nid)
             self._repair_maps((nid, *removed), [(nid, v) for v in added])
             self.trace_event(nid, "moved")
-            moved.append(nid)
-        self.plane.moved(self, moved)
         self.push(self.now + self.config.mobility_step_s, MOBILITY_STEP)
 
     def _on_round_setup(self, event: Event) -> None:

@@ -51,6 +51,19 @@ def ok(criterion: int, detail: str) -> None:
     print(f"[ACCEPTANCE] criterion {criterion}: PASS - {detail}")
 
 
+def per_seed(reports) -> str:
+    """Traffic-aware's figures per seed, the table a change of rules reports."""
+    def column(key: str, fmt: str) -> str:
+        return "/".join(format(r.network[key], fmt) for r in reports)
+
+    return (
+        f"traffic-aware seeds {SEEDS[0]}-{SEEDS[-1]}: "
+        f"J/device {column('mean_per_device_consumption_j', '.1f')}, "
+        f"delivery {column('delivery_ratio', '.4f')}, "
+        f"mean delay {column('mean_end_to_end_delay_s', '.2f')} s"
+    )
+
+
 @pytest.fixture(scope="module")
 def experiment():
     """Criteria 7-9 share one comparative experiment: 3 schemes x 5 seeds."""
@@ -253,7 +266,8 @@ def test_criterion_7_energy_conservation_margin(experiment):
         7,
         "mean consumption reduction "
         + ", ".join(f"{b}: {m:.1f}%" for b, m in margins.items())
-        + f"; 15 runs in {experiment['elapsed']:.0f}s",
+        + f"; 15 runs in {experiment['elapsed']:.0f}s; "
+        + per_seed(runs["traffic-aware"]),
     )
 
 
@@ -267,7 +281,8 @@ def test_criterion_8_throughput_non_degradation(experiment):
             f"traffic-aware delivery {ta:.3f} below {baseline} {base:.3f} - 0.02"
         )
         details.append(f"{baseline}: {base:.3f}")
-    ok(8, f"traffic-aware delivery {ta:.3f} vs " + ", ".join(details))
+    ok(8, f"traffic-aware delivery {ta:.3f} vs " + ", ".join(details) + "; "
+       + per_seed(runs["traffic-aware"]))
 
 
 def test_criterion_9_caching_benefit(experiment):

@@ -119,6 +119,21 @@ def test_compare_unknown_scheme_exit_code_2(scenario_file, tmp_path):
     assert not (tmp_path / "cmp").exists()
 
 
+@pytest.mark.parametrize(
+    "option, items", [("--values", "0.1,abc"), ("--seeds", "1,x")], ids=["values", "seeds"]
+)
+def test_sweep_unparsable_list_exit_code_2(scenario_file, tmp_path, capsys, option, items):
+    args = {"--values": "0.0,0.01", "--seeds": "1,2", option: items}
+    code = main([
+        "sweep", "--config", str(scenario_file), "--param", "p_move",
+        *(arg for pair in args.items() for arg in pair),
+        "--out", str(tmp_path / "sweep"), "--quiet",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: {option}: ")
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_writes_one_report_per_value(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     code = main([

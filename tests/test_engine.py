@@ -189,21 +189,60 @@ class TestStepTransitions:
         sim.set_phase(node, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, node, 4.0)
         old_epoch = node.phase_epoch
-        sim.plane._enter_idle(sim, node)  # e.g. location change woke it early
+        sim.plane._enter_idle(sim, node)  # e.g. a role wake woke it early
         assert node.phase is NodePhase.IDLE
         sim._on_phase_expiry(type("E", (), {"node": 2, "payload": {"epoch": old_epoch}})())
         assert node.phase is NodePhase.IDLE  # stale event changed nothing
 
-    def test_mobility_wake_on_location_change(self):
+    def test_a_sleeper_that_moves_sleeps_until_its_wake(self):
         config = make_config(horizon_s=40.0, p_move=1.0)
-        sim = Simulation(config, 4)
+        sim = Simulation(config, 4, collect_trace=True)
         node = sim.nodes[3]
         sim.now = 11.0
         sim.set_phase(node, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, node, 5.0)
-        assert node.phase is NodePhase.SLEEP
+        wake, epoch = node.wake_at, node.phase_epoch
         sim._on_mobility_step(type("E", (), {"node": None, "payload": {}})())
-        assert node.phase is NodePhase.IDLE  # woken by the move
+        assert (11.0, 3, "moved", "") in sim.trace
+        assert node.phase is NodePhase.SLEEP
+        assert (node.wake_at, node.phase_epoch) == (wake, epoch)
+        timers = [(e.kind, e.time) for e in sim.pending()
+                  if e.node == 3 and e.payload.get("epoch") == epoch]
+        assert timers == [(EventKind.SLEEP_EXPIRY, wake)]
+
+    def test_a_cluster_head_can_sleep_longer_than_one_slot(self):
+        sim = Simulation(make_config(), 1)
+        plane = sim.plane
+        grants = []
+        while not grants:
+            granted = len(plane.sleep_audit)
+            assert sim.step() is not None, "no cluster head was granted sleep"
+            heads = {cl.ch for cl in plane.clusters}
+            grants = [g for g in plane.sleep_audit[granted:] if g["node"] in heads]
+        grant = grants[0]
+        assert grant["t_sleep"] > sim.slot_width
+        assert sim.nodes[grant["node"]].wake_at - sim.now > sim.slot_width
+
+    def test_next_hop_is_the_nearest_awake_neighbor_with_the_smallest_id(self):
+        from ecsim.traffic import Packet, PacketClass
+
+        # On seed 5, node 2 is two hops from node 1 through nodes 0, 3, 4 and 5.
+        sim = Simulation(make_config(flows=[], scheme={"kind": "always-on"}), 5)
+        dist = sim._hop_distances(1)
+        assert dist[2] == 2
+        assert sorted(v for v in sim.graph.neighbors_of(2) if dist[v] == 1) == [0, 3, 4, 5]
+        sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
+        relay = sim.nodes[3]
+        relay.e_residual = 0.1 * relay.e_max  # a drained battery does not matter
+        packet = Packet(id=0, src=2, dst=1, size_bits=8_000,
+                        klass=PacketClass.ELASTIC, created_at=0.0)
+        sim.packets.append(packet)
+        sim.work[0] = PacketWork(packet, False)
+        sim.nodes[2].outbox.append(sim.work[0])
+        sim._try_transmit(sim.nodes[2])
+        sends = [(e.payload["sender"], e.node) for e in sim.pending()
+                 if e.kind is EventKind.TX_COMPLETE]
+        assert sends == [(2, 3)]
 
     def test_same_phase_call_only_arms_the_timer(self):
         config = make_config(horizon_s=40.0, flows=[], scheme={"kind": "always-on"})

@@ -5,7 +5,7 @@ with traces on, in three variants: cut to a 60 s horizon (no node dies);
 with 25 J batteries over 100 s with faster mobility, so that nodes die under
 every scheme and traffic-aware repairs the roles of dead cluster heads and
 proxies; and split into a 2x2 grid of clusters with 40 J batteries and
-frequent moves, so that traffic-aware wakes moved nodes and repairs roles
+frequent moves, so that moves reshape routes and traffic-aware repairs roles
 across several clusters. The sha256 of every file it writes must match the digests below. A
 change that is meant only to make the simulator faster or smaller must leave
 them as they are. A change that alters behaviour on purpose records the new
@@ -24,15 +24,15 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "eac9df40e607ad96b0770043213d318cf8c711029ae5ccb7883623e8beaf160c",
+    "compare.csv": "c718af64730186d4ffb2b4e975be57cf9da05f240b1832e12417434f3b432e74",
     "traffic-aware/report.json": (
-        "e299b83093b0d45b58cf748e9604bb235b24663d50d0ad3549fea4db306fef86"
+        "60a86a5a6eaccbc8f7aa34c63a21d57735503db4cfa11919c31277ec5f8378c0"
     ),
     "traffic-aware/timeseries.csv": (
-        "249997897c39f4f4d147517d880dadd0d598f67615efd9eb1ca269b95f807612"
+        "3679bf4a4648a40119c927317da7553f686687352ff30295b2824901fb4dc0cb"
     ),
     "traffic-aware/trace.csv": (
-        "bc464047bc354e3291c736194f25cf693f4e272737eb3d9bb2ff523b07bcecaf"
+        "0b2d485e2da39c0a3c8c2f253f7986b1f8a3f0159f502670b4ec8723d3a2b69d"
     ),
     "periodic/report.json": (
         "2808a85e77f996c6a978bf759dc263f619023bff3f2c4c8fc25b2b6e8ff2c1be"
@@ -53,28 +53,28 @@ GOLDEN = {
         "2eee714d4fdaa9c6ef1b401c2d58c1a9cf3afb6e8403b1738336aa44493769a2"
     ),
     "always-on/report.json": (
-        "eeb5094392253d6855149d15cd9ab09296dd942f89ae3574de8b60c119411cf6"
+        "ebaf562acc08e6c10995afb2464ca93c96f3ab3b009b4e422a4e727d401ea2cd"
     ),
     "always-on/timeseries.csv": (
-        "961cef27eb24d263e718f0115bda620607943a76e52e12e7dd28c60539290f26"
+        "7d31c9e2eba5c2d399622c7f1caec9fc8c55f5c7bc4ebc896a0ce50e15c047c8"
     ),
     "always-on/trace.csv": (
-        "206ac4febf3ed2579f5f1f85276ff5fcc21ba05d8210c6356371d079a56b06e6"
+        "0541925cbf54d458968189e7cd6e5a3e783fc5b5165c3960b9f52373d46a3af2"
     ),
 }
 
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "3e9c6d4d4d8ffd0360fb5cd2863ab58cef66287c41eeb9032ae4ab0d3a254755",
+    "compare.csv": "7702140d7b5f1ae19f100c43f6bc43c69d1e0affcdd64c2e9676771f3db6951a",
     "traffic-aware/report.json": (
-        "7c2ed78d856ec0c5c3a68b15c5478a733456f3b4da29211490d680066f17908a"
+        "845ded4e8c8c60613e5ab98a70526bd8c7ab6057ce8c55c17caccb3c17794c4c"
     ),
     "traffic-aware/timeseries.csv": (
-        "68b96cae100307cf5b22b7b9c4d4ff243a8cd18140b7e1d6adae51f735785342"
+        "0e2c2e49ec04dddcaf9d7f40ab8e03b50d2b9a700fcbfee247efb8e8ea63d3d1"
     ),
     "traffic-aware/trace.csv": (
-        "da7dcfab7c31249cdf3e6f49e8089fcf59e9120f02ae224b63d2a8ed5243dd50"
+        "c586d27f60fa6710d00082a78fcb1af314c57cd693109af8d9a7598a9e26004c"
     ),
     "periodic/report.json": (
         "7ea04f7c8c46ce644f9f629cf8848dcc4f8564780b6779bb17dbd7acfa7eca88"
@@ -86,37 +86,37 @@ GOLDEN_DEATHS = {
         "6db04349147b14e0fc5996b90614244afc90525f90f99a4e04a28c477c6f6c6b"
     ),
     "coordinated/report.json": (
-        "c690e090950d2bc5fb2c1ed2ab0bb1252c48cfb0aaa2580a36ae8d3e65ceeea6"
+        "d427809ff3efa6599d85a25cfbc6bb1b4547d3427ba62a4f85346eb24a11c735"
     ),
     "coordinated/timeseries.csv": (
-        "052c91048e26323fe24f3c158875f3ccc0b999a3b1ac36ba8d40f43809f99fe4"
+        "6a733fbee028e1a59968e33bab093326e6f5197d3d9a3355b6149539d646a3ca"
     ),
     "coordinated/trace.csv": (
-        "0dcc8f82c8074369a0bc005e508c5c8f48f28695d3d21ffed948dc00aeba83b4"
+        "9d98289bba95331e23754eb2d1d5bcadeb8b8ea838d56e18cd972e117c550e51"
     ),
     "always-on/report.json": (
-        "ed246fab28f94c1e9494fe850e7d9fb3823163e4ea10cd31c88c59564ce39327"
+        "585d1453406acb3ac236d073671e38a72eb836b7f6f63810ff4ada1886134907"
     ),
     "always-on/timeseries.csv": (
-        "67e815c858f4506a00d33abea1d25f0273ad86426570baead79d848b7d66ef17"
+        "a00b2dc51203815271d8987efa7652055ed81d05e27030666a7c646e6708f76e"
     ),
     "always-on/trace.csv": (
-        "e6fa345319a5045764d470be01cd35e08d0ee948cac9b2ad56cce37b37840410"
+        "e654047b59255b43109eb4a35f100cddefb49fb58230afe65919e467d18cfb8e"
     ),
 }
 
 
 # Traffic-aware forms 4 clusters and traces 65 moves, 10 deaths and 1192 sleep grants.
 GOLDEN_GRID = {
-    "compare.csv": "dbe788e11f76839b8a78541bb812c1bfbb0f9ab960feeb7412f0b0520c39ea7f",
+    "compare.csv": "86f1dcec59547a07927027a6287fb1a102cc45ce3c21bfbb83734298899f886e",
     "traffic-aware/report.json": (
-        "505343a5ecd0be0b4e37a06e9826de88c5fabf36cb16dd4e87ab58b382c14291"
+        "45dda0ebcb00d0618b1e1318b4d4fbb0c0556861f81215c8dbd584e332eea5f2"
     ),
     "traffic-aware/timeseries.csv": (
-        "97ab0911358eaa3f9f6193453840705e51a1f50748cbd0b61e35ec9e143f6524"
+        "3591a2d8ea6bf1586c7fe5f1b6a01ba9d6076848d12ec7fd0c0685df78f6b914"
     ),
     "traffic-aware/trace.csv": (
-        "7c15441047fcdbc6f0e4152ce7d5589a92651d8e6e4a8479c8c5fe47b8c97592"
+        "bbde44f72932fb337b6b1e30aaa5e6a7639d2d0fc43c7816cda8a6a40c7443dd"
     ),
     "periodic/report.json": (
         "95bf063646b93c332e98afd25a86c394cabf35b773e2edb85023731f8c91b3c5"
@@ -128,22 +128,22 @@ GOLDEN_GRID = {
         "32b20b08eb4879e73d62eafafbeab7628820c4cd79c8c6db7c598e4d32378861"
     ),
     "coordinated/report.json": (
-        "6a3824b9ad8703e4f6c095add73a7b4e1a67fcf3062cac4f43f4a8059a5c0da3"
+        "a70ba172d26ae7fb1d0db3c116bdfd86209091b296d1663e92285861a0f018f0"
     ),
     "coordinated/timeseries.csv": (
-        "e2da959d321da8a93f24d1ca3d6e9f2f39deb1e46b0e2f13cd8ea0dc7041b428"
+        "f917a5a429b3cf1c14a50f9678ed1ca2c5260fb9eefac7e3473cc8dc39784d47"
     ),
     "coordinated/trace.csv": (
-        "f9ed186010ea3805eaec95c8ebe661a25559ff5ff830f51f6958f4f09c7a613a"
+        "a245320cd8afafa810129907b7d6c2679369dc15f999198130499532cf34ab98"
     ),
     "always-on/report.json": (
-        "2bb4d1bd21718f260660ba0ce109bfd59e27f967ff1ae92bf0a381a9fa9d39f5"
+        "d6e74915ed4b69fdfa23d9a05c2ad2e81530ad7c0b05f9ffdea774900ea9729b"
     ),
     "always-on/timeseries.csv": (
-        "62498ff46a9832138f12fcb11dca8119ca9a8dc1713f4deb3f27d6705147a95b"
+        "d819300ef17a6603fc4b5838f157fe740d4ea5e13971f0300a3af2f3c6a749e8"
     ),
     "always-on/trace.csv": (
-        "047100f801e700c0e32367af8e6ddba7ed8d9fddc2054b8a85e97fb6e3f5e03a"
+        "6aaae0aaef2dc0435fc3e7c58d74360b93a60a6a675c2a865e60e86dc77f899e"
     ),
 }
 

@@ -118,7 +118,7 @@ def test_roles_are_alive_members():
             assert checked, scheme
         else:
             # Only traffic-aware has a control plane.
-            assert not sim.plane.clusters and not sim.plane.ch_ids, scheme
+            assert not sim.plane.clusters, scheme
 
 
 def test_proxy_sleeps_on_its_own_clusters_grants_after_an_earlier_cluster_empties():
