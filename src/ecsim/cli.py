@@ -84,8 +84,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     base = parse_config(args.config)
     raw = base.to_dict()
     values = _parse_list("--values", args.values, json.loads)
-    seeds = _parse_list("--seeds", args.seeds, int) if args.seeds else [args.seed]
-    jobs = []
+    seeds = _parse_list("--seeds", args.seeds, int)
+    jobs = {}  # output directory -> job
     for value in values:
         for seed in seeds:
             run_raw = copy.deepcopy(raw)
@@ -93,10 +93,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 run_raw["scheme"] = {"kind": args.scheme}
             _set_by_path(run_raw, args.param, value)
             config = from_dict(run_raw)  # every point parses before any run starts
-            outdir = Path(args.out) / f"{args.param.replace('.', '_')}={value}" / f"seed={seed}"
-            jobs.append((config, seed, str(outdir), args.trace, args.quiet))
+            point = f"{args.param.replace('.', '_')}={value}"
+            outdir = str(Path(args.out) / point / f"seed={seed}")
+            if outdir in jobs:
+                raise ConfigError([f"--values/--seeds: two points write {point}/seed={seed}"])
+            jobs[outdir] = (config, seed, outdir, args.trace, args.quiet)
     with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-        list(pool.map(_run_worker, jobs))
+        list(pool.map(_run_worker, jobs.values()))
     if not args.quiet:
         print(f"sweep complete: {len(jobs)} runs under {args.out}")
     return 0
@@ -108,6 +111,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     schemes = [s.strip() for s in args.schemes.split(",") if s.strip()]
     if len(schemes) < 2:
         raise ConfigError(["compare needs at least two schemes"])
+    repeated = sorted({s for s in schemes if schemes.count(s) > 1})
+    if repeated:
+        raise ConfigError([f"--schemes: {', '.join(repeated)} listed more than once"])
     # Every kind parses before the first run writes anything.
     configs = [_config_with_scheme(raw, scheme) for scheme in schemes]
     outdir = Path(args.out)
@@ -116,7 +122,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         report, trace_rows = run_simulation(config, args.seed, collect_trace=args.trace)
         _write_outputs(outdir / scheme, report, trace_rows, args.quiet)
         reports.append((scheme, report))
-    rows = compare(reports, baseline=args.baseline or schemes[0])
+    rows = compare(reports)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "compare.csv").write_text(compare_csv(rows))
     if not args.quiet:
@@ -140,12 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="vary one config parameter over a list")
+    # No abbreviations: ``--seed``, which run and compare take, is not ``--seeds``.
+    sweep_p = sub.add_parser(
+        "sweep", help="vary one config parameter over a list", allow_abbrev=False
+    )
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--param", required=True, help="dotted config path, e.g. nodes")
     sweep_p.add_argument("--values", required=True, help="comma-separated JSON values")
-    sweep_p.add_argument("--seed", type=int, default=1)
-    sweep_p.add_argument("--seeds", help="comma-separated seeds (overrides --seed)")
+    sweep_p.add_argument("--seeds", default="1", help="comma-separated seeds (default: 1)")
     sweep_p.add_argument("--out", required=True)
     sweep_p.add_argument("--scheme", choices=tuple(SCHEMES))
     sweep_p.add_argument("--trace", action="store_true")
@@ -155,8 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p = sub.add_parser("compare", help="run several schemes on one scenario+seed")
     cmp_p.add_argument("--config", required=True)
     cmp_p.add_argument("--seed", type=int, required=True)
-    cmp_p.add_argument("--schemes", required=True, help="comma-separated scheme kinds")
-    cmp_p.add_argument("--baseline", help="baseline scheme for deltas (default: first)")
+    cmp_p.add_argument(
+        "--schemes", required=True,
+        help="comma-separated scheme kinds; the first is the baseline for deltas",
+    )
     cmp_p.add_argument("--out", required=True)
     cmp_p.add_argument("--trace", action="store_true")
     cmp_p.add_argument("--quiet", action="store_true")
@@ -172,9 +182,6 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         for line in exc.errors:
             print(f"config error: {line}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - report and exit 3 per contract
         print(f"runtime error: {exc}", file=sys.stderr)

@@ -13,7 +13,6 @@ from pathlib import Path
 
 from ecsim.core import EnergyModelParams
 from ecsim.schemes import SCHEMES, Scheme, TrafficAware
-from ecsim.scheduler import SLEEP_EPSILON
 from ecsim.traffic import FlowSpec
 
 MAX_NODES_PER_CLUSTER = 50
@@ -37,7 +36,6 @@ class ScenarioConfig:
     round_s: float = 10.0
     slots_per_round: int = 10
     p_move: float = 0.01
-    mobility_step_s: float = 1.0
     flows: list[FlowSpec] = field(default_factory=list)
     cache_enabled: bool = True
     cache_capacity_bits: int = 10_000_000
@@ -48,9 +46,6 @@ class ScenarioConfig:
     cluster_policy: str = "component"
     cluster_partition: int = 1
     deadline_rounds: float = 2.0
-    retry_s: float = 0.5
-    observation_window_s: float | None = None
-    sleep_epsilon: float = SLEEP_EPSILON
     sleep_budget_rounds: float = 0.4
     traffic_horizon_s: float | None = None
 
@@ -169,7 +164,6 @@ _SCHEMA = (
     ("round_s", "round_s", _number(minimum=1e-9)),
     ("slots_per_round", "slots_per_round", _whole(minimum=1)),
     ("p_move", "p_move", _number(minimum=0.0, maximum=1.0)),
-    ("mobility_step_s", "mobility_step_s", _number(minimum=1e-9)),
     ("cache.enabled", "cache_enabled", _flag),
     ("cache.capacity_bits", "cache_capacity_bits", _whole(minimum=0)),
     ("link_bps", "link_bps", _number(minimum=1e-9)),
@@ -178,9 +172,6 @@ _SCHEMA = (
     ("cluster.policy", "cluster_policy", _one_of("component", "grid")),
     ("cluster.partition", "cluster_partition", _whole(minimum=1)),
     ("deadline_rounds", "deadline_rounds", _number(minimum=1e-9)),
-    ("retry_s", "retry_s", _number(minimum=1e-9)),
-    ("observation_window_s", "observation_window_s", _number(minimum=1e-9)),
-    ("sleep_epsilon", "sleep_epsilon", _number(minimum=0.0, maximum=0.5)),
     ("sleep_budget_rounds", "sleep_budget_rounds", _number(minimum=1e-9, maximum=1.0)),
     ("traffic_horizon_s", "traffic_horizon_s", _number(minimum=1e-9)),
 )
@@ -204,7 +195,7 @@ def _fields(cls, keys=()) -> dict:
 # Simulation runs ``from_dict`` through ``validate_runtime``.
 _FIELDS = {cls: _fields(cls, cls.keys) for cls in SCHEMES.values()}
 _FIELDS[EnergyModelParams] = _fields(EnergyModelParams)
-_FIELDS[FlowSpec] = _fields(FlowSpec, [("deadline_offset_s", "deadline_offset")])
+_FIELDS[FlowSpec] = _fields(FlowSpec)
 # FlowSpec requires a rate; a flow entry without one has rate 0.
 _FIELDS[FlowSpec]["rate_pps"] = ("rate_pps", _number(), 0.0)
 
@@ -334,7 +325,10 @@ def from_dict(raw: dict) -> ScenarioConfig:
 
 def parse_config(path: str | Path) -> ScenarioConfig:
     """Load, parse and fully validate a scenario file."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"cannot read {path}: {exc}"]) from exc
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -179,6 +179,8 @@ LOST_NO_CACHE = "lost-no-cache"
 
 # Random placements tried before a scenario is declared unable to connect.
 PLACEMENT_ATTEMPTS = 200
+# Seconds between mobility steps; each alive node moves with ``p_move`` per step.
+MOBILITY_STEP_S = 1.0
 
 
 class Simulation:
@@ -201,7 +203,6 @@ class Simulation:
         # Power per radio mode; ``EnergyModelParams.power`` defines it.
         self.mode_power = {mode: self.params.power(mode) for mode in RadioMode}
         self.link_bps = config.link_bps
-        self.retry_s = config.retry_s
 
         master = random.Random(seed)
         placement_rng = random.Random(master.randrange(2**63))
@@ -255,7 +256,7 @@ class Simulation:
 
         self.push(0.0, ROUND_SETUP)
         if config.p_move > 0:
-            self.push(config.mobility_step_s, MOBILITY_STEP)
+            self.push(MOBILITY_STEP_S, MOBILITY_STEP)
         # Deaths are predicted on each mode change; a node that keeps its
         # first mode dies on this prediction.
         for node in self.nodes.values():
@@ -645,14 +646,13 @@ class Simulation:
             self.plane.expired(self, node)
 
     def _on_mobility_step(self, event: Event) -> None:
-        p_step = min(1.0, self.config.p_move * self.config.mobility_step_s)
         alive = [nid for nid, node in self.nodes.items() if node.alive]
         # Each mover's edges and the maps are repaired before the next node draws.
-        for nid in move_step(self.grid, alive, self.mobility_rng, p_step):
+        for nid in move_step(self.grid, alive, self.mobility_rng, self.config.p_move):
             removed, added = refresh_node(self.graph, self.grid, nid)
             self._repair_maps((nid, *removed), [(nid, v) for v in added])
             self.trace_event(nid, "moved")
-        self.push(self.now + self.config.mobility_step_s, MOBILITY_STEP)
+        self.push(self.now + MOBILITY_STEP_S, MOBILITY_STEP)
 
     def _on_round_setup(self, event: Event) -> None:
         # Flush ongoing activity into the closing round before a new one starts.

@@ -33,6 +33,9 @@ if TYPE_CHECKING:
 # 3.10 and 3.11 a class attribute read costs about ten times a global's.
 PHASE_ACTIVE, PHASE_IDLE, PHASE_SLEEP = NodePhase.ACTIVE, NodePhase.IDLE, NodePhase.SLEEP
 
+# Seconds between polls of a packet whose holder has no route to its destination.
+RETRY_S = 0.5
+
 
 class SchemePlane:
     """Per-run behaviour of a scheme. The engine calls these hooks where
@@ -81,7 +84,7 @@ class SchemePlane:
         """The exact meeting, as in WiseMAC: the earliest wake of a strictly
         closer neighbor, which is the destination's own when it is one hop
         away. None of them is awake, so each sleeps until its ``wake_at``.
-        A packet whose holder has no hop count polls every ``retry_s``, and
+        A packet whose holder has no hop count polls every ``RETRY_S``, and
         from its fourth deferral on no sooner than a backoff that doubles up
         to one round, so that packets no route will unblock stop flooding
         the event queue."""
@@ -93,10 +96,10 @@ class SchemePlane:
                 for v in sim.graph.neighbors_of(node.nid)
                 if dist.get(v, math.inf) < here
             ))
-        retry = now + sim.retry_s
+        retry = now + RETRY_S
         deferred = work.defer_count
         if deferred >= 3:
-            backoff = min(sim.retry_s * 2.0 ** (deferred - 2), sim.round_length)
+            backoff = min(RETRY_S * 2.0 ** (deferred - 2), sim.round_length)
             retry = max(retry, now + backoff)
         return retry
 
@@ -201,10 +204,8 @@ class TrafficAwarePlane(SchemePlane):
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
-        config = sim.config
         # Traffic-active seconds per member and slot of the current round.
         self.ledger = ActivityLedger(sim.slot_width, sim.slots_per_round)
-        self.obs_window = config.observation_window_s or config.round_s
         self.clusters: list[cluster_mod.Cluster] = []
         self.sp_history: list[list[float]] = []  # this round's grants, one list per cluster
         # Each packet's [last arrival, (hosting, transmission) per hop, senders].
@@ -425,7 +426,7 @@ class TrafficAwarePlane(SchemePlane):
         between duties it naps up to the next boundary, and after its last
         duty of the round it takes the full interval. A mean shorter than the
         gap to the next boundary gives no nap: ``_enter_sleep`` refuses it."""
-        interval = sp_sleep(grants, sim.slots_per_round, sim.round_length, sim.config.sleep_epsilon)
+        interval = sp_sleep(grants, sim.slots_per_round, sim.round_length)
         if interval <= 1e-9 or _busy(sp_node):
             return
         realized = interval if last_duty else min(interval, sim.slot_width)
@@ -448,9 +449,9 @@ class TrafficAwarePlane(SchemePlane):
     # -- intervals -------------------------------------------------------------
 
     def _max_dp(self, sim: Simulation, nid: NodeId) -> tuple[float, int]:
-        """Largest windowed path delay and its hops, the latest of equal
-        delays; (0.0, 1) at cold start."""
-        best = window_front(self.dp_samples[nid], sim.now - self.obs_window)
+        """Largest path delay of the last round and its hops, the latest of
+        equal delays; (0.0, 1) at cold start."""
+        best = window_front(self.dp_samples[nid], sim.now - sim.round_length)
         if best is None:
             return 0.0, 1
         return best[0][0], best[1]
@@ -465,7 +466,7 @@ class TrafficAwarePlane(SchemePlane):
             cap_sum = self.cap_sums[degree] = sum_in_order((float(sim.link_bps),) * degree)
         samples = self.cap_samples[nid]
         window_push(samples, (cap_sum, sim.now))
-        sup = window_front(samples, sim.now - self.obs_window)[0][0]
+        sup = window_front(samples, sim.now - sim.round_length)[0][0]
         if sup <= 0:
             return 0.0, None  # isolated node: stays awake
         # Holders are exactly the alive nodes with bits cached for ``nid``.
@@ -487,7 +488,7 @@ class TrafficAwarePlane(SchemePlane):
         _, hops = self._max_dp(sim, nid)
         interval = compute_sleep(cap_sum, vol_sum, sup, hops,
                                  sim.config.sleep_budget_rounds * sim.round_length,
-                                 sim.round_length, min_delay, sim.config.sleep_epsilon)
+                                 sim.round_length, min_delay)
         return interval, min_delay
 
     # -- phase changes ---------------------------------------------------------

@@ -55,7 +55,6 @@ class FlowSpec:
     rate_pps: float
     packet_bits: int = 8_000
     ds_fraction: float = 0.3
-    deadline_offset: float | None = None  # relative; None defers to engine default
     burst_on_s: float | None = None  # mean on-period; both burst params or neither
     burst_off_s: float | None = None
 
@@ -68,8 +67,6 @@ class FlowSpec:
             raise ValueError("packet size must be > 0 bits")
         if not 0.0 <= self.ds_fraction <= 1.0:
             raise ValueError("ds_fraction must lie in [0, 1]")
-        if self.deadline_offset is not None and self.deadline_offset <= 0:
-            raise ValueError("deadline_offset_s must be > 0")
         if (self.burst_on_s is None) != (self.burst_off_s is None):
             raise ValueError("burst_on_s and burst_off_s must be set together")
         if self.burst_on_s is not None and (self.burst_on_s <= 0 or self.burst_off_s <= 0):
@@ -80,27 +77,25 @@ def generate(
     flows: list[FlowSpec],
     horizon: float,
     rng: random.Random,
-    default_deadline_offset: float = 20.0,
+    deadline_offset: float = 20.0,
 ) -> list[Packet]:
-    """Generate the full packet stream over [0, horizon), time-ordered.
+    """Generate the full packet stream over [0, horizon), time-ordered. A
+    delay-sensitive packet's deadline is ``deadline_offset`` after its creation.
 
     Output is sorted by (created_at, id); ids are assigned in that order.
     """
     if horizon <= 0:
         raise ValueError("horizon must be > 0")
-    raw: list[tuple[float, int, int, int, bool, float]] = []
+    raw: list[tuple[float, int, int, int, bool]] = []
     for flow in flows:
         if flow.rate_pps == 0:
             continue
-        offset = (
-            flow.deadline_offset if flow.deadline_offset is not None else default_deadline_offset
-        )
         for created_at in _arrival_times(flow, horizon, rng):
             is_ds = rng.random() < flow.ds_fraction
-            raw.append((created_at, flow.src, flow.dst, flow.packet_bits, is_ds, offset))
+            raw.append((created_at, flow.src, flow.dst, flow.packet_bits, is_ds))
     raw.sort(key=lambda item: item[0])
     packets: list[Packet] = []
-    for pid, (created_at, src, dst, bits, is_ds, offset) in enumerate(raw):
+    for pid, (created_at, src, dst, bits, is_ds) in enumerate(raw):
         packets.append(
             Packet(
                 id=pid,
@@ -109,7 +104,7 @@ def generate(
                 size_bits=bits,
                 klass=PacketClass.DELAY_SENSITIVE if is_ds else PacketClass.ELASTIC,
                 created_at=created_at,
-                deadline=created_at + offset if is_ds else None,
+                deadline=created_at + deadline_offset if is_ds else None,
             )
         )
     return packets

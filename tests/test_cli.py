@@ -66,10 +66,19 @@ def test_config_error_exit_code_2(tmp_path):
     assert code == 2
 
 
-def test_missing_config_exit_code_2(tmp_path):
-    code = main(["run", "--config", str(tmp_path / "nope.json"), "--seed", "1",
+@pytest.mark.parametrize("make", [
+    lambda path: None,
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff{}"),
+], ids=["missing", "directory", "not-utf-8"])
+def test_missing_config_exit_code_2(tmp_path, capsys, make):
+    path = tmp_path / "scenario.json"
+    make(path)
+    code = main(["run", "--config", str(path), "--seed", "1",
                  "--out", str(tmp_path / "o"), "--quiet"])
     assert code == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+    assert not (tmp_path / "o").exists()
 
 
 def test_unconnectable_placement_exit_code_3(tmp_path, capsys):
@@ -110,6 +119,28 @@ def test_compare_needs_two_schemes(scenario_file, tmp_path):
     assert code == 2
 
 
+def test_compare_repeated_scheme_exit_code_2(scenario_file, tmp_path, capsys):
+    code = main([
+        "compare", "--config", str(scenario_file), "--seed", "3",
+        "--schemes", "always-on,periodic,always-on", "--out", str(tmp_path / "cmp"), "--quiet",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == "config error: --schemes: always-on listed more than once\n"
+    assert not (tmp_path / "cmp").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["compare", "--schemes", "always-on,periodic", "--seed", "3", "--baseline", "periodic"],
+    ["sweep", "--param", "p_move", "--values", "0.0", "--seed", "2"],
+], ids=["compare-baseline", "sweep-seed"])
+def test_removed_option_exit_code_2(scenario_file, tmp_path, argv):
+    # compare's baseline is the first of --schemes; sweep takes --seeds only.
+    with pytest.raises(SystemExit) as exit_:
+        main([*argv, "--config", str(scenario_file), "--out", str(tmp_path / "o"), "--quiet"])
+    assert exit_.value.code == 2
+    assert not (tmp_path / "o").exists()
+
+
 def test_compare_unknown_scheme_exit_code_2(scenario_file, tmp_path):
     code = main([
         "compare", "--config", str(scenario_file), "--seed", "3",
@@ -134,11 +165,28 @@ def test_sweep_unparsable_list_exit_code_2(scenario_file, tmp_path, capsys, opti
     assert not (tmp_path / "sweep").exists()
 
 
+@pytest.mark.parametrize("values, seeds, point", [
+    ("0.0,0.0", "3,3", "p_move=0.0/seed=3"),
+    ("0.1,0.10", "1", "p_move=0.1/seed=1"),
+    ("0.0,0.01", "2,02", "p_move=0.0/seed=2"),
+], ids=["both", "values", "seeds"])
+def test_sweep_points_sharing_a_directory_exit_code_2(
+    scenario_file, tmp_path, capsys, values, seeds, point
+):
+    code = main([
+        "sweep", "--config", str(scenario_file), "--param", "p_move",
+        "--values", values, "--seeds", seeds, "--out", str(tmp_path / "sweep"), "--quiet",
+    ])
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: --values/--seeds: two points write {point}\n"
+    assert not (tmp_path / "sweep").exists()
+
+
 def test_sweep_writes_one_report_per_value(scenario_file, tmp_path):
     out = tmp_path / "sweep"
     code = main([
         "sweep", "--config", str(scenario_file), "--param", "nodes",
-        "--values", "6,8,10", "--seed", "2", "--out", str(out), "--quiet",
+        "--values", "6,8,10", "--seeds", "2", "--out", str(out), "--quiet",
     ])
     assert code == 0
     reports = sorted(out.glob("nodes=*/seed=2/report.json"))

@@ -26,7 +26,7 @@ SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 GOLDEN = {
     "compare.csv": "c718af64730186d4ffb2b4e975be57cf9da05f240b1832e12417434f3b432e74",
     "traffic-aware/report.json": (
-        "60a86a5a6eaccbc8f7aa34c63a21d57735503db4cfa11919c31277ec5f8378c0"
+        "f127a8c62af39c62cbf2fddf8030c0bb71586d2daa4f867c4b0f10f7c5211ef2"
     ),
     "traffic-aware/timeseries.csv": (
         "3679bf4a4648a40119c927317da7553f686687352ff30295b2824901fb4dc0cb"
@@ -35,7 +35,7 @@ GOLDEN = {
         "0b2d485e2da39c0a3c8c2f253f7986b1f8a3f0159f502670b4ec8723d3a2b69d"
     ),
     "periodic/report.json": (
-        "2808a85e77f996c6a978bf759dc263f619023bff3f2c4c8fc25b2b6e8ff2c1be"
+        "fcd606e4e5670817a74e754d2a947ef67ab189b96c8fb024661665b98ca78ae7"
     ),
     "periodic/timeseries.csv": (
         "3bbc795e67b2570e301817ff99a8127d7930fb35c063a11bc875e1683094f249"
@@ -44,7 +44,7 @@ GOLDEN = {
         "689a77757cde2b263b0d3b5ac7f4a4f07aaf751a6e2fd6cf2f57b8cced6a4970"
     ),
     "coordinated/report.json": (
-        "b5a4028082359100f4676e18db7af5ac2a2fcff45edab89cdb497652f4834299"
+        "9ef5720e9a8a090d68040fdf051a07725a04d6f56f00a676731a911c5786640f"
     ),
     "coordinated/timeseries.csv": (
         "aced2a2e1d26917f4423b85afab1d172b3b12ef6613ed00c04fa6c09628694de"
@@ -53,7 +53,7 @@ GOLDEN = {
         "2eee714d4fdaa9c6ef1b401c2d58c1a9cf3afb6e8403b1738336aa44493769a2"
     ),
     "always-on/report.json": (
-        "ebaf562acc08e6c10995afb2464ca93c96f3ab3b009b4e422a4e727d401ea2cd"
+        "fbb78490a3fa3069d25f2bd637915b9811158c5e32afd3d0afa0b9cff0712418"
     ),
     "always-on/timeseries.csv": (
         "7d31c9e2eba5c2d399622c7f1caec9fc8c55f5c7bc4ebc896a0ce50e15c047c8"
@@ -68,7 +68,7 @@ GOLDEN = {
 GOLDEN_DEATHS = {
     "compare.csv": "7702140d7b5f1ae19f100c43f6bc43c69d1e0affcdd64c2e9676771f3db6951a",
     "traffic-aware/report.json": (
-        "845ded4e8c8c60613e5ab98a70526bd8c7ab6057ce8c55c17caccb3c17794c4c"
+        "33ca5f9379be53c418828e767de50949078f7407988f39460d35552c2670a339"
     ),
     "traffic-aware/timeseries.csv": (
         "0e2c2e49ec04dddcaf9d7f40ab8e03b50d2b9a700fcbfee247efb8e8ea63d3d1"
@@ -77,7 +77,7 @@ GOLDEN_DEATHS = {
         "c586d27f60fa6710d00082a78fcb1af314c57cd693109af8d9a7598a9e26004c"
     ),
     "periodic/report.json": (
-        "7ea04f7c8c46ce644f9f629cf8848dcc4f8564780b6779bb17dbd7acfa7eca88"
+        "e64d2d8bcd33c1b235de3fbef75bd28bacefca2e358f2fa002117f7ff69328a1"
     ),
     "periodic/timeseries.csv": (
         "499a43de60b89f314b6d113ca356f5c48d3a32abc06026cde5b3e432d8506ac3"
@@ -86,7 +86,7 @@ GOLDEN_DEATHS = {
         "6db04349147b14e0fc5996b90614244afc90525f90f99a4e04a28c477c6f6c6b"
     ),
     "coordinated/report.json": (
-        "d427809ff3efa6599d85a25cfbc6bb1b4547d3427ba62a4f85346eb24a11c735"
+        "501347bdcbfbfb418a09e15f1b8fa1adf2577e6ff2f8cdd61634129a4146b882"
     ),
     "coordinated/timeseries.csv": (
         "6a733fbee028e1a59968e33bab093326e6f5197d3d9a3355b6149539d646a3ca"
@@ -95,7 +95,7 @@ GOLDEN_DEATHS = {
         "9d98289bba95331e23754eb2d1d5bcadeb8b8ea838d56e18cd972e117c550e51"
     ),
     "always-on/report.json": (
-        "585d1453406acb3ac236d073671e38a72eb836b7f6f63810ff4ada1886134907"
+        "af17b12128e490d289744bc0c7ad34278a5ba8a97c100fe2c9680e7a0766087a"
     ),
     "always-on/timeseries.csv": (
         "a00b2dc51203815271d8987efa7652055ed81d05e27030666a7c646e6708f76e"
@@ -110,7 +110,7 @@ GOLDEN_DEATHS = {
 GOLDEN_GRID = {
     "compare.csv": "86f1dcec59547a07927027a6287fb1a102cc45ce3c21bfbb83734298899f886e",
     "traffic-aware/report.json": (
-        "45dda0ebcb00d0618b1e1318b4d4fbb0c0556861f81215c8dbd584e332eea5f2"
+        "30cab4c62f9ae3fdbc1c64db750ab7f963c5eaface5611de4b6f61e5cacd4eb0"
     ),
     "traffic-aware/timeseries.csv": (
         "3591a2d8ea6bf1586c7fe5f1b6a01ba9d6076848d12ec7fd0c0685df78f6b914"
@@ -119,7 +119,7 @@ GOLDEN_GRID = {
         "bbde44f72932fb337b6b1e30aaa5e6a7639d2d0fc43c7816cda8a6a40c7443dd"
     ),
     "periodic/report.json": (
-        "95bf063646b93c332e98afd25a86c394cabf35b773e2edb85023731f8c91b3c5"
+        "2ded875d1c90a93b2d74234f0e0b18bb088b66702dd9ef63f4ccdb704d6ad009"
     ),
     "periodic/timeseries.csv": (
         "3b974b18ccc22868f472519a9c7e15f9fe5762089fe403a89776591f3c820a9e"
@@ -128,7 +128,7 @@ GOLDEN_GRID = {
         "32b20b08eb4879e73d62eafafbeab7628820c4cd79c8c6db7c598e4d32378861"
     ),
     "coordinated/report.json": (
-        "a70ba172d26ae7fb1d0db3c116bdfd86209091b296d1663e92285861a0f018f0"
+        "a7c4ab7bc7a2c69da8a9e6b7a38afdf294f224c972a51246dca91fa62d38d2be"
     ),
     "coordinated/timeseries.csv": (
         "f917a5a429b3cf1c14a50f9678ed1ca2c5260fb9eefac7e3473cc8dc39784d47"
@@ -137,7 +137,7 @@ GOLDEN_GRID = {
         "a245320cd8afafa810129907b7d6c2679369dc15f999198130499532cf34ab98"
     ),
     "always-on/report.json": (
-        "d6e74915ed4b69fdfa23d9a05c2ad2e81530ad7c0b05f9ffdea774900ea9729b"
+        "17e0db68974922ccb2d88159620e0d80e78b1c6082b4fef75a2e98c3563254d6"
     ),
     "always-on/timeseries.csv": (
         "d819300ef17a6603fc4b5838f157fe740d4ea5e13971f0300a3af2f3c6a749e8"

@@ -146,8 +146,7 @@ def test_proxy_sleeps_on_its_own_clusters_grants_after_an_earlier_cluster_emptie
     while not (naps := [e for e in plane.sp_sleep_audit[seen:] if e["node"] == later.sp]):
         sim.step()
         assert sim.round_index == round_index, "the later proxy did not sleep this round"
-    expected = sp_sleep(grants(later.members), sim.slots_per_round, sim.round_length,
-                        sim.config.sleep_epsilon)
+    expected = sp_sleep(grants(later.members), sim.slots_per_round, sim.round_length)
     assert naps[0]["t_sleep"] == expected
 
 
