@@ -111,6 +111,28 @@ def test_compare_emits_table(scenario_file, tmp_path):
         assert (out / scheme / "report.json").exists()
 
 
+@pytest.mark.parametrize("schemes", ["periodic,always-on", "always-on,periodic"])
+def test_compare_deltas_are_against_the_first_scheme(scenario_file, tmp_path, schemes):
+    out = tmp_path / "cmp"
+    code = main([
+        "compare", "--config", str(scenario_file), "--seed", "3",
+        "--schemes", schemes, "--out", str(out), "--quiet",
+    ])
+    assert code == 0
+    first = schemes.split(",")[0]
+    rows = [line.split(",") for line in (out / "compare.csv").read_text().split("\n")[1:-1]]
+    base = {metric: value for metric, scheme, value, _ in rows if scheme == first}
+    checked = 0
+    for metric, scheme, value, delta in rows:
+        if scheme == first:
+            assert delta in ("", "0.0")
+        elif delta:
+            expected = (float(value) - float(base[metric])) / float(base[metric]) * 100.0
+            assert float(delta) == pytest.approx(expected)
+            checked += 1
+    assert checked
+
+
 def test_compare_needs_two_schemes(scenario_file, tmp_path):
     code = main([
         "compare", "--config", str(scenario_file), "--seed", "3",
@@ -195,6 +217,20 @@ def test_sweep_writes_one_report_per_value(scenario_file, tmp_path):
         json.loads(p.read_text())["meta"]["node_count"] for p in reports
     )
     assert counts == [6, 8, 10]
+
+
+def test_sweep_without_seeds_runs_seed_1(scenario_file, tmp_path):
+    out = tmp_path / "sweep"
+    code = main([
+        "sweep", "--config", str(scenario_file), "--param", "p_move",
+        "--values", "0.0,0.01", "--out", str(out), "--quiet",
+    ])
+    assert code == 0
+    reports = sorted(out.glob("p_move=*/seed=*/report.json"))
+    assert [p.relative_to(out).parent.as_posix() for p in reports] == [
+        "p_move=0.0/seed=1", "p_move=0.01/seed=1",
+    ]
+    assert {json.loads(p.read_text())["meta"]["seed"] for p in reports} == {1}
 
 
 def test_sweep_multiple_seeds(scenario_file, tmp_path):

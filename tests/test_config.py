@@ -168,6 +168,21 @@ def test_parse_config_bad_json(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("make", [
+    lambda path: path.mkdir(),
+    lambda path: path.write_bytes(b"\xff{}"),
+], ids=["directory", "not-utf-8"])
+def test_parse_config_unreadable_file(tmp_path, make):
+    # The file is part of the configuration: a file that cannot be read as
+    # UTF-8 text is a config error, as a missing one is.
+    path = tmp_path / "scenario.json"
+    make(path)
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    [message] = err.value.errors
+    assert message.startswith(f"cannot read {path}: ")
+
+
 def test_energy_ordering_violation_reported():
     raw = minimal()
     raw["energy"] = {"p_tx": 0.1, "p_rx": 1.0, "p_idle": 0.8, "p_sleep": 0.1}

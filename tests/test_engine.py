@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from ecsim import engine
+from ecsim import engine, schemes
 from ecsim.cache import StoreResult
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase
@@ -750,3 +750,51 @@ def test_consume_runs_once_per_billed_interval(monkeypatch, kind):
     _, trace = run_simulation(config, 3, collect_trace=True)
     assert calls and min(calls) > 0.0
     assert len(calls) == sum(1 for row in trace if row[2] == "mode")
+
+
+@pytest.mark.parametrize("defer_count, wait", [
+    (0, 0.5), (2, 0.5), (3, 1.0), (4, 2.0), (6, 8.0), (7, 10.0),
+])
+@pytest.mark.parametrize("kind", ["traffic-aware", "always-on"])
+def test_a_packet_without_a_route_polls_after_retry_s_and_a_capped_backoff(
+    kind, defer_count, wait
+):
+    # ``RETRY_S`` until the third deferral, then a doubling backoff capped
+    # at one round (10 s here).
+    assert schemes.RETRY_S == 0.5
+    sim = Simulation(make_config(scheme={"kind": kind}), 3)
+    sim.now = 4.0
+    work = PacketWork(sim.packets[0], False)
+    work.defer_count = defer_count
+    assert sim.plane.retry_at(sim, sim.nodes[0], work, {}, None) == 4.0 + wait
+
+
+@pytest.mark.parametrize("p_move", [0.05, 0.5, 1.0])
+def test_mobility_steps_every_second_with_p_move(monkeypatch, p_move):
+    steps = []
+    move_step = engine.move_step
+
+    def recorded(grid, alive, rng, p):
+        steps.append((sim.now, p))
+        return move_step(grid, alive, rng, p)
+
+    monkeypatch.setattr(engine, "move_step", recorded)
+    sim = Simulation(make_config(horizon_s=12.0, p_move=p_move), 3)
+    sim.run()
+    assert engine.MOBILITY_STEP_S == 1.0
+    assert steps == [(float(t), p_move) for t in range(1, 13)]
+
+
+@pytest.mark.parametrize("deadline_rounds, round_s", [(0.5, 10.0), (2.0, 10.0), (3.0, 4.0)])
+def test_a_delay_sensitive_deadline_is_deadline_rounds_rounds_after_creation(
+    deadline_rounds, round_s
+):
+    config = make_config(
+        deadline_rounds=deadline_rounds, round_s=round_s,
+        flows=[{"src": 0, "dst": 5, "rate_pps": 2.0, "ds_fraction": 0.5}],
+    )
+    packets = Simulation(config, 3).packets
+    sensitive = [p for p in packets if p.deadline is not None]
+    assert sensitive and len(sensitive) < len(packets)
+    for p in sensitive:
+        assert p.deadline == p.created_at + deadline_rounds * round_s
