@@ -6,6 +6,10 @@ higher-energy node of each compared pair survives, which reduces to the
 residual-energy argmax (ties to the smallest id). The sleep proxy (SP) is the
 highest-scoring node among those that have served least often; the CH takes
 the SP role only when no other member is at the minimum service count.
+
+The head is elected and counted (``ServiceLedger.ch_rounds``, acceptance
+criterion 3) but has no run-time duty: the traffic-aware plane wakes only
+the proxy for its role, and idles the head like any member.
 """
 
 from __future__ import annotations

@@ -186,10 +186,20 @@ MOBILITY_STEP_S = 1.0
 class Simulation:
     """One deterministic simulation run of a scenario under one scheme.
 
-    An instance keeps at most 29 attributes. With a 30th, CPython 3.11 gives
-    up the compact dict layout that instances of a class share, and every
+    The run state lives in slots, so an attribute read costs the same however
+    many there are. Without them, CPython 3.11 gives up the compact dict
+    layout that instances of a class share at a 30th attribute, and every
     ``self.x`` read slows: each untraced benchmark workload ran 6-8 % slower.
+    ``__weakref__`` lets a caller see that a finished run is freed.
     """
+
+    __slots__ = (
+        "config", "seed", "horizon", "round_length", "slots_per_round", "slot_width",
+        "params", "mode_power", "link_bps", "mobility_rng", "grid", "graph",
+        "holders_by_dst", "nodes", "plane", "now", "round_index", "round_start",
+        "_heap", "work", "_dist_cache", "delivered_bits_ok", "delay_sum",
+        "timeseries", "trace", "float_text", "packets", "_seq", "__weakref__",
+    )
 
     def __init__(self, config: "ScenarioConfig", seed: int, collect_trace: bool = False):
         config.validate_runtime()

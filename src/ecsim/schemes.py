@@ -197,10 +197,11 @@ def _busy(node: SimNode) -> bool:
 
 class TrafficAwarePlane(SchemePlane):
     """The paper's control plane. Each round, clusters elect a cluster head
-    (CH) and a sleep proxy (SP); at every slot boundary the proxy idles
-    members whose traffic has stopped and grants sleep from a
-    backward-difference traffic estimate, then sleeps on its own running
-    mean."""
+    (CH) and a sleep proxy (SP). The head has no run-time duty: only its
+    death, which re-elects both roles, is heard. At every slot boundary the
+    proxy idles members whose traffic has stopped, the head among them, and
+    grants sleep from a backward-difference traffic estimate, then sleeps
+    on its own running mean."""
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
@@ -295,7 +296,7 @@ class TrafficAwarePlane(SchemePlane):
                 if dead in (cl.ch, cl.sp):
                     energies = {m: sim.nodes[m].account for m in members}
                     cl = cluster_mod.elect_roles(members, energies, self.service_ledger)
-                    self._wake_roles(sim, cl)
+                    self._wake_proxy(sim, cl)
                 else:
                     cl = cluster_mod.Cluster(members=members, ch=cl.ch, sp=cl.sp)
             kept.append((cl, grants))
@@ -325,18 +326,15 @@ class TrafficAwarePlane(SchemePlane):
             sim.graph, energies, self.service_ledger, groups=groups
         )
         for cl in self.clusters:
-            self._wake_roles(sim, cl)
+            self._wake_proxy(sim, cl)
 
-    def _wake_roles(self, sim: Simulation, cl: cluster_mod.Cluster) -> None:
-        """Control-plane wake: a sleeping head or proxy re-enters idle.
-
-        A sleeping proxy grants no sleep until it wakes. Measured on the
-        acceptance scenario, seeds 1-5: without this wake each device spends
-        475-503 J, against 451-482 J with it."""
-        for role_node in {cl.ch, cl.sp}:
-            node = sim.nodes[role_node]
-            if node.phase is PHASE_SLEEP:
-                self._enter_idle(sim, node)
+    def _wake_proxy(self, sim: Simulation, cl: cluster_mod.Cluster) -> None:
+        """Control-plane wake: a sleeping proxy grants no sleep, so it re-enters
+        idle. On the acceptance scenario, seeds 1-5, each device spends
+        477.8/498.8/500.7/474.8/502.7 J without this wake, 448-474 J with it."""
+        node = sim.nodes[cl.sp]
+        if node.phase is PHASE_SLEEP:
+            self._enter_idle(sim, node)
 
     # -- proxy duties ----------------------------------------------------------
 
@@ -380,7 +378,7 @@ class TrafficAwarePlane(SchemePlane):
             ]
             for m in quiet:
                 node = sim.nodes[m]
-                if m == cluster.ch or node.phase is not PHASE_ACTIVE:
+                if node.phase is not PHASE_ACTIVE:
                     continue
                 for other in sorted(sim.graph.neighbors_of(m)):
                     if other not in cluster.members or not sim.nodes[other].awake:
@@ -512,9 +510,9 @@ class TrafficAwarePlane(SchemePlane):
         # Both the alignment and its 1e-6 offset are load-bearing. The offset
         # wakes the node before the boundary's proxy pass, which can grant
         # it its next nap at once. Measured on the acceptance scenario, seeds
-        # 1-5 (delivery 0.984-1.000, 451-482 J per device, mean delay
+        # 1-5 (delivery 0.983-1.000, 448-474 J per device, mean delay
         # 4.7-10.6 s with both): without the alignment each device spends
-        # 658-693 J, and without the offset alone 663-691 J.
+        # 657-686 J, and without the offset alone 659-689 J.
         aligned = math.floor(wake_raw / sim.slot_width + 1e-9) * sim.slot_width - 1e-6
         if aligned <= sim.now + 1e-9:
             return False

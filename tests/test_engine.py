@@ -189,7 +189,7 @@ class TestStepTransitions:
         sim.set_phase(node, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, node, 4.0)
         old_epoch = node.phase_epoch
-        sim.plane._enter_idle(sim, node)  # e.g. a role wake woke it early
+        sim.plane._enter_idle(sim, node)  # e.g. the proxy wake woke it early
         assert node.phase is NodePhase.IDLE
         sim._on_phase_expiry(type("E", (), {"node": 2, "payload": {"epoch": old_epoch}})())
         assert node.phase is NodePhase.IDLE  # stale event changed nothing
@@ -623,11 +623,13 @@ def test_simulation_is_freed_without_cyclic_gc(kind):
 
 @pytest.mark.parametrize("collect_trace", [False, True])
 @pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
-def test_a_simulation_keeps_at_most_29_attributes(kind, collect_trace):
-    # See the ``Simulation`` docstring: a 30th slows every attribute read.
+def test_a_simulation_keeps_only_the_attributes_it_declares(kind, collect_trace):
+    # See the ``Simulation`` docstring: the run state lives in slots.
     sim = Simulation(make_config(scheme={"kind": kind}), 3, collect_trace=collect_trace)
     sim.run()
-    assert len(vars(sim)) <= 29
+    assert not hasattr(sim, "__dict__")
+    # Every declared slot holds a value: none is left over from removed state.
+    assert all(hasattr(sim, name) for name in Simulation.__slots__ if name != "__weakref__")
 
 
 def test_duty_cycle_node_sleeps_just_after_a_transfer_across_its_window_end():
@@ -733,6 +735,44 @@ def test_traffic_pending_for_a_member_keeps_it_from_idling(pending):
         assert node.phase is NodePhase.ACTIVE and not informed
     else:
         assert node.phase is NodePhase.IDLE and informed
+
+
+def test_round_set_up_wakes_a_sleeping_proxy_but_not_a_sleeping_head():
+    # The head has no run-time duty, so only the proxy is woken for its role.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4)
+    while sim.peek_time() < sim.round_length:  # up to the second round's start
+        sim.step()
+    for node in sim.nodes.values():
+        sim.set_phase(node, NodePhase.SLEEP, sim.now + 100.0)
+    while sim.step().kind is not EventKind.ROUND_SETUP:
+        pass
+    (cluster,) = sim.plane.clusters
+    assert sim.round_index == 1 and cluster.ch != cluster.sp
+    assert sim.nodes[cluster.sp].phase is NodePhase.IDLE
+    for m in cluster.members - {cluster.sp}:
+        assert sim.nodes[m].phase is NodePhase.SLEEP, m
+
+
+def test_pairwise_idling_idles_an_active_head_like_any_member():
+    # A head more active than an awake neighbour this round goes idle at a
+    # slot boundary and informs the proxy.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4,
+                     collect_trace=True)
+    while sim.round_index < 1:
+        sim.step()
+    (cluster,) = sim.plane.clusters
+    head = sim.nodes[cluster.ch]
+    others = sim.graph.neighbors_of(head.nid) & cluster.members
+    assert cluster.ch != cluster.sp and others
+    for nid in others | {cluster.sp}:
+        if not sim.nodes[nid].awake:
+            sim.set_phase(sim.nodes[nid], NodePhase.IDLE, sim.now + 100.0)
+    sim.set_phase(head, NodePhase.ACTIVE)
+    sim.plane.ledger.record_active(head.nid, 0, 0.5)  # the round just began: slot 0
+    rows = len(sim.trace)
+    assert sim.step().kind is EventKind.SLOT_BOUNDARY
+    assert head.phase is NodePhase.IDLE
+    assert (head.nid, "inform-sp") in [row[1:3] for row in sim.trace[rows:]]
 
 
 @pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])

@@ -24,15 +24,15 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "c718af64730186d4ffb2b4e975be57cf9da05f240b1832e12417434f3b432e74",
+    "compare.csv": "dc37121ea508a7eaa95b4bbc3e7a27b600b584ba2e4111a28fa7fe7bf7fde707",
     "traffic-aware/report.json": (
-        "f127a8c62af39c62cbf2fddf8030c0bb71586d2daa4f867c4b0f10f7c5211ef2"
+        "985c15550d6c12076d586f12d0ef71c7d0468596dfebb5acaf35882a832d4c27"
     ),
     "traffic-aware/timeseries.csv": (
-        "3679bf4a4648a40119c927317da7553f686687352ff30295b2824901fb4dc0cb"
+        "b12237d3ab8d4a223e3889bdbb3fc44a7c30b4e4fe32018ce28d6d7667654115"
     ),
     "traffic-aware/trace.csv": (
-        "0b2d485e2da39c0a3c8c2f253f7986b1f8a3f0159f502670b4ec8723d3a2b69d"
+        "75d6c50fb4f730071511de7f85ea8249abf927941dbfc322f2d7d84bb262bfbb"
     ),
     "periodic/report.json": (
         "fcd606e4e5670817a74e754d2a947ef67ab189b96c8fb024661665b98ca78ae7"
@@ -66,15 +66,15 @@ GOLDEN = {
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "7702140d7b5f1ae19f100c43f6bc43c69d1e0affcdd64c2e9676771f3db6951a",
+    "compare.csv": "0b822583cf057efedc985665fe77c014b4bfc2331ff9db46c741342b0686002c",
     "traffic-aware/report.json": (
-        "33ca5f9379be53c418828e767de50949078f7407988f39460d35552c2670a339"
+        "a0c3d6399fe5765ba240e91b9cc677c2dfece92e671246e2094ecc9211e0bcca"
     ),
     "traffic-aware/timeseries.csv": (
-        "0e2c2e49ec04dddcaf9d7f40ab8e03b50d2b9a700fcbfee247efb8e8ea63d3d1"
+        "79155736fdd4cd551b65790a38bc56bf3875a5e4d5949e4a98476f8f4316b7c7"
     ),
     "traffic-aware/trace.csv": (
-        "c586d27f60fa6710d00082a78fcb1af314c57cd693109af8d9a7598a9e26004c"
+        "ae928e194c6dadf051bd04d1cdf289d7c8a50f97ee87f9c90bf6de29079fb6af"
     ),
     "periodic/report.json": (
         "e64d2d8bcd33c1b235de3fbef75bd28bacefca2e358f2fa002117f7ff69328a1"
@@ -106,17 +106,17 @@ GOLDEN_DEATHS = {
 }
 
 
-# Traffic-aware forms 4 clusters and traces 65 moves, 10 deaths and 1192 sleep grants.
+# Traffic-aware forms 4 clusters and traces 67 moves, 9 deaths and 912 sleep grants.
 GOLDEN_GRID = {
-    "compare.csv": "86f1dcec59547a07927027a6287fb1a102cc45ce3c21bfbb83734298899f886e",
+    "compare.csv": "e568d08ffec59d84a4a08b2e813f7fff38f3502349a52c17b3f008954b69ed5d",
     "traffic-aware/report.json": (
-        "30cab4c62f9ae3fdbc1c64db750ab7f963c5eaface5611de4b6f61e5cacd4eb0"
+        "b89f0a71b8f4695fee31856def9aff27a31230b8a3a2f9265adfdb3114f2a630"
     ),
     "traffic-aware/timeseries.csv": (
-        "3591a2d8ea6bf1586c7fe5f1b6a01ba9d6076848d12ec7fd0c0685df78f6b914"
+        "e0c663c10cd5061fb90c7e4ac1dddc74d64c0c496de8859b248b7355fe0733ca"
     ),
     "traffic-aware/trace.csv": (
-        "bbde44f72932fb337b6b1e30aaa5e6a7639d2d0fc43c7816cda8a6a40c7443dd"
+        "6110c725763a2e639d346697b103d221f0630a0d91cabbc63a5b8f64c8eabd7b"
     ),
     "periodic/report.json": (
         "2ded875d1c90a93b2d74234f0e0b18bb088b66702dd9ef63f4ccdb704d6ad009"

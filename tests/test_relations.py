@@ -54,6 +54,16 @@ SAME = {
         )
         for kind in ("traffic-aware", "periodic", "coordinated")
     },
+    # Clusters and sleep grants are traffic-aware's alone: the keys that set
+    # them must not reach a duty-cycle baseline.
+    **{
+        f"{kind} with grid clusters and another sleep budget": (
+            {"scheme": kind, "cluster": {"policy": "grid", "partition": 3},
+             "sleep_budget_rounds": 1.0},
+            {"scheme": kind},
+        )
+        for kind in ("periodic", "coordinated")
+    },
 }
 
 
