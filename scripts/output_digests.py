@@ -111,43 +111,54 @@ def _run(argv: list[str]) -> None:
         raise RuntimeError(f"ecsim {' '.join(argv)} exited {code}")
 
 
-def main_digests(out: Path) -> int:
-    if out.exists() and any(out.iterdir()):
-        sys.exit(f"{out} is not empty: its files would be digested too")
-    out.mkdir(parents=True, exist_ok=True)
+def run_jobs(out: Path, trace: bool = True) -> None:
+    """Run every simulation of the check, writing its outputs under ``out``;
+    without ``trace``, no run writes a trace."""
+    traced = ["--trace"] if trace else []
     with tempfile.TemporaryDirectory() as tmp:
         scenario = Path(tmp) / "acceptance.json"
         scenario.write_text(json.dumps(_acceptance_scenario()))
         jobs = [
             ["run", "--config", str(scenario), "--seed", str(seed), "--scheme", kind,
-             "--out", str(out / "acceptance" / kind / f"seed={seed}"), "--trace", "--quiet"]
+             "--out", str(out / "acceptance" / kind / f"seed={seed}"), "--quiet"]
             for kind in ACCEPTANCE_SCHEMES
             for seed in ACCEPTANCE_SEEDS
         ]
         jobs.append(
             ["compare", "--config", str(ROOT / "scenarios" / "demo.json"), "--seed", "42",
-             "--schemes", COMPARE_SCHEMES, "--out", str(out / "compare"), "--trace", "--quiet"]
+             "--schemes", COMPARE_SCHEMES, "--out", str(out / "compare"), "--quiet"]
         )
         large = Path(tmp) / "large.json"
         large.write_text(json.dumps(LARGE))
         jobs.append(
             ["compare", "--config", str(large), "--seed", str(LARGE_SEED), "--schemes",
-             COMPARE_SCHEMES, "--out", str(out / "large"), "--trace", "--quiet"]
+             COMPARE_SCHEMES, "--out", str(out / "large"), "--quiet"]
         )
         for index, (raw, seed) in enumerate(_generated_scenarios(GENERATED_COUNT)):
             path = Path(tmp) / f"generated-{index:02d}.json"
             path.write_text(json.dumps(raw))
             jobs.append(
                 ["compare", "--config", str(path), "--seed", str(seed), "--schemes",
-                 COMPARE_SCHEMES, "--out", str(out / "generated" / f"{index:02d}"), "--trace",
-                 "--quiet"]
+                 COMPARE_SCHEMES, "--out", str(out / "generated" / f"{index:02d}"), "--quiet"]
             )
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
-            list(pool.map(_run, jobs))
-    lines = []
-    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "sha256.txt"):
-        digest = hashlib.sha256(path.read_bytes()).hexdigest()
-        lines.append(f"{digest}  {path.relative_to(out).as_posix()}")
+            list(pool.map(_run, [job + traced for job in jobs]))
+
+
+def digests(out: Path) -> dict[str, str]:
+    """Relative path -> sha256 of every file under ``out``, but ``sha256.txt``."""
+    return {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "sha256.txt")
+    }
+
+
+def main_digests(out: Path) -> int:
+    if out.exists() and any(out.iterdir()):
+        sys.exit(f"{out} is not empty: its files would be digested too")
+    out.mkdir(parents=True, exist_ok=True)
+    run_jobs(out)
+    lines = [f"{digest}  {name}" for name, digest in digests(out).items()]
     (out / "sha256.txt").write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} digests -> {out / 'sha256.txt'}")
     return 0

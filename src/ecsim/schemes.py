@@ -47,7 +47,9 @@ class SchemePlane:
     - ``radio_busy(sim, nid, start)``: the radio was busy from ``start`` to now;
     - ``transmit(sim, work, sender, receiver, duration)``: a hop went on the air;
     - ``expired(sim, node)``: the node's phase timer ran out; it is alive and
-      still in the phase the timer was armed in;
+      still in the phase the timer was armed in. ``Simulation.run`` calls it
+      straight from the timer heap, with no ``Event``, and ``step`` through
+      ``Simulation._on_phase_expiry``;
     - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
     - ``death(sim, nid)``: a node died and left the topology;
     - ``retry_at(sim, node, work, dist, here)``: no neighbor of ``node``

@@ -5,12 +5,14 @@ import weakref
 import pytest
 
 from ecsim import engine, schemes
+from ecsim import report as report_mod
 from ecsim.cache import StoreResult
 from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase
 from ecsim.engine import PacketWork, Simulation, run_simulation
 from ecsim.scheduler import ActivityLedger
 from ecsim.schemes import CoordinatedDutyCycle, PeriodicSleepWake, dispatch_scheme
+from test_acceptance import SCENARIO
 
 
 def make_config(**overrides):
@@ -602,6 +604,96 @@ class TestEventQueue:
         popped = sim.step()
         assert popped.time == min(e.time for e in events)
         assert popped.seq not in {e.seq for e in sim.pending()}
+
+    @pytest.mark.parametrize("drive", ["run", "step"])
+    @pytest.mark.parametrize("timer_first", [True, False], ids=["timer-first", "event-first"])
+    def test_a_timer_and_an_event_at_one_instant_run_in_push_order(
+        self, monkeypatch, timer_first, drive
+    ):
+        # The timer and the event wait in different heaps; both take their
+        # seq from one counter, so they run as if they shared one.
+        sim = Simulation(make_config(horizon_s=10.0, flows=[], scheme={"kind": "always-on"}), 4)
+        order = []
+        monkeypatch.setitem(engine._HANDLERS, EventKind.CACHE_DELIVERY,
+                            lambda sim, event: order.append("event"))
+        sim.plane.expired = lambda sim, node: order.append("timer")
+
+        def arm():
+            sim.set_phase(sim.nodes[1], NodePhase.IDLE, 0.5)
+
+        def push():
+            sim.push(0.5, EventKind.CACHE_DELIVERY, 3, woken=4)
+
+        for action in (arm, push) if timer_first else (push, arm):
+            action()
+        assert [t[2] for t in sim._timers] == [EventKind.IDLE_EXPIRY]
+        assert not [e for e in sim._heap if e.kind is EventKind.IDLE_EXPIRY]
+        if drive == "run":
+            sim.run()
+        else:
+            while sim.step() is not None:
+                pass
+        assert order == (["timer", "event"] if timer_first else ["event", "timer"])
+
+
+# The acceptance scenario, cut to its first minute.
+MINUTE = dict(SCENARIO, horizon_s=60.0)
+SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
+TIMER_KINDS = (EventKind.SLEEP_EXPIRY, EventKind.IDLE_EXPIRY)
+
+
+def counting_expired(sim):
+    """Count the calls of ``sim``'s ``expired`` hook in the returned list."""
+    calls = []
+    expired = sim.plane.expired
+
+    def counted(sim, node):
+        calls.append(node.nid)
+        expired(sim, node)
+
+    sim.plane.expired = counted
+    return calls
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_stepping_until_none_ends_at_the_horizon(kind):
+    # Rounds, slot boundaries and mobility steps each queue their next one
+    # past the horizon: only the horizon ends the loop.
+    sim = Simulation(from_dict({**MINUTE, "scheme": {"kind": kind}}), 1)
+    steps = 0
+    while sim.step() is not None:
+        steps += 1
+    assert steps > 0 and sim.now == 60.0
+    assert sim.peek_time() > sim.horizon + 1e-9
+    # Past the horizon a step processes nothing.
+    pending = len(sim.pending())
+    assert sim.step() is None and len(sim.pending()) == pending and sim.now == 60.0
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_run_and_a_step_loop_agree_on_the_report_and_the_timers(kind):
+    # ``run`` fires phase timers itself and ``step`` through
+    # ``_on_phase_expiry``; both count every timer and the stale ones.
+    stepped = Simulation(from_dict({**MINUTE, "scheme": {"kind": kind}}), 1)
+    stepped_calls = counting_expired(stepped)
+    timers = 0
+    while (event := stepped.step()) is not None:
+        timers += event.kind in TIMER_KINDS
+    stepped._finalize()
+    ran = Simulation(from_dict({**MINUTE, "scheme": {"kind": kind}}), 1)
+    ran_calls = counting_expired(ran)
+    text = ran.run().to_json()
+    assert text == report_mod.finalize(stepped).to_json()
+    assert "timers" not in text
+    assert ran_calls == stepped_calls
+    assert ran.timers_fired == stepped.timers_fired == timers
+    assert ran.timers_stale == stepped.timers_stale == timers - len(ran_calls)
+    if kind == "always-on":
+        assert timers == 0
+    else:
+        assert timers > 0 and len(ran_calls) > 0
+    if kind in ("traffic-aware", "periodic"):
+        assert ran.timers_stale > 0
 
 
 @pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
