@@ -12,6 +12,11 @@ clusters until batteries run out. That makes 227 files; two checkouts give
 the same outputs when their ``sha256.txt`` files do not differ:
 
     python3 scripts/output_digests.py OUT
+
+The benchmark times runs without a trace. After the traced runs, the script
+runs the same jobs without ``--trace`` in a temporary directory and exits 1
+when a ``report.json``, ``timeseries.csv`` or ``compare.csv`` differs from
+its traced twin, or is missing on either side: a trace changes none of them.
 """
 
 from __future__ import annotations
@@ -158,10 +163,20 @@ def main_digests(out: Path) -> int:
         sys.exit(f"{out} is not empty: its files would be digested too")
     out.mkdir(parents=True, exist_ok=True)
     run_jobs(out)
-    lines = [f"{digest}  {name}" for name, digest in digests(out).items()]
+    traced = digests(out)
+    lines = [f"{digest}  {name}" for name, digest in traced.items()]
     (out / "sha256.txt").write_text("\n".join(lines) + "\n")
     print(f"{len(lines)} digests -> {out / 'sha256.txt'}")
-    return 0
+    expected = {name: digest for name, digest in traced.items() if Path(name).name != "trace.csv"}
+    with tempfile.TemporaryDirectory() as tmp:
+        run_jobs(Path(tmp), trace=False)
+        untraced = digests(Path(tmp))
+    differing = sorted(n for n in expected.keys() | untraced.keys()
+                       if expected.get(n) != untraced.get(n))
+    for name in differing:
+        print(f"untraced run differs: {name}")
+    print(f"{len(expected)} untraced outputs compared, {len(differing)} differing")
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":

@@ -4,16 +4,16 @@ calls the run's scheme plane (``ecsim.schemes``).
 
 One simulation owns two heaps ordered by (time, seq), its own RNG streams
 and all mutable world state, so identical (config, seed) pairs give
-bit-identical results. Phase timers, the most frequent item, are bare
-``(time, seq, kind, node, epoch)`` tuples in ``_timers``, which ``run`` fires
-inline; every other event is an ``Event`` in ``_heap`` and reaches its
-handler through one module-level table. Both take ``seq`` from one counter,
-so the two heaps merge into the single (time, seq) order. A packet's first
-arrival and a node's death prediction are pushed only when needed, under
-the (time, seq) key reserved when they were made, so equal-time events run
-in the order they were made. Energy is charged lazily: whenever a node is
-touched, the elapsed interval is billed at its current radio mode's power,
-in place on the node's float residual.
+bit-identical results. Phase timers, the most frequent item, are armed by
+``set_phase`` alone as bare ``(time, seq, kind, node, epoch)`` tuples in
+``_timers``, which ``run`` fires inline; every other event is an ``Event``
+in ``_heap`` and reaches its handler through one module-level table. Both
+take ``seq`` from one counter, so the two heaps merge into the single (time,
+seq) order. A packet's first arrival and a node's death prediction are
+pushed only when needed, under the (time, seq) key reserved when they were
+made, so equal-time events run in the order they were made. Energy is
+charged lazily: whenever a node is touched, the elapsed interval is billed
+at its current radio mode's power, in place on the node's float residual.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from typing import TYPE_CHECKING, Iterable, NamedTuple
 from ecsim import report as report_mod
 from ecsim.cache import CacheStore, StoreResult
 from ecsim.core import EnergyAccount, EventKind, NodeId, NodePhase, RadioMode, consume, sum_in_order
+from ecsim.report import DELIVERED, DELIVERED_LATE, LOST_DEAD, LOST_DEADLINE, LOST_NO_CACHE
 from ecsim.schemes import SchemePlane
 from ecsim.topology import (
     ConnectivityGraph,
@@ -172,14 +173,6 @@ class SimNode:
         return self.alive and self.phase is not PHASE_SLEEP
 
 
-# Terminal packet states.
-DELIVERED = "delivered"
-DELIVERED_LATE = "delivered-late"
-LOST_DEADLINE = "lost-deadline"
-LOST_DEAD = "lost-dead"
-LOST_NO_CACHE = "lost-no-cache"
-
-
 # Random placements tried before a scenario is declared unable to connect.
 PLACEMENT_ATTEMPTS = 200
 # Seconds between mobility steps; each alive node moves with ``p_move`` per step.
@@ -198,7 +191,7 @@ class Simulation:
 
     __slots__ = (
         "config", "seed", "horizon", "round_length", "slots_per_round", "slot_width",
-        "params", "mode_power", "link_bps", "mobility_rng", "grid", "graph",
+        "mode_power", "link_bps", "mobility_rng", "grid", "graph",
         "holders_by_dst", "nodes", "plane", "now", "round_index", "round_start",
         "_heap", "_timers", "timers_fired", "timers_stale", "work", "_dist_cache",
         "delivered_bits_ok", "delay_sum", "timeseries", "trace", "float_text",
@@ -207,15 +200,17 @@ class Simulation:
 
     def __init__(self, config: "ScenarioConfig", seed: int, collect_trace: bool = False):
         config.validate_runtime()
+        # ``from_dict``'s rule for ``seed``: None would seed from the OS.
+        if type(seed) is not int:
+            raise ValueError(f"seed: expected an int, got {seed!r}")
         self.config = config
         self.seed = seed
         self.horizon = config.horizon_s
         self.round_length = config.round_s
         self.slots_per_round = config.slots_per_round
         self.slot_width = config.round_s / config.slots_per_round
-        self.params = config.energy
         # Power per radio mode; ``EnergyModelParams.power`` defines it.
-        self.mode_power = {mode: self.params.power(mode) for mode in RadioMode}
+        self.mode_power = {mode: config.energy.power(mode) for mode in RadioMode}
         self.link_bps = config.link_bps
 
         master = random.Random(seed)
@@ -279,7 +274,9 @@ class Simulation:
         # first mode dies on this prediction.
         for node in self.nodes.values():
             self._schedule_death(node)
-        self.plane.start(self)
+        # Each scheme's expiry rule also decides a node's first phase.
+        for node in self.nodes.values():
+            self.plane.expired(self, node)
 
     @staticmethod
     def _place_connected(config, rng: random.Random) -> tuple[Grid, ConnectivityGraph]:
@@ -301,14 +298,12 @@ class Simulation:
     # -- event plumbing ----------------------------------------------------
 
     def push(self, time: float, kind: EventKind, node: NodeId | None = None, **payload) -> None:
-        """Queue an event; a phase timer, whose payload is its ``epoch``,
-        joins the timer heap."""
+        """Queue an ``Event`` in the event heap. Phase timers are armed by
+        ``set_phase`` alone; a timer pushed here, with its ``epoch`` as
+        payload, is fired by ``step`` in the same (time, seq) order."""
         seq = self._seq
         self._seq = seq + 1
-        if kind is SLEEP_EXPIRY or kind is IDLE_EXPIRY:
-            heapq.heappush(self._timers, (time, seq, kind, node, payload["epoch"]))
-        else:
-            heapq.heappush(self._heap, _new_tuple(Event, (time, seq, kind, node, payload)))
+        heapq.heappush(self._heap, _new_tuple(Event, (time, seq, kind, node, payload)))
 
     def _queue_arrival(self, pid: int) -> None:
         """Queue packet ``pid``'s first arrival under its reserved seq, if the

@@ -13,6 +13,13 @@ from ecsim.core import RadioMode, fraction_remaining
 if TYPE_CHECKING:
     from ecsim.engine import Simulation
 
+# Terminal packet states: the engine ends every packet in one of them.
+DELIVERED = "delivered"
+DELIVERED_LATE = "delivered-late"
+LOST_DEADLINE = "lost-deadline"
+LOST_DEAD = "lost-dead"
+LOST_NO_CACHE = "lost-no-cache"
+
 # Metrics carried into scheme comparison tables, in output order.
 COMPARE_METRICS = (
     "mean_per_device_consumption_j",
@@ -69,12 +76,7 @@ def finalize(sim: "Simulation") -> MetricsReport:
             "residual_j": account.e_residual,
             "fraction_remaining": fraction_remaining(account),
             "lifetime_s": lifetime,
-            "time_in_mode_s": {
-                "tx": node.time_in_mode[RadioMode.ACTIVE_TX],
-                "rx": node.time_in_mode[RadioMode.ACTIVE_RX],
-                "idle": node.time_in_mode[RadioMode.IDLE],
-                "sleep": node.time_in_mode[RadioMode.SLEEP],
-            },
+            "time_in_mode_s": {mode.value: node.time_in_mode[mode] for mode in RadioMode},
             "sp_rounds": sim.plane.service_ledger.sp_count(nid),
             "ch_rounds": sim.plane.service_ledger.ch_count(nid),
         }
@@ -82,18 +84,18 @@ def finalize(sim: "Simulation") -> MetricsReport:
     node_count = len(sim.nodes)
     generated = len(sim.work)
     counts = Counter(work.state for work in sim.work.values())  # None: in flight
-    delivered = counts["delivered"]
-    arrived = delivered + counts["delivered-late"]  # packets whose delay is in delay_sum
+    delivered = counts[DELIVERED]
+    arrived = delivered + counts[DELIVERED_LATE]  # packets whose delay is in delay_sum
     ratio = delivered / generated if generated else 0.0
     sleeping = [work.state for work in sim.work.values() if work.dst_asleep]
-    sleeping_delivered = sleeping.count("delivered")
+    sleeping_delivered = sleeping.count(DELIVERED)
     sleeping_ratio = sleeping_delivered / len(sleeping) if sleeping else None
     deaths = [n.death_time for n in sim.nodes.values() if n.death_time is not None]
     alive = sum(1 for n in sim.nodes.values() if n.alive)
     network = {
         "generated_packets": generated,
         "delivered_packets": delivered,
-        "delivered_late_packets": counts["delivered-late"],
+        "delivered_late_packets": counts[DELIVERED_LATE],
         "delivery_ratio": ratio,
         "throughput_bps": sim.delivered_bits_ok / sim.horizon if sim.horizon > 0 else 0.0,
         "mean_end_to_end_delay_s": sim.delay_sum / arrived if arrived else None,
@@ -105,9 +107,9 @@ def finalize(sim: "Simulation") -> MetricsReport:
         "first_death_s": min(deaths, default=None),
         "alive_fraction_end": alive / node_count,
         "lost": {
-            "deadline": counts["lost-deadline"],
-            "dead": counts["lost-dead"],
-            "no_cache": counts["lost-no-cache"],
+            "deadline": counts[LOST_DEADLINE],
+            "dead": counts[LOST_DEAD],
+            "no_cache": counts[LOST_NO_CACHE],
         },
         "in_flight_at_end": counts[None],
         "sleeping_dst": {

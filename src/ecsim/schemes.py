@@ -41,13 +41,14 @@ class SchemePlane:
     """Per-run behaviour of a scheme. The engine calls these hooks where
     schemes differ:
 
-    - ``start(sim)``: start-up, after every node's first death prediction;
     - ``round_setup(sim)``: a round has begun; its slots are not queued yet;
     - ``slot_boundary(sim, closed_slot)``: a slot closed, caches are evicted;
     - ``radio_busy(sim, nid, start)``: the radio was busy from ``start`` to now;
     - ``transmit(sim, work, sender, receiver, duration)``: a hop went on the air;
-    - ``expired(sim, node)``: the node's phase timer ran out; it is alive and
-      still in the phase the timer was armed in. ``Simulation.run`` calls it
+    - ``expired(sim, node)``: the node's phase timer ran out, or the run
+      began; the node is alive and still in the phase the timer was armed in,
+      or in its first phase. ``Simulation.__init__`` calls it for every node
+      in id order after the first death predictions, ``Simulation.run``
       straight from the timer heap, with no ``Event``, and ``step`` through
       ``Simulation._on_phase_expiry``;
     - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
@@ -78,7 +79,7 @@ class SchemePlane:
     def _nothing(self, sim: Simulation, *args) -> None:
         pass
 
-    start = round_setup = slot_boundary = expired = _nothing
+    round_setup = slot_boundary = expired = _nothing
     radio_busy = transmit = delivered = death = _nothing
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
@@ -131,14 +132,12 @@ class DutyCyclePlane(SchemePlane):
     Coordinated windows are shared by every node; periodic (staggered) ones
     start i/N of a period late for node i."""
 
-    staggered = False
-
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
         self.scheme = sim.config.scheme
         count = sim.config.node_count
         self.offset = {
-            nid: (nid * self.scheme.period) / count if self.staggered else 0.0
+            nid: (nid * self.scheme.period) / count if self.scheme.staggered else 0.0
             for nid in sim.nodes
         }
         self.busy_until: dict[NodeId, float] = {}  # latest end of each node's transfers
@@ -161,14 +160,6 @@ class DutyCyclePlane(SchemePlane):
             sim.set_phase(node, phase, until)
 
     expired = tick
-
-    def start(self, sim: Simulation) -> None:
-        for node in sim.nodes.values():
-            self.tick(sim, node)
-
-
-class StaggeredPlane(DutyCyclePlane):
-    staggered = True
 
 
 def window_push(samples: deque, key: tuple, value: object = None) -> None:
@@ -263,8 +254,9 @@ class TrafficAwarePlane(SchemePlane):
         if node.phase is PHASE_SLEEP:
             self._enter_idle(sim, node)
         else:
-            # An idle window ran out, or a retry woke the node to send (the
-            # engine's timer due at once): it is active until a proxy idles it.
+            # The run began, an idle window ran out, or a retry woke the node
+            # to send (the engine's timer due at once): it is active until a
+            # proxy idles it.
             sim.set_phase(node, PHASE_ACTIVE)
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
@@ -552,7 +544,8 @@ class PeriodicSleepWake:
     period: float = 2.0
     name = "periodic"
     keys = (("duty", "duty"), ("period_s", "period"))
-    plane = StaggeredPlane
+    plane = DutyCyclePlane
+    staggered = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.duty <= 1.0:
@@ -575,6 +568,7 @@ class CoordinatedDutyCycle:
     name = "coordinated"
     keys = (("listen_s", "listen"), ("sleep_s", "sleep"))
     plane = DutyCyclePlane
+    staggered = False
 
     def __post_init__(self) -> None:
         if self.listen <= 0 or self.sleep <= 0:

@@ -1,4 +1,4 @@
-"""Seeded traffic generation, packet classes and link transmission timing.
+"""Seeded traffic generation and link transmission timing.
 
 Traffic is Poisson per flow, optionally modulated by exponential on/off
 bursts. Generation is pure given (flows, horizon, rng), so a fixed seed
@@ -9,41 +9,28 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
-
-
-class PacketClass(Enum):
-    DELAY_SENSITIVE = "delay-sensitive"
-    ELASTIC = "elastic"
-
-
-# A module name reads faster than a member off its class; ``past_deadline``
-# runs for every packet forwarded or delivered, and for every cached packet
-# at each slot boundary.
-_DELAY_SENSITIVE = PacketClass.DELAY_SENSITIVE
 
 
 @dataclass(frozen=True)
 class Packet:
+    """A generated packet: delay-sensitive exactly when it has a deadline."""
+
     id: int
     src: int
     dst: int
     size_bits: int
-    klass: PacketClass
     created_at: float
     deadline: float | None = None  # absolute, delay-sensitive only
 
     def __post_init__(self) -> None:
         if self.size_bits <= 0:
             raise ValueError("packet size must be > 0 bits")
-        if self.klass is PacketClass.DELAY_SENSITIVE:
-            if self.deadline is None or self.deadline <= self.created_at:
-                raise ValueError("delay-sensitive packets need a deadline after creation")
+        if self.deadline is not None and self.deadline <= self.created_at:
+            raise ValueError("delay-sensitive packets need a deadline after creation")
 
     def past_deadline(self, now: float) -> bool:
         """Whether this is a delay-sensitive packet whose deadline lies before ``now``."""
-        return (self.klass is _DELAY_SENSITIVE and self.deadline is not None
-                and now > self.deadline)
+        return self.deadline is not None and now > self.deadline
 
 
 @dataclass(frozen=True)
@@ -102,7 +89,6 @@ def generate(
                 src=src,
                 dst=dst,
                 size_bits=bits,
-                klass=PacketClass.DELAY_SENSITIVE if is_ds else PacketClass.ELASTIC,
                 created_at=created_at,
                 deadline=created_at + deadline_offset if is_ds else None,
             )

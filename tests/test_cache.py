@@ -2,14 +2,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ecsim.cache import CacheEntry, CacheStore, StoreResult
-from ecsim.traffic import Packet, PacketClass
+from ecsim.traffic import Packet
 
 
 def packet(pid, dst=9, bits=8_000, created=0.0, deadline=None):
-    klass = PacketClass.DELAY_SENSITIVE if deadline is not None else PacketClass.ELASTIC
-    return Packet(
-        id=pid, src=0, dst=dst, size_bits=bits, klass=klass, created_at=created, deadline=deadline
-    )
+    return Packet(id=pid, src=0, dst=dst, size_bits=bits, created_at=created, deadline=deadline)
 
 
 def test_store_accept_updates_volume():

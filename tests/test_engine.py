@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 
 import pytest
@@ -36,7 +37,7 @@ def cached_for_sleeping_node(holder):
 
     On seed 4, node 0's neighbours are 2, 4 and 7, and node 3 is two hops
     away through node 4."""
-    from ecsim.traffic import Packet, PacketClass
+    from ecsim.traffic import Packet
 
     sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4, collect_trace=True)
     assert sim._hop_distances(0)[2] == 1 and sim._hop_distances(0)[3] == 2
@@ -46,7 +47,6 @@ def cached_for_sleeping_node(holder):
         sensitive = pid == 1
         packet = Packet(
             id=pid, src=6, dst=dst, size_bits=8_000, created_at=12.0,
-            klass=PacketClass.DELAY_SENSITIVE if sensitive else PacketClass.ELASTIC,
             deadline=13.0 if sensitive else None,
         )
         sim.packets.append(packet)
@@ -226,7 +226,7 @@ class TestStepTransitions:
         assert sim.nodes[grant["node"]].wake_at - sim.now > sim.slot_width
 
     def test_next_hop_is_the_nearest_awake_neighbor_with_the_smallest_id(self):
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         # On seed 5, node 2 is two hops from node 1 through nodes 0, 3, 4 and 5.
         sim = Simulation(make_config(flows=[], scheme={"kind": "always-on"}), 5)
@@ -236,8 +236,7 @@ class TestStepTransitions:
         sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
         relay = sim.nodes[3]
         relay.e_residual = 0.1 * relay.e_max  # a drained battery does not matter
-        packet = Packet(id=0, src=2, dst=1, size_bits=8_000,
-                        klass=PacketClass.ELASTIC, created_at=0.0)
+        packet = Packet(id=0, src=2, dst=1, size_bits=8_000, created_at=0.0)
         sim.packets.append(packet)
         sim.work[0] = PacketWork(packet, False)
         sim.nodes[2].outbox.append(sim.work[0])
@@ -264,7 +263,7 @@ class TestStepTransitions:
         assert [row[2] for row in sim.trace[rows:]] == ["mode"]
 
     def test_leaving_sleep_queues_handover_from_each_holder(self):
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4)
         holder = next(n for n in sorted(sim.nodes) if sim.graph.neighbors_of(n))
@@ -273,8 +272,7 @@ class TestStepTransitions:
         sim.now = 12.0
         sim.set_phase(sleeper, NodePhase.SLEEP, 20.0)
         assert sleeper.wake_at == 20.0
-        packet = Packet(id=0, src=holder, dst=dst, size_bits=8_000,
-                        klass=PacketClass.ELASTIC, created_at=12.0)
+        packet = Packet(id=0, src=holder, dst=dst, size_bits=8_000, created_at=12.0)
         sim.packets.append(packet)
         sim.work[0] = PacketWork(packet, True)
         assert sim._cache_here(sim.nodes[holder], sim.work[0])
@@ -291,11 +289,10 @@ class TestStepTransitions:
         # pick any adjacent pair
         src = next(n for n in sorted(sim.nodes) if sim.graph.neighbors_of(n))
         dst = min(sim.graph.neighbors_of(src))
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         packet = Packet(
-            id=len(sim.packets), src=src, dst=dst, size_bits=8_000,
-            klass=PacketClass.ELASTIC, created_at=12.0,
+            id=len(sim.packets), src=src, dst=dst, size_bits=8_000, created_at=12.0,
         )
         sim.packets.append(packet)
         sim.now = 12.0
@@ -308,7 +305,7 @@ class TestStepTransitions:
         assert sim.nodes[src].cache.volume_for(dst) == 8_000
 
     def test_a_packet_for_a_sleeping_node_goes_to_a_cache_the_sender_reaches(self):
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         config = make_config(horizon_s=40.0, flows=[],
                              cache={"enabled": True, "capacity_bits": 16_000})
@@ -322,11 +319,9 @@ class TestStepTransitions:
         # Node 3's cache is full, node 5 has room for one packet and node 4
         # for two.
         for pid, holder in enumerate((3, 3, 5)):
-            filler = Packet(id=100 + pid, src=6, dst=1, size_bits=8_000,
-                            klass=PacketClass.ELASTIC, created_at=12.0)
+            filler = Packet(id=100 + pid, src=6, dst=1, size_bits=8_000, created_at=12.0)
             assert sim.nodes[holder].cache.store(filler, 12.0) is StoreResult.ACCEPTED
-        packet = Packet(id=0, src=3, dst=0, size_bits=8_000,
-                        klass=PacketClass.ELASTIC, created_at=12.0)
+        packet = Packet(id=0, src=3, dst=0, size_bits=8_000, created_at=12.0)
         sim.packets.append(packet)
         sim._on_packet_arrival(type("E", (), {"node": 3, "payload": {"packet_id": 0}})())
         on_air = [(e.node, e.payload) for e in sim.pending() if e.kind is EventKind.TX_COMPLETE]
@@ -334,13 +329,13 @@ class TestStepTransitions:
         assert sim.work[0].defer_count == 0
 
     def test_evicting_two_packets_for_one_destination_unindexes_once(self):
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4)
         for pid in (0, 1):
             packet = Packet(
                 id=pid, src=0, dst=1, size_bits=8_000,
-                klass=PacketClass.DELAY_SENSITIVE, created_at=1.0, deadline=2.0,
+                created_at=1.0, deadline=2.0,
             )
             sim.packets.append(packet)
             sim.work[pid] = PacketWork(packet, True)
@@ -394,7 +389,7 @@ class TestStepTransitions:
 
     def test_periodic_sender_meets_a_receiver_it_never_shares_a_window_with(self):
         from ecsim.core import RadioMode
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         # Two nodes at the default 25 % duty over 2 s: node 0 listens in
         # [0, 0.5) of each period and node 1 in [1, 1.5).
@@ -402,8 +397,7 @@ class TestStepTransitions:
                              horizon_s=20.0, scheme={"kind": "periodic"})
         sim = Simulation(config, 1, collect_trace=True)
         assert sim.graph.has_edge(0, 1)
-        sim.packets.append(Packet(id=0, src=0, dst=1, size_bits=8_000,
-                                  klass=PacketClass.ELASTIC, created_at=0.1))
+        sim.packets.append(Packet(id=0, src=0, dst=1, size_bits=8_000, created_at=0.1))
         sim.push(0.1, EventKind.PACKET_ARRIVAL, 0, packet_id=0)
         sim.run()
         rows = [row for row in sim.trace if row[2] in ("tx-start", "packet-delivered")]
@@ -419,7 +413,7 @@ class TestStepTransitions:
         assert sim.nodes[1].time_in_mode[RadioMode.SLEEP] == pytest.approx(15.0, abs=1e-12)
 
     def test_traffic_aware_holder_meets_its_next_hops_wake_and_is_woken_for_it(self):
-        from ecsim.traffic import Packet, PacketClass
+        from ecsim.traffic import Packet
 
         # On seed 4, node 7 is one hop from node 0, and nodes 2 and 4 are
         # one hop from both. No cache takes a packet, so none is parked.
@@ -434,8 +428,7 @@ class TestStepTransitions:
             sim.set_phase(sim.nodes[nid], NodePhase.IDLE)
             if wake is not None:
                 sim.set_phase(sim.nodes[nid], NodePhase.SLEEP, wake)
-        sim.packets.append(Packet(id=0, src=7, dst=0, size_bits=8_000,
-                                  klass=PacketClass.ELASTIC, created_at=12.0))
+        sim.packets.append(Packet(id=0, src=7, dst=0, size_bits=8_000, created_at=12.0))
         sim.push(12.0, EventKind.PACKET_ARRIVAL, 7, packet_id=0)
         sim.step()
         retries = [e.time for e in sim.pending()
@@ -725,7 +718,7 @@ def test_a_simulation_keeps_only_the_attributes_it_declares(kind, collect_trace)
 
 
 def test_duty_cycle_node_sleeps_just_after_a_transfer_across_its_window_end():
-    from ecsim.traffic import Packet, PacketClass
+    from ecsim.traffic import Packet
 
     config = make_config(
         flows=[], link_bps=20_000.0,
@@ -736,8 +729,7 @@ def test_duty_cycle_node_sleeps_just_after_a_transfer_across_its_window_end():
         sim.step()
     src = next(n for n in sorted(sim.nodes) if sim.graph.neighbors_of(n))
     dst = min(sim.graph.neighbors_of(src))
-    packet = Packet(id=0, src=src, dst=dst, size_bits=8_000, klass=PacketClass.ELASTIC,
-                    created_at=0.3)
+    packet = Packet(id=0, src=src, dst=dst, size_bits=8_000, created_at=0.3)
     sim.packets.append(packet)
     sim.work[0] = PacketWork(packet, False)
     sim.now = 0.3
@@ -797,7 +789,7 @@ def test_traffic_pending_for_a_member_keeps_it_from_idling(pending):
     # A member more active than an awake neighbour this round goes idle at a
     # slot boundary and informs the proxy, unless bits for it are queued at a
     # neighbour: then it is neither idled nor granted sleep.
-    from ecsim.traffic import Packet, PacketClass
+    from ecsim.traffic import Packet
 
     sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4,
                      collect_trace=True)
@@ -814,8 +806,7 @@ def test_traffic_pending_for_a_member_keeps_it_from_idling(pending):
     assert sim.nodes[other].awake
     sim.plane.ledger.record_active(member, 0, 0.5)  # the round just began: slot 0
     if pending:
-        packet = Packet(id=0, src=other, dst=member, size_bits=8_000,
-                        klass=PacketClass.ELASTIC, created_at=sim.now)
+        packet = Packet(id=0, src=other, dst=member, size_bits=8_000, created_at=sim.now)
         sim.packets.append(packet)
         sim.work[0] = PacketWork(packet, False)
         sim.nodes[other].outbox.append(sim.work[0])
@@ -930,3 +921,38 @@ def test_a_delay_sensitive_deadline_is_deadline_rounds_rounds_after_creation(
     assert sensitive and len(sensitive) < len(packets)
     for p in sensitive:
         assert p.deadline == p.created_at + deadline_rounds * round_s
+
+
+@pytest.mark.parametrize("seed", [None, True, 1.5, "1"])
+def test_a_seed_that_is_not_an_int_is_rejected(seed):
+    # None would seed from the OS, so one (config, seed) pair could give two
+    # reports; ``random.Random`` takes the others as they are.
+    with pytest.raises(ValueError, match=re.escape(f"seed: expected an int, got {seed!r}")):
+        run_simulation(make_config(), seed)
+
+
+@pytest.mark.parametrize("kind", SCHEMES)
+def test_each_scheme_decides_the_first_phase_by_its_expiry_rule(kind):
+    # Right after set-up: the duty cycles put each node in its window at 0 s
+    # with its timer at the window's end; the others leave it active, untimed.
+    sim = Simulation(make_config(scheme={"kind": kind}), 3)
+    timers = [e for e in sim.pending() if e.kind in TIMER_KINDS]
+    if kind in ("traffic-aware", "always-on"):
+        assert all(node.phase is NodePhase.ACTIVE for node in sim.nodes.values())
+        assert not timers
+        return
+    live = {e.node: (e.kind, e.time) for e in timers
+            if e.payload["epoch"] == sim.nodes[e.node].phase_epoch}
+    scheme, count = sim.config.scheme, len(sim.nodes)
+    offsets = [nid * scheme.period / count if kind == "periodic" else 0.0 for nid in sim.nodes]
+    expected = {nid: dispatch_scheme(scheme, 0.0, offsets[nid]) for nid in sim.nodes}
+    assert {nid: node.phase for nid, node in sim.nodes.items()} == {
+        nid: phase for nid, (phase, _) in expected.items()
+    }
+    assert live == {
+        nid: (EventKind.SLEEP_EXPIRY if phase is NodePhase.SLEEP else EventKind.IDLE_EXPIRY, until)
+        for nid, (phase, until) in expected.items()
+    }
+    if kind == "periodic":
+        # Staggered windows start some nodes asleep.
+        assert {phase for phase, _ in expected.values()} == {NodePhase.ACTIVE, NodePhase.SLEEP}

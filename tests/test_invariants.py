@@ -296,7 +296,7 @@ def assert_structural_invariants(sim):
     for cluster in sim.plane.clusters:
         assert all(nodes[m].alive for m in cluster.members)
     assert len(getattr(sim.plane, "sp_history", ())) == len(sim.plane.clusters)
-    power = sim.params.power
+    power = sim.config.energy.power
     for node in nodes.values():
         # (e) A sleeping node's radio sleeps: it neither sends nor receives.
         if node.phase is SLEEP:

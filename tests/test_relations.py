@@ -9,17 +9,22 @@ it keeps checking behaviour. A relation that fails is a finding about the
 simulator, not a test to loosen.
 
 Every case runs the acceptance scenario cut to 600 s, at seeds 1 and 2.
+Four relations also run on small scenarios that Hypothesis draws, in which
+caches are disabled or fill, nodes die mid-transfer and clusters form on a
+grid.
 """
 
 import json
 import math
 
 import pytest
+from hypothesis import Phase, given, settings
 
 from ecsim.config import from_dict
 from ecsim.engine import run_simulation
 from ecsim.report import trace_csv
 from test_acceptance import SCENARIO
+from test_invariants import small_scenarios
 
 SHORT = dict(SCENARIO, horizon_s=600.0, traffic_horizon_s=550.0)
 SEEDS = (1, 2)
@@ -86,17 +91,58 @@ def test_runs_that_must_agree_give_the_same_bytes(changed, base, seed):
     assert changed_trace == base_trace
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("kind", ["traffic-aware", "periodic", "coordinated", "always-on"])
-def test_a_trace_changes_no_other_output(kind, seed):
-    # Every other relation and reference run keeps its trace.
-    config = from_dict({**SHORT, "scheme": kind})
+# The pairs of ``SAME`` that hold on any scenario, built for a drawn one:
+# its silent flow joins the drawn flows between two of its nodes.
+DRAWN = {
+    "periodic at duty 1 is always-on": lambda raw: SAME["periodic at duty 1 is always-on"],
+    "always-on without a cache": lambda raw: SAME["always-on without a cache"],
+    **{
+        f"{kind} with a silent flow": lambda raw, kind=kind: (
+            {"scheme": kind, "flows": raw["flows"] + [{"src": 0, "dst": 1, "rate_pps": 0.0}]},
+            {"scheme": kind},
+        )
+        for kind in ("traffic-aware", "periodic", "coordinated")
+    },
+}
+
+# Each drawn example takes two runs of a few milliseconds each. A
+# failing example is reported as drawn, without shrinking, as in
+# ``test_invariants``.
+DRAWN_SETTINGS = settings(max_examples=40, deadline=None,
+                          phases=[Phase.explicit, Phase.reuse, Phase.generate])
+
+
+@pytest.mark.parametrize("name", list(DRAWN))
+@DRAWN_SETTINGS
+@given(small_scenarios())
+def test_runs_that_must_agree_give_the_same_bytes_on_drawn_scenarios(name, scenario):
+    raw, seed = scenario
+    changed, base = DRAWN[name](raw)
+    assert outputs(seed, raw, changed) == outputs(seed, raw, base)
+
+
+def assert_a_trace_changes_no_other_output(config, seed):
     texts = []
     for collect_trace in (False, True):
         report, trace = run_simulation(config, seed, collect_trace=collect_trace)
         assert (trace is not None) is collect_trace
         texts.append((report.to_json(), report.timeseries_csv()))
     assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("kind", ["traffic-aware", "periodic", "coordinated", "always-on"])
+def test_a_trace_changes_no_other_output(kind, seed):
+    # Every other relation and reference run keeps its trace.
+    assert_a_trace_changes_no_other_output(from_dict({**SHORT, "scheme": kind}), seed)
+
+
+@pytest.mark.parametrize("kind", ["traffic-aware", "periodic", "coordinated", "always-on"])
+@DRAWN_SETTINGS
+@given(small_scenarios())
+def test_a_trace_changes_no_other_output_on_drawn_scenarios(kind, scenario):
+    raw, seed = scenario
+    assert_a_trace_changes_no_other_output(from_dict({**raw, "scheme": kind}), seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ecsim.traffic import FlowSpec, Packet, PacketClass, generate, tx_delay
+from ecsim.traffic import FlowSpec, Packet, generate, tx_delay
 
 
 def test_zero_rate_gives_empty_stream():
@@ -55,7 +55,6 @@ def test_ds_fraction_and_deadlines():
     packets = generate(flows, 200.0, random.Random(5), deadline_offset=5.0)
     assert packets
     for p in packets:
-        assert p.klass is PacketClass.DELAY_SENSITIVE
         assert p.deadline == pytest.approx(p.created_at + 5.0)
 
 
@@ -80,14 +79,13 @@ def test_tx_delay_linear_in_size_inverse_in_capacity():
 
 def test_packet_guards():
     with pytest.raises(ValueError):
-        Packet(id=0, src=0, dst=1, size_bits=0, klass=PacketClass.ELASTIC, created_at=0.0)
+        Packet(id=0, src=0, dst=1, size_bits=0, created_at=0.0)
     with pytest.raises(ValueError):
         Packet(
             id=0,
             src=0,
             dst=1,
             size_bits=100,
-            klass=PacketClass.DELAY_SENSITIVE,
             created_at=5.0,
             deadline=5.0,
         )
