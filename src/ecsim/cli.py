@@ -14,7 +14,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
-from ecsim.config import ConfigError, ScenarioConfig, from_dict, parse_config
+from ecsim.config import ConfigError, from_dict, parse_config
 from ecsim.engine import run_simulation
 from ecsim.report import compare, compare_csv, trace_csv
 from ecsim.schemes import SCHEMES
@@ -36,10 +36,13 @@ def _write_outputs(outdir: Path, report, trace_rows, quiet: bool) -> None:
         )
 
 
-def _config_with_scheme(config_dict: dict, scheme_kind: str) -> ScenarioConfig:
+def _with_scheme(config_dict: dict, scheme_kind: str | None) -> dict:
+    """A copy of ``config_dict`` that runs ``scheme_kind``. The scenario's own
+    scheme keeps its parameters; any other kind runs with its defaults."""
     raw = copy.deepcopy(config_dict)
-    raw["scheme"] = {"kind": scheme_kind}
-    return from_dict(raw)
+    if scheme_kind is not None and raw["scheme"]["kind"] != scheme_kind:
+        raw["scheme"] = {"kind": scheme_kind}
+    return raw
 
 
 def _run_worker(args: tuple) -> str:
@@ -53,7 +56,7 @@ def _run_worker(args: tuple) -> str:
 def cmd_run(args: argparse.Namespace) -> int:
     config = parse_config(args.config)
     if args.scheme:
-        config = _config_with_scheme(config.to_dict(), args.scheme)
+        config = from_dict(_with_scheme(config.to_dict(), args.scheme))
     report, trace_rows = run_simulation(config, args.seed, collect_trace=args.trace)
     _write_outputs(Path(args.out), report, trace_rows, args.quiet)
     return 0
@@ -88,9 +91,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     jobs = {}  # output directory -> job
     for value in values:
         for seed in seeds:
-            run_raw = copy.deepcopy(raw)
-            if args.scheme:
-                run_raw["scheme"] = {"kind": args.scheme}
+            run_raw = _with_scheme(raw, args.scheme)
             _set_by_path(run_raw, args.param, value)
             config = from_dict(run_raw)  # every point parses before any run starts
             point = f"{args.param.replace('.', '_')}={value}"
@@ -115,7 +116,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if repeated:
         raise ConfigError([f"--schemes: {', '.join(repeated)} listed more than once"])
     # Every kind parses before the first run writes anything.
-    configs = [_config_with_scheme(raw, scheme) for scheme in schemes]
+    configs = [from_dict(_with_scheme(raw, scheme)) for scheme in schemes]
     outdir = Path(args.out)
     reports = []
     for scheme, config in zip(schemes, configs):
@@ -130,6 +131,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
+SCHEME_HELP = "the scenario's own kind keeps its parameters; another runs with its defaults"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ecsim",
@@ -141,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, required=True)
     run_p.add_argument("--out", required=True)
-    run_p.add_argument("--scheme", choices=tuple(SCHEMES))
+    run_p.add_argument("--scheme", choices=tuple(SCHEMES), help=SCHEME_HELP)
     run_p.add_argument("--trace", action="store_true", help="also write trace.csv")
     run_p.add_argument("--quiet", action="store_true")
     run_p.set_defaults(func=cmd_run)
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--values", required=True, help="comma-separated JSON values")
     sweep_p.add_argument("--seeds", default="1", help="comma-separated seeds (default: 1)")
     sweep_p.add_argument("--out", required=True)
-    sweep_p.add_argument("--scheme", choices=tuple(SCHEMES))
+    sweep_p.add_argument("--scheme", choices=tuple(SCHEMES), help=SCHEME_HELP)
     sweep_p.add_argument("--trace", action="store_true")
     sweep_p.add_argument("--quiet", action="store_true")
     sweep_p.set_defaults(func=cmd_sweep)
@@ -165,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--seed", type=int, required=True)
     cmp_p.add_argument(
         "--schemes", required=True,
-        help="comma-separated scheme kinds; the first is the baseline for deltas",
+        help="comma-separated scheme kinds; the first is the baseline for deltas; " + SCHEME_HELP,
     )
     cmp_p.add_argument("--out", required=True)
     cmp_p.add_argument("--trace", action="store_true")

@@ -1,4 +1,4 @@
-"""Traffic-history ledgers and the idle/sleep interval computations.
+"""Traffic-history ledgers and the sleep interval computations.
 
 All operations here are pure: identical inputs give bit-identical outputs.
 The traffic-aware plane owns the ledger and calls these between events.
@@ -81,15 +81,6 @@ def pairwise_idle_decision(ledger: ActivityLedger, node_a: NodeId, node_b: NodeI
     node with no traffic pending for it.
     """
     return ledger.cumulative_active(node_a) > ledger.cumulative_active(node_b)
-
-
-def compute_idle(round_length: float, max_path_delay: float, n_hops: int) -> float:
-    """Idle interval (T - max_dp) / n, clamped at zero."""
-    if n_hops < 1:
-        raise ValueError(f"n_hops must be >= 1, got {n_hops}")
-    if round_length <= 0:
-        raise ValueError("round_length must be > 0")
-    return max(0.0, (round_length - max_path_delay) / n_hops)
 
 
 def path_delay(hops: Sequence[tuple[float, float]]) -> float:

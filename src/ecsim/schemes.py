@@ -19,7 +19,6 @@ from ecsim.core import NodeId, NodePhase, sum_in_order
 from ecsim.scheduler import (
     ActivityLedger,
     backward_diff,
-    compute_idle,
     compute_sleep,
     pairwise_idle_decision,
     path_delay,
@@ -194,7 +193,8 @@ class TrafficAwarePlane(SchemePlane):
     death, which re-elects both roles, is heard. At every slot boundary the
     proxy idles members whose traffic has stopped, the head among them, and
     grants sleep from a backward-difference traffic estimate, then sleeps
-    on its own running mean."""
+    on its own running mean. An idle node has no timer: it listens until a
+    sleep grant, a delivery to it or a retry wake ends its idling."""
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
@@ -218,11 +218,11 @@ class TrafficAwarePlane(SchemePlane):
         self.ledger.start_round()
         self._form_round_clusters(sim)
         self.sp_history = [[] for _ in self.clusters]
-        # Set-up phase idle assignment: every awake member re-enters idle
-        # listening for its computed idle interval.
+        # Set-up phase idle assignment: every active member returns to idle
+        # listening, where it stays until a proxy grants it sleep.
         for node in sim.nodes.values():
             if node.alive and node.phase is PHASE_ACTIVE:
-                self._enter_idle(sim, node)
+                sim.set_phase(node, PHASE_IDLE)
 
     def slot_boundary(self, sim: Simulation, closed_slot: int) -> None:
         if sim.round_index >= 1:
@@ -252,11 +252,10 @@ class TrafficAwarePlane(SchemePlane):
 
     def expired(self, sim: Simulation, node: SimNode) -> None:
         if node.phase is PHASE_SLEEP:
-            self._enter_idle(sim, node)
+            sim.set_phase(node, PHASE_IDLE)
         else:
-            # The run began, an idle window ran out, or a retry woke the node
-            # to send (the engine's timer due at once): it is active until a
-            # proxy idles it.
+            # The run began, or a retry woke the node to send (the engine's
+            # timer due at once): it is active until a proxy idles it.
             sim.set_phase(node, PHASE_ACTIVE)
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
@@ -325,10 +324,10 @@ class TrafficAwarePlane(SchemePlane):
     def _wake_proxy(self, sim: Simulation, cl: cluster_mod.Cluster) -> None:
         """Control-plane wake: a sleeping proxy grants no sleep, so it re-enters
         idle. On the acceptance scenario, seeds 1-5, each device spends
-        477.8/498.8/500.7/474.8/502.7 J without this wake, 448-474 J with it."""
+        477.6/492.8/495.2/479.0/506.8 J without this wake, 448-476 J with it."""
         node = sim.nodes[cl.sp]
         if node.phase is PHASE_SLEEP:
-            self._enter_idle(sim, node)
+            sim.set_phase(node, PHASE_IDLE)
 
     # -- proxy duties ----------------------------------------------------------
 
@@ -378,7 +377,7 @@ class TrafficAwarePlane(SchemePlane):
                     if other not in cluster.members or not sim.nodes[other].awake:
                         continue
                     if pairwise_idle_decision(self.ledger, m, other):
-                        self._enter_idle(sim, node)
+                        sim.set_phase(node, PHASE_IDLE)
                         sim.trace_event(m, "inform-sp", "sp=%d", cluster.sp)
                         break
             for m in quiet:
@@ -387,7 +386,7 @@ class TrafficAwarePlane(SchemePlane):
                 node = sim.nodes[m]
                 if node.phase is PHASE_ACTIVE and not _busy(node):
                     if not self.ledger.slot_value(m, closed_slot):
-                        self._enter_idle(sim, node)
+                        sim.set_phase(node, PHASE_IDLE)
             for m in quiet:
                 node = sim.nodes[m]
                 if node.phase is not PHASE_IDLE or _busy(node):
@@ -422,8 +421,7 @@ class TrafficAwarePlane(SchemePlane):
         if interval <= 1e-9 or _busy(sp_node):
             return
         realized = interval if last_duty else min(interval, sim.slot_width)
-        if sp_node.phase is PHASE_ACTIVE:
-            self._enter_idle(sim, sp_node)
+        sim.set_phase(sp_node, PHASE_IDLE)  # the proxy is awake: no-op when idle
         if self._enter_sleep(sim, sp_node, realized):
             self.sp_sleep_audit.append(
                 {"node": sp_node.nid, "time": sim.now, "t_sleep": interval}
@@ -440,13 +438,11 @@ class TrafficAwarePlane(SchemePlane):
 
     # -- intervals -------------------------------------------------------------
 
-    def _max_dp(self, sim: Simulation, nid: NodeId) -> tuple[float, int]:
-        """Largest path delay of the last round and its hops, the latest of
-        equal delays; (0.0, 1) at cold start."""
+    def _max_dp_hops(self, sim: Simulation, nid: NodeId) -> int:
+        """Hops of the largest path delay of the last round, the latest of
+        equal delays; 1 at cold start."""
         best = window_front(self.dp_samples[nid], sim.now - sim.round_length)
-        if best is None:
-            return 0.0, 1
-        return best[0][0], best[1]
+        return 1 if best is None else best[1]
 
     def _grant_sleep(self, sim: Simulation, nid: NodeId) -> tuple[float, float | None]:
         """Sleep interval for one member, from current capacities, cached
@@ -471,25 +467,17 @@ class TrafficAwarePlane(SchemePlane):
             min_delay = min(cache.hosting_delay(nid, sim.now) for cache in caches)
         # The delay budget is a round fraction: it bounds how long a chunk of
         # sleep may defer traffic. Cached backlog, capacity dips and hosting
-        # delays shorten it; measured path delays feed the idle window and
-        # the hop exponent. The formula assumes, and nothing here rechecks:
-        # both sums are >= 0 (link_bps > 0, volumes are bits), ``sup`` is the
-        # maximum of a window holding ``cap_sum``, a measured path has at
-        # least one hop, and the config validates the round length and the
-        # budget (both > 0).
-        _, hops = self._max_dp(sim, nid)
-        interval = compute_sleep(cap_sum, vol_sum, sup, hops,
+        # delays shorten it; measured path delays pick the hop exponent. The
+        # formula assumes, and nothing here rechecks: both sums are >= 0
+        # (link_bps > 0, volumes are bits), ``sup`` is the maximum of a window
+        # holding ``cap_sum``, a measured path has at least one hop, and the
+        # config validates the round length and the budget (both > 0).
+        interval = compute_sleep(cap_sum, vol_sum, sup, self._max_dp_hops(sim, nid),
                                  sim.config.sleep_budget_rounds * sim.round_length,
                                  sim.round_length, min_delay)
         return interval, min_delay
 
     # -- phase changes ---------------------------------------------------------
-
-    def _enter_idle(self, sim: Simulation, node: SimNode) -> None:
-        """Idle listening for the computed interval; a sleeping node wakes."""
-        delay, hops = self._max_dp(sim, node.nid)
-        interval = compute_idle(sim.round_length, min(delay, sim.round_length), hops)
-        sim.set_phase(node, PHASE_IDLE, sim.now + interval)
 
     def _enter_sleep(self, sim: Simulation, node: SimNode, interval: float) -> bool:
         """Put the node to sleep for at most ``interval`` seconds, with the
@@ -504,9 +492,9 @@ class TrafficAwarePlane(SchemePlane):
         # Both the alignment and its 1e-6 offset are load-bearing. The offset
         # wakes the node before the boundary's proxy pass, which can grant
         # it its next nap at once. Measured on the acceptance scenario, seeds
-        # 1-5 (delivery 0.983-1.000, 448-474 J per device, mean delay
-        # 4.7-10.6 s with both): without the alignment each device spends
-        # 657-686 J, and without the offset alone 659-689 J.
+        # 1-5 (delivery 0.984-1.000, 448-476 J per device, mean delay
+        # 4.6-10.6 s with both): without the alignment each device spends
+        # 659-690 J, and without the offset alone 659-688 J.
         aligned = math.floor(wake_raw / sim.slot_width + 1e-9) * sim.slot_width - 1e-6
         if aligned <= sim.now + 1e-9:
             return False

@@ -18,7 +18,6 @@ from ecsim.engine import Simulation, run_simulation
 from ecsim.scheduler import (
     ActivityLedger,
     backward_diff,
-    compute_idle,
     compute_sleep,
     path_delay,
     sp_sleep,
@@ -98,11 +97,6 @@ def test_criterion_1_scheduler_unit_suite():
         ledger2.record_active(1, slot, value)
     assert backward_diff(ledger2, 1, 1) == pytest.approx(0.0, abs=1e-9)
     assert backward_diff(ledger2, 1, 2) == pytest.approx(-3.0, abs=1e-9)
-
-    # idle interval
-    assert compute_idle(10.0, 2.0, 4) == pytest.approx(2.0, abs=1e-9)
-    assert compute_idle(10.0, 10.0, 3) == pytest.approx(0.0, abs=1e-9)
-    assert compute_idle(10.0, 0.0, 1) == pytest.approx(10.0, abs=1e-9)
 
     # path delay
     assert path_delay([(1.0, 0.5)]) == pytest.approx(1.5, abs=1e-9)

@@ -280,3 +280,24 @@ def test_sweep_with_scheme_keeps_swept_scheme_parameter(scenario_file, tmp_path)
         "scheme_listen_s=0.1": {"kind": "coordinated", "listen_s": 0.1, "sleep_s": 1.5},
         "scheme_listen_s=0.4": {"kind": "coordinated", "listen_s": 0.4, "sleep_s": 1.5},
     }
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "compare"])
+def test_scheme_option_naming_the_scenarios_kind_keeps_its_parameters(tmp_path, command):
+    config = tmp_path / "scenario.json"
+    config.write_text(json.dumps({**SCENARIO, "scheme": {"kind": "periodic", "duty": 0.05}}))
+    out = tmp_path / "out"
+    common = ["--config", str(config), "--out", str(out), "--quiet"]
+    argv = {
+        "run": ["run", *common, "--seed", "1", "--scheme", "periodic"],
+        "sweep": ["sweep", *common, "--param", "nodes", "--values", "6", "--scheme", "periodic"],
+        "compare": ["compare", *common, "--seed", "1", "--schemes", "periodic,coordinated"],
+    }[command]
+    assert main(argv) == 0
+    echoes = [json.loads(p.read_text())["meta"]["config"]["scheme"]
+              for p in out.rglob("report.json")]
+    expected = {"periodic": {"kind": "periodic", "duty": 0.05, "period_s": 2.0}}
+    if command == "compare":  # another kind runs with its own defaults
+        expected["coordinated"] = {"kind": "coordinated", "listen_s": 0.5, "sleep_s": 1.5}
+    assert {echo["kind"]: echo for echo in echoes} == expected
+    assert len(echoes) == len(expected)

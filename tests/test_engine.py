@@ -167,7 +167,7 @@ class TestRun:
 
 
 class TestStepTransitions:
-    def test_sleep_expiry_moves_to_idle_and_schedules_idle_expiry(self):
+    def test_sleep_expiry_moves_to_idle_and_arms_no_timer(self):
         sim = Simulation(make_config(horizon_s=40.0), 4)
         node = sim.nodes[1]
         sim.now = 12.0
@@ -182,7 +182,7 @@ class TestStepTransitions:
         )
         assert node.phase is NodePhase.IDLE
         kinds = [e.kind for e in sim.pending() if e.node == 1 and e.time >= wake]
-        assert EventKind.IDLE_EXPIRY in kinds
+        assert EventKind.IDLE_EXPIRY not in kinds
 
     def test_stale_sleep_expiry_ignored(self):
         sim = Simulation(make_config(horizon_s=40.0), 4)
@@ -191,7 +191,7 @@ class TestStepTransitions:
         sim.set_phase(node, NodePhase.IDLE)
         assert sim.plane._enter_sleep(sim, node, 4.0)
         old_epoch = node.phase_epoch
-        sim.plane._enter_idle(sim, node)  # e.g. the proxy wake woke it early
+        sim.set_phase(node, NodePhase.IDLE)  # e.g. the proxy wake woke it early
         assert node.phase is NodePhase.IDLE
         sim._on_phase_expiry(type("E", (), {"node": 2, "payload": {"epoch": old_epoch}})())
         assert node.phase is NodePhase.IDLE  # stale event changed nothing

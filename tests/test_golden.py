@@ -24,15 +24,15 @@ DEMO = Path(__file__).resolve().parents[1] / "scenarios" / "demo.json"
 SCHEMES = ("traffic-aware", "periodic", "coordinated", "always-on")
 
 GOLDEN = {
-    "compare.csv": "dc37121ea508a7eaa95b4bbc3e7a27b600b584ba2e4111a28fa7fe7bf7fde707",
+    "compare.csv": "4fbcf27abfa9392abfefb22ca2c96c1876b6f3ae7fa8cd10e80dfb02d42709d1",
     "traffic-aware/report.json": (
-        "985c15550d6c12076d586f12d0ef71c7d0468596dfebb5acaf35882a832d4c27"
+        "17fba8039171ef749560c78db873e5ed885e89e360db0c7137948fcb72c7c959"
     ),
     "traffic-aware/timeseries.csv": (
-        "b12237d3ab8d4a223e3889bdbb3fc44a7c30b4e4fe32018ce28d6d7667654115"
+        "b81f558e0cdc0d9ec6aa9fb2c8b7ad5d1b9c20e53af9127d6c99a9b55a0af47f"
     ),
     "traffic-aware/trace.csv": (
-        "75d6c50fb4f730071511de7f85ea8249abf927941dbfc322f2d7d84bb262bfbb"
+        "df8b27b6973aa3f6c62312bec0098884a10c4af6c992815a71672e7c2833f037"
     ),
     "periodic/report.json": (
         "fcd606e4e5670817a74e754d2a947ef67ab189b96c8fb024661665b98ca78ae7"
@@ -66,15 +66,15 @@ GOLDEN = {
 
 # First deaths at 30-82 s depending on the scheme.
 GOLDEN_DEATHS = {
-    "compare.csv": "0b822583cf057efedc985665fe77c014b4bfc2331ff9db46c741342b0686002c",
+    "compare.csv": "e05c47945307f7d8a66c7daa6a9fc65ae040211c404bf18b936ac8d27b380ba9",
     "traffic-aware/report.json": (
-        "a0c3d6399fe5765ba240e91b9cc677c2dfece92e671246e2094ecc9211e0bcca"
+        "97308943c04957a5469f38d86f7d6d73200b17e60e80c762c6ffc4dbece53efe"
     ),
     "traffic-aware/timeseries.csv": (
-        "79155736fdd4cd551b65790a38bc56bf3875a5e4d5949e4a98476f8f4316b7c7"
+        "8f86e62b6f8417a4adccbae566b3864ee05fa2c5cc05fe5a25d45298abefb424"
     ),
     "traffic-aware/trace.csv": (
-        "ae928e194c6dadf051bd04d1cdf289d7c8a50f97ee87f9c90bf6de29079fb6af"
+        "2ea0a5f5f573c09dc0b2572cbb25e625409540404c4ab798fb7cb8e58e454b5d"
     ),
     "periodic/report.json": (
         "e64d2d8bcd33c1b235de3fbef75bd28bacefca2e358f2fa002117f7ff69328a1"
@@ -106,17 +106,17 @@ GOLDEN_DEATHS = {
 }
 
 
-# Traffic-aware forms 4 clusters and traces 67 moves, 9 deaths and 912 sleep grants.
+# Traffic-aware forms 4 clusters and traces 66 moves, 11 deaths and 904 sleep grants.
 GOLDEN_GRID = {
-    "compare.csv": "e568d08ffec59d84a4a08b2e813f7fff38f3502349a52c17b3f008954b69ed5d",
+    "compare.csv": "9eface885d6fd6085099d8464f0ae78b83ff13e32a86196c9671dc0e738c8319",
     "traffic-aware/report.json": (
-        "b89f0a71b8f4695fee31856def9aff27a31230b8a3a2f9265adfdb3114f2a630"
+        "d3a4bf370cac6905099bd440295c043ac331a953902266121cd07758ffbdd398"
     ),
     "traffic-aware/timeseries.csv": (
-        "e0c663c10cd5061fb90c7e4ac1dddc74d64c0c496de8859b248b7355fe0733ca"
+        "5b4176c38633bf70abf03a592e623e2adaaa7cf434b2106fe901689d4b360e82"
     ),
     "traffic-aware/trace.csv": (
-        "6110c725763a2e639d346697b103d221f0630a0d91cabbc63a5b8f64c8eabd7b"
+        "65cbe1201747d8263d9ad2a050b078341828bf6896a27529cbde951695dcea41"
     ),
     "periodic/report.json": (
         "2ded875d1c90a93b2d74234f0e0b18bb088b66702dd9ef63f4ccdb704d6ad009"

@@ -340,6 +340,11 @@ def assert_structural_invariants(sim):
     assert {nid: time for nid, kind, time in live if kind is SLEEP_EXPIRY} == {
         nid: node.wake_at for nid, node in nodes.items() if node.alive and node.phase is SLEEP
     }
+    # (o) Under traffic-aware an awake node listens with no timer for later:
+    # its only live timer is a retry wake's, due at once.
+    if isinstance(sim.plane, TrafficAwarePlane):
+        assert not [(nid, time) for nid, _, time in live
+                    if nodes[nid].phase is not SLEEP and time != sim.now]
     # (l) A dead node has no death prediction. An alive node's prediction has
     # a death entry queued at or before its (time, seq) key: the prediction
     # itself, or an earlier entry that re-queues it when it fires.

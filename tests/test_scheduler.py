@@ -8,7 +8,6 @@ from ecsim.scheduler import (
     ActivityLedger,
     SLEEP_EPSILON,
     backward_diff,
-    compute_idle,
     compute_sleep,
     pairwise_idle_decision,
     path_delay,
@@ -104,28 +103,6 @@ class TestCumulativeActive:
                 fresh.record_active(*record)
             for other in range(3):
                 assert ledger.cumulative_active(other) == fresh.cumulative_active(other)
-
-
-class TestComputeIdle:
-    def test_basic_division(self):
-        assert compute_idle(10.0, 2.0, 4) == pytest.approx(2.0, abs=1e-12)
-
-    def test_boundary_clamps_to_zero(self):
-        assert compute_idle(10.0, 10.0, 3) == 0.0
-
-    def test_lone_hop_full_round(self):
-        assert compute_idle(10.0, 0.0, 1) == pytest.approx(10.0, abs=1e-12)
-
-    def test_zero_hops_invalid(self):
-        with pytest.raises(ValueError):
-            compute_idle(10.0, 1.0, 0)
-
-    @given(st.floats(0.1, 100.0), st.floats(0.0, 200.0), st.integers(1, 20))
-    def test_output_in_range(self, round_length, max_dp, hops):
-        out = compute_idle(round_length, max_dp, hops)
-        assert 0.0 <= out <= round_length
-        if max_dp < round_length:
-            assert out == pytest.approx((round_length - max_dp) / hops, abs=1e-12)
 
 
 class TestPathDelay:
