@@ -858,6 +858,85 @@ def test_pairwise_idling_idles_an_active_head_like_any_member():
     assert (head.nid, "inform-sp") in [row[1:3] for row in sim.trace[rows:]]
 
 
+def live_timers(sim, nid):
+    """The (kind, time) of each phase timer queued for ``nid`` in its
+    current phase; a timer of an earlier phase is stale and left out."""
+    epoch = sim.nodes[nid].phase_epoch
+    return [(e.kind, e.time) for e in sim.pending()
+            if e.node == nid and e.kind in TIMER_KINDS and e.payload["epoch"] == epoch]
+
+
+def test_round_set_up_idles_each_active_node_with_no_timer():
+    # An idle traffic-aware node listens until a proxy grants it sleep, a
+    # delivery activates it or a retry wakes it: nothing ends idling by time.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4)
+    assert all(node.phase is NodePhase.ACTIVE for node in sim.nodes.values())
+    assert sim.step().kind is EventKind.ROUND_SETUP
+    for nid, node in sim.nodes.items():
+        assert node.phase is NodePhase.IDLE, nid
+        assert live_timers(sim, nid) == [], nid
+
+
+def test_a_woken_proxy_idles_with_no_timer():
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4)
+    sim.step()  # round set-up
+    (cluster,) = sim.plane.clusters
+    proxy = sim.nodes[cluster.sp]
+    sim.now = 2.0
+    assert sim.plane._enter_sleep(sim, proxy, 4.0)
+    assert live_timers(sim, proxy.nid) == [(EventKind.SLEEP_EXPIRY, proxy.wake_at)]
+    sim.plane._wake_proxy(sim, cluster)
+    assert proxy.phase is NodePhase.IDLE and proxy.wake_at is None
+    assert live_timers(sim, proxy.nid) == []
+
+
+def test_a_member_the_proxy_idles_keeps_no_timer():
+    # The member's traffic in the closed slot has no earlier slot to compare
+    # with, so pairwise idling idles it and no sleep grant follows.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4)
+    while sim.round_index < 1:
+        sim.step()
+    (cluster,) = sim.plane.clusters
+    member = next(
+        m for m in sorted(cluster.members - {cluster.sp})
+        if sim.graph.neighbors_of(m) & cluster.members
+    )
+    node = sim.nodes[member]
+    sim.set_phase(node, NodePhase.ACTIVE)
+    sim.plane.ledger.record_active(member, 0, 0.5)  # the round just began: slot 0
+    assert sim.step().kind is EventKind.SLOT_BOUNDARY
+    assert node.phase is NodePhase.IDLE
+    assert not [g for g in sim.plane.sleep_audit if g["node"] == member]
+    assert live_timers(sim, member) == []
+
+
+def test_a_timer_on_an_awake_node_activates_it_with_no_timer():
+    # A retry wakes an idle node to send through a timer due at once.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4)
+    sim.step()  # round set-up
+    node = sim.nodes[2]
+    assert node.phase is NodePhase.IDLE
+    sim.plane.expired(sim, node)
+    assert node.phase is NodePhase.ACTIVE
+    assert live_timers(sim, 2) == []
+
+
+def test_the_sleep_exponent_is_the_hops_of_the_last_rounds_longest_path():
+    # The latest of equal delays counts; a path older than a round is forgotten.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "traffic-aware"}), 4)
+    plane, samples = sim.plane, sim.plane.dp_samples[3]
+    assert plane._max_dp_hops(sim, 3) == 1  # cold start
+    for delay, time, hops in ((2.0, 1.0, 4), (1.0, 2.0, 2), (2.0, 3.0, 3), (0.5, 12.0, 5)):
+        sim.now = time
+        schemes.window_push(samples, (delay, time), hops)
+    sim.now = 12.0
+    assert plane._max_dp_hops(sim, 3) == 3
+    sim.now = 13.5
+    assert plane._max_dp_hops(sim, 3) == 5
+    sim.now = 22.5
+    assert plane._max_dp_hops(sim, 3) == 1
+
+
 @pytest.mark.parametrize("kind", ["traffic-aware", "always-on", "periodic", "coordinated"])
 def test_consume_runs_once_per_billed_interval(monkeypatch, kind):
     # Every billed interval is one ``consume`` call and one ``mode`` trace row.
