@@ -19,7 +19,6 @@ at its current radio mode's power, in place on the node's float residual.
 from __future__ import annotations
 
 import heapq
-import math
 import random
 from collections import deque
 from typing import TYPE_CHECKING, Iterable, NamedTuple
@@ -194,7 +193,7 @@ class Simulation:
         "mode_power", "link_bps", "mobility_rng", "grid", "graph",
         "holders_by_dst", "nodes", "plane", "now", "round_index", "round_start",
         "_heap", "_timers", "timers_fired", "timers_stale", "work", "_dist_cache",
-        "delivered_bits_ok", "delay_sum", "timeseries", "trace", "float_text",
+        "_next_hops", "delivered_bits_ok", "delay_sum", "timeseries", "trace", "float_text",
         "packets", "_seq", "__weakref__",
     )
 
@@ -243,6 +242,8 @@ class Simulation:
         # Every generated packet by id, ended or not.
         self.work: dict[int, PacketWork] = {}
         self._dist_cache: dict[NodeId, dict[NodeId, int]] = {}
+        # (destination, holder) -> ``next_hops``; dropped at each edge change.
+        self._next_hops: dict[tuple[NodeId, NodeId], tuple[NodeId, ...]] = {}
 
         # Running sums: adding them up later in another order would change
         # the reported floats.
@@ -544,9 +545,10 @@ class Simulation:
 
     def _try_transmit(self, node: SimNode) -> None:
         """Store-and-forward: move each queued packet one hop closer to its
-        destination, to the awake neighbor nearest to it (ties to the
-        smallest id). When no closer neighbor is awake, the plane's
-        ``retry_at`` parks the packet or says when to try again."""
+        destination, to the first awake entry of the holder's ``next_hops``.
+        When none is awake, the plane's ``retry_at`` parks the packet or says
+        when to try again."""
+        nodes = self.nodes
         while node.outbox and node.awake and not node.tx_active:
             # A queued packet is held by this outbox alone, and only this
             # loop or the node's death takes it out: it has not ended.
@@ -555,7 +557,7 @@ class Simulation:
             if packet.past_deadline(self.now):
                 self._finish(work, LOST_DEADLINE)
                 continue
-            dst_node = self.nodes[packet.dst]
+            dst_node = nodes[packet.dst]
             if not dst_node.alive:
                 self._finish(work, LOST_DEAD)
                 continue
@@ -563,21 +565,29 @@ class Simulation:
                 # Recovery disabled: traffic to a sleeping node is dropped.
                 self._finish(work, LOST_NO_CACHE)
                 continue
-            dist = self._hop_distances(packet.dst)
-            here = dist.get(node.nid)
-            if here is not None:
-                closer = [
-                    v
-                    for v in self.graph.neighbors_of(node.nid)
-                    if dist.get(v, math.inf) < here and self.nodes[v].awake
-                ]
-                if closer:
-                    hop = min(closer, key=lambda v: (dist[v], v))
+            for hop in self.next_hops(packet.dst, node.nid):
+                if nodes[hop].awake:
                     self._start_tx(node, hop, work)
-                    break
-            retry_at = self.plane.retry_at(self, node, work, dist, here)
+                    return
+            here = self._hop_distances(packet.dst).get(node.nid)
+            retry_at = self.plane.retry_at(self, node, work, here)
             if retry_at is not None:
                 self._defer(node, work, retry_at)
+
+    def next_hops(self, dst: NodeId, nid: NodeId) -> tuple[NodeId, ...]:
+        """``nid``'s neighbors strictly closer to ``dst`` on the exact hop
+        map, nearest first, ties to the smallest id; empty when ``nid`` has
+        no hop count. Built on first use and kept until an edge changes."""
+        key = (dst, nid)
+        hops = self._next_hops.get(key)
+        if hops is None:
+            dist = self._hop_distances(dst)
+            here = dist.get(nid)
+            closer = () if here is None else [
+                v for v in self.graph.neighbors_of(nid) if dist.get(v, here) < here
+            ]
+            hops = self._next_hops[key] = tuple(sorted(closer, key=lambda v: (dist[v], v)))
+        return hops
 
     def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
         """Hop counts to ``dst`` over the full alive topology (cached, and
@@ -588,9 +598,11 @@ class Simulation:
         return dist
 
     def _repair_maps(self, lost: Iterable[NodeId], added: Iterable[tuple]) -> None:
-        """After an edge change, repair every cached distance map in place."""
+        """After an edge change, repair every cached distance map in place
+        and drop every next-hop tuple."""
         for dist in self._dist_cache.values():
             repair_distances(self.graph, dist, lost, added)
+        self._next_hops.clear()
 
     def _cache_here(self, node: SimNode, work: PacketWork) -> bool:
         """Park the packet in this node's cache for its sleeping neighbor."""

@@ -52,9 +52,10 @@ class SchemePlane:
       ``Simulation._on_phase_expiry``;
     - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
     - ``death(sim, nid)``: a node died and left the topology;
-    - ``retry_at(sim, node, work, dist, here)``: no neighbor of ``node``
-      strictly closer to the packet's destination is awake; returns when
-      ``node`` tries the packet again, or None when the hook parked it.
+    - ``retry_at(sim, node, work, here)``: no entry of ``node``'s
+      ``Simulation.next_hops`` toward the packet's destination is awake;
+      ``here`` is ``node``'s hop count to it, None without a route. Returns
+      when ``node`` tries the packet again, or None when the hook parked it.
 
     ``retry_at`` holds every scheme's waiting rule, the meeting with the next
     hop's wake; every other hook does nothing here, which is all always-on
@@ -82,10 +83,10 @@ class SchemePlane:
     radio_busy = transmit = delivered = death = _nothing
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
-                 dist: dict[NodeId, int], here: int | None) -> float | None:
-        """The exact meeting, as in WiseMAC: the earliest wake of a strictly
-        closer neighbor, which is the destination's own when it is one hop
-        away. None of them is awake, so each sleeps until its ``wake_at``.
+                 here: int | None) -> float | None:
+        """The exact meeting, as in WiseMAC: the earliest wake over the
+        holder's ``next_hops``, which is the destination's own when it is one
+        hop away. None of them is awake, so each sleeps until its ``wake_at``.
         A packet whose holder has no hop count polls every ``RETRY_S``, and
         from its fourth deferral on no sooner than a backoff that doubles up
         to one round, so that packets no route will unblock stop flooding
@@ -93,11 +94,8 @@ class SchemePlane:
         now = sim.now
         if here is not None:
             nodes = sim.nodes
-            return max(now, min(
-                nodes[v].wake_at
-                for v in sim.graph.neighbors_of(node.nid)
-                if dist.get(v, math.inf) < here
-            ))
+            hops = sim.next_hops(work.packet.dst, node.nid)
+            return max(now, min(nodes[v].wake_at for v in hops))
         retry = now + RETRY_S
         deferred = work.defer_count
         if deferred >= 3:
@@ -259,12 +257,12 @@ class TrafficAwarePlane(SchemePlane):
             sim.set_phase(node, PHASE_ACTIVE)
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
-                 dist: dict[NodeId, int], here: int | None) -> float | None:
+                 here: int | None) -> float | None:
         """A packet one hop from its sleeping destination is parked next to
         it if a cache takes it; any other waits for its next hop's wake."""
         if here == 1 and sim.park(node, work):
             return None
-        return super().retry_at(sim, node, work, dist, here)
+        return super().retry_at(sim, node, work, here)
 
     def delivered(self, sim: Simulation, work: PacketWork) -> None:
         dst = sim.nodes[work.packet.dst]  # a delivery's destination is alive

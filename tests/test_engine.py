@@ -245,6 +245,39 @@ class TestStepTransitions:
                  if e.kind is EventKind.TX_COMPLETE]
         assert sends == [(2, 3)]
 
+    def test_the_next_hop_follows_a_death_and_a_move(self):
+        from ecsim.topology import refresh_node
+        from ecsim.traffic import Packet
+
+        # The topology of the test above: node 2 reaches node 1 through 0, 3,
+        # 4 and 5, and node 0 sleeps.
+        sim = Simulation(make_config(flows=[], scheme={"kind": "always-on"}), 5)
+        sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
+        holder = sim.nodes[2]
+
+        def first_hop(pid):
+            packet = Packet(id=pid, src=2, dst=1, size_bits=8_000, created_at=sim.now)
+            sim.packets.append(packet)
+            sim.work[pid] = PacketWork(packet, False)
+            holder.outbox.append(sim.work[pid])
+            sim._try_transmit(holder)
+            [hop] = [e.node for e in sim.pending() if e.kind is EventKind.TX_COMPLETE
+                     and e.payload["packet_id"] == pid and e.payload["sender"] == 2]
+            while holder.tx_active:
+                sim.step()
+            return hop
+
+        assert first_hop(0) == 3
+        sim._touch(sim.nodes[3])
+        sim._kill(sim.nodes[3])
+        assert first_hop(1) == 4
+        # The destination moves into the holder's cell: it is the nearest now.
+        assert 1 not in sim.graph.neighbors_of(2)
+        sim.grid.move(1, sim.grid.position_of(2))
+        removed, added = refresh_node(sim.graph, sim.grid, 1)
+        sim._repair_maps((1, *removed), [(1, v) for v in added])
+        assert first_hop(2) == 1
+
     def test_same_phase_call_only_arms_the_timer(self):
         config = make_config(horizon_s=40.0, flows=[], scheme={"kind": "always-on"})
         sim = Simulation(config, 4, collect_trace=True)
@@ -968,7 +1001,7 @@ def test_a_packet_without_a_route_polls_after_retry_s_and_a_capped_backoff(
     sim.now = 4.0
     work = PacketWork(sim.packets[0], False)
     work.defer_count = defer_count
-    assert sim.plane.retry_at(sim, sim.nodes[0], work, {}, None) == 4.0 + wait
+    assert sim.plane.retry_at(sim, sim.nodes[0], work, None) == 4.0 + wait
 
 
 @pytest.mark.parametrize("p_move", [0.05, 0.5, 1.0])

@@ -261,9 +261,9 @@ def checked_simulation(raw, seed):
     plane.met = set()
     retry_at = plane.retry_at
 
-    def recorded(sim, node, work, dist, here):
+    def recorded(sim, node, work, here):
         (plane.met.discard if here is None else plane.met.add)(work.packet.id)
-        return retry_at(sim, node, work, dist, here)
+        return retry_at(sim, node, work, here)
 
     plane.retry_at = recorded
     return sim
@@ -390,6 +390,17 @@ def assert_structural_invariants(sim):
     # current graph.
     for dst, dist in sim._dist_cache.items():
         assert nodes[dst].alive and dist == hop_distances(sim.graph, dst)
+    # (p) Every cached next-hop tuple is an alive holder's toward an alive
+    # destination, and lists the holder's neighbors strictly closer to the
+    # destination on its map, exact by (h), sorted by (hop count, id).
+    for (dst, nid), hops in sim._next_hops.items():
+        assert nodes[dst].alive and nodes[nid].alive
+        dist = sim._dist_cache[dst]
+        here = dist.get(nid, math.inf)
+        assert hops == tuple(sorted(
+            (v for v in sim.graph.neighbors_of(nid) if dist.get(v, math.inf) < here),
+            key=lambda v: (dist[v], v),
+        )), (dst, nid)
     # (i) The proxy pass's inbound map equals a recount for every alive node:
     # volume cached for it at its neighbours plus bits for it queued there.
     if isinstance(sim.plane, TrafficAwarePlane):
