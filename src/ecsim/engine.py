@@ -507,15 +507,15 @@ class Simulation:
             if not node.alive:
                 self._finish(work, LOST_DEAD)
                 return
-            # A retry that finds its holder asleep wakes it when it has a hop
-            # count to the destination: the plane (``retry_at``) timed the
-            # retry for a meeting with a next hop, or a move gave the holder
-            # a route. A phase timer due at once hands it to the plane's
+            # A retry that finds its holder asleep wakes it when it has a next
+            # hop toward an alive destination: the plane (``retry_at``) timed
+            # the retry for a meeting with it, or a move gave the holder a
+            # route. A phase timer due at once hands it to the plane's
             # ``expired``: a duty cycle returns it to its window when its
-            # radio frees, traffic-aware keeps it active. Otherwise (the
-            # map is gone only if the destination died) the packet waits in
-            # the outbox for the holder's own wake.
-            if node.phase is PHASE_SLEEP and nid in self._dist_cache.get(work.packet.dst, ()):
+            # radio frees, traffic-aware keeps it active. Otherwise the packet
+            # waits in the outbox for the holder's own wake.
+            dst = work.packet.dst
+            if node.phase is PHASE_SLEEP and self.nodes[dst].alive and self.next_hops(dst, nid):
                 self.set_phase(node, PHASE_ACTIVE, self.now)
         else:
             # An arrival without ``retry`` is the packet's first.
@@ -546,8 +546,8 @@ class Simulation:
     def _try_transmit(self, node: SimNode) -> None:
         """Store-and-forward: move each queued packet one hop closer to its
         destination, to the first awake entry of the holder's ``next_hops``.
-        When none is awake, the plane's ``retry_at`` parks the packet or says
-        when to try again."""
+        When none is awake, the plane's ``retry_at``, handed the same tuple,
+        parks the packet or says when to try again."""
         nodes = self.nodes
         while node.outbox and node.awake and not node.tx_active:
             # A queued packet is held by this outbox alone, and only this
@@ -565,37 +565,33 @@ class Simulation:
                 # Recovery disabled: traffic to a sleeping node is dropped.
                 self._finish(work, LOST_NO_CACHE)
                 continue
-            for hop in self.next_hops(packet.dst, node.nid):
+            hops = self.next_hops(packet.dst, node.nid)
+            for hop in hops:
                 if nodes[hop].awake:
                     self._start_tx(node, hop, work)
                     return
-            here = self._hop_distances(packet.dst).get(node.nid)
-            retry_at = self.plane.retry_at(self, node, work, here)
+            retry_at = self.plane.retry_at(self, node, work, hops)
             if retry_at is not None:
                 self._defer(node, work, retry_at)
 
     def next_hops(self, dst: NodeId, nid: NodeId) -> tuple[NodeId, ...]:
-        """``nid``'s neighbors strictly closer to ``dst`` on the exact hop
-        map, nearest first, ties to the smallest id; empty when ``nid`` has
-        no hop count. Built on first use and kept until an edge changes."""
+        """``nid``'s neighbors strictly closer to the alive ``dst`` on its
+        exact hop map, nearest first, ties to the smallest id; empty when
+        ``nid`` has no hop count. Kept until an edge changes. The only reader
+        of the maps: each is built here on first use and kept exact by
+        ``_repair_maps`` and ``_kill``."""
         key = (dst, nid)
         hops = self._next_hops.get(key)
         if hops is None:
-            dist = self._hop_distances(dst)
+            dist = self._dist_cache.get(dst)
+            if dist is None:
+                dist = self._dist_cache[dst] = hop_distances(self.graph, dst)
             here = dist.get(nid)
             closer = () if here is None else [
                 v for v in self.graph.neighbors_of(nid) if dist.get(v, here) < here
             ]
             hops = self._next_hops[key] = tuple(sorted(closer, key=lambda v: (dist[v], v)))
         return hops
-
-    def _hop_distances(self, dst: NodeId) -> dict[NodeId, int]:
-        """Hop counts to ``dst`` over the full alive topology (cached, and
-        repaired in place after every edge change)."""
-        dist = self._dist_cache.get(dst)
-        if dist is None:
-            dist = self._dist_cache[dst] = hop_distances(self.graph, dst)
-        return dist
 
     def _repair_maps(self, lost: Iterable[NodeId], added: Iterable[tuple]) -> None:
         """After an edge change, repair every cached distance map in place
@@ -720,10 +716,11 @@ class Simulation:
 
     def _on_mobility_step(self, event: Event) -> None:
         alive = [nid for nid, node in self.nodes.items() if node.alive]
-        # Each mover's edges and the maps are repaired before the next node draws.
+        # A mover's changed edges and the maps are repaired before the next node draws.
         for nid in move_step(self.grid, alive, self.mobility_rng, self.config.p_move):
             removed, added = refresh_node(self.graph, self.grid, nid)
-            self._repair_maps((nid, *removed), [(nid, v) for v in added])
+            if removed or added:
+                self._repair_maps((nid, *removed), [(nid, v) for v in added])
             self.trace_event(nid, "moved")
         self.push(self.now + MOBILITY_STEP_S, MOBILITY_STEP)
 

@@ -52,18 +52,19 @@ class SchemePlane:
       ``Simulation._on_phase_expiry``;
     - ``delivered(sim, work)``: a packet reached its destination, not yet ended;
     - ``death(sim, nid)``: a node died and left the topology;
-    - ``retry_at(sim, node, work, here)``: no entry of ``node``'s
-      ``Simulation.next_hops`` toward the packet's destination is awake;
-      ``here`` is ``node``'s hop count to it, None without a route. Returns
-      when ``node`` tries the packet again, or None when the hook parked it.
+    - ``retry_at(sim, node, work, hops)``: no entry of ``hops``, ``node``'s
+      ``Simulation.next_hops`` toward the packet's alive destination, is
+      awake; ``hops`` is empty when ``node`` has no route. Returns when
+      ``node`` tries the packet again, or None when the hook parked it.
 
     ``retry_at`` holds every scheme's waiting rule, the meeting with the next
     hop's wake; every other hook does nothing here, which is all always-on
     needs. A move calls no hook: a sleeper that moves sleeps on until its
-    ``wake_at``. A plane acts only through the simulation's ``set_phase``,
-    which also arms the phase timer and wakes a sleeper, ``park`` and
-    ``trace_event``. A retry that finds its holder asleep, with a hop count
-    to the destination, wakes it with a phase timer due at once. A plane
+    ``wake_at``. A plane reads no hop map: it acts only on what the hooks
+    are handed and through the simulation's ``set_phase``, which also arms
+    the phase timer and wakes a sleeper, ``park`` and ``trace_event``. A
+    retry that finds its holder asleep, with a next hop toward an alive
+    destination, wakes it with a phase timer due at once. A plane
     keeps no reference to the simulation (each hook is handed it), so a
     finished run is freed without the cyclic collector.
     """
@@ -83,18 +84,16 @@ class SchemePlane:
     radio_busy = transmit = delivered = death = _nothing
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
-                 here: int | None) -> float | None:
-        """The exact meeting, as in WiseMAC: the earliest wake over the
-        holder's ``next_hops``, which is the destination's own when it is one
-        hop away. None of them is awake, so each sleeps until its ``wake_at``.
-        A packet whose holder has no hop count polls every ``RETRY_S``, and
-        from its fourth deferral on no sooner than a backoff that doubles up
-        to one round, so that packets no route will unblock stop flooding
-        the event queue."""
+                 hops: tuple[NodeId, ...]) -> float | None:
+        """The exact meeting, as in WiseMAC: the earliest wake over ``hops``,
+        which is the destination's own when it is one hop away. None of them
+        is awake, so each sleeps until its ``wake_at``. A packet whose holder
+        has no next hop polls every ``RETRY_S``, and from its fourth deferral
+        on no sooner than a backoff that doubles up to one round, so that
+        packets no route will unblock stop flooding the event queue."""
         now = sim.now
-        if here is not None:
+        if hops:
             nodes = sim.nodes
-            hops = sim.next_hops(work.packet.dst, node.nid)
             return max(now, min(nodes[v].wake_at for v in hops))
         retry = now + RETRY_S
         deferred = work.defer_count
@@ -257,12 +256,12 @@ class TrafficAwarePlane(SchemePlane):
             sim.set_phase(node, PHASE_ACTIVE)
 
     def retry_at(self, sim: Simulation, node: SimNode, work: PacketWork,
-                 here: int | None) -> float | None:
-        """A packet one hop from its sleeping destination is parked next to
-        it if a cache takes it; any other waits for its next hop's wake."""
-        if here == 1 and sim.park(node, work):
+                 hops: tuple[NodeId, ...]) -> float | None:
+        """A packet whose sleeping destination heads ``hops`` is parked next
+        to it if a cache takes it; any other waits for its next hop's wake."""
+        if hops and hops[0] == work.packet.dst and sim.park(node, work):
             return None
-        return super().retry_at(sim, node, work, here)
+        return super().retry_at(sim, node, work, hops)
 
     def delivered(self, sim: Simulation, work: PacketWork) -> None:
         dst = sim.nodes[work.packet.dst]  # a delivery's destination is alive

@@ -40,7 +40,7 @@ def cached_for_sleeping_node(holder):
     from ecsim.traffic import Packet
 
     sim = Simulation(make_config(horizon_s=40.0, flows=[]), 4, collect_trace=True)
-    assert sim._hop_distances(0)[2] == 1 and sim._hop_distances(0)[3] == 2
+    assert sim.next_hops(0, 2) == sim.next_hops(0, 4) == (0,) and sim.next_hops(0, 3) == (4,)
     sim.now = 12.0
     sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
     for pid, dst in enumerate((0, 0, 0, 5)):
@@ -230,9 +230,8 @@ class TestStepTransitions:
 
         # On seed 5, node 2 is two hops from node 1 through nodes 0, 3, 4 and 5.
         sim = Simulation(make_config(flows=[], scheme={"kind": "always-on"}), 5)
-        dist = sim._hop_distances(1)
-        assert dist[2] == 2
-        assert sorted(v for v in sim.graph.neighbors_of(2) if dist[v] == 1) == [0, 3, 4, 5]
+        assert sim.next_hops(1, 2) == (0, 3, 4, 5)
+        assert all(sim.next_hops(1, v) == (1,) for v in (0, 3, 4, 5))
         sim.set_phase(sim.nodes[0], NodePhase.SLEEP, 20.0)
         relay = sim.nodes[3]
         relay.e_residual = 0.1 * relay.e_max  # a drained battery does not matter
@@ -477,6 +476,38 @@ class TestStepTransitions:
         assert [row for row in sim.trace[rows:] if row[2] == "tx-start"] == [
             (15.5, 7, "tx-start", "pid=0;to=0")
         ]
+
+    def test_a_retry_for_a_dead_destination_leaves_its_holder_asleep(self):
+        from ecsim.traffic import Packet
+
+        # The topology of the test above: node 7 waits for node 0's wake at
+        # 15.5 s, and no cache takes the packet.
+        config = make_config(horizon_s=40.0, flows=[], cache={"capacity_bits": 0})
+        sim = Simulation(config, 4)
+        while sim.peek_time() <= 12.0:
+            sim.step()
+        sim.now = 12.0
+        for nid, wake in ((0, 15.5), (2, 16.5), (4, 16.5), (7, None)):
+            sim.set_phase(sim.nodes[nid], NodePhase.IDLE)
+            if wake is not None:
+                sim.set_phase(sim.nodes[nid], NodePhase.SLEEP, wake)
+        sim.packets.append(Packet(id=0, src=7, dst=0, size_bits=8_000, created_at=12.0))
+        sim.push(12.0, EventKind.PACKET_ARRIVAL, 7, packet_id=0)
+        sim.step()
+        holder = sim.nodes[7]
+        sim.set_phase(holder, NodePhase.SLEEP, 18.0)
+        sim._touch(sim.nodes[0])
+        sim._kill(sim.nodes[0])
+        while sim.peek_time() <= 15.5:
+            sim.step()
+        # The retry fired, neither waking the holder nor mapping the dead node.
+        assert not [e for e in sim.pending() if e.kind is EventKind.PACKET_ARRIVAL]
+        assert holder.phase is NodePhase.SLEEP and holder.wake_at == 18.0
+        assert [work.packet.id for work in holder.outbox] == [0]
+        assert 0 not in sim._dist_cache
+        while sim.peek_time() <= 18.0:
+            sim.step()
+        assert not holder.outbox and sim.work[0].state == "lost-dead"
 
     @pytest.mark.parametrize("case", ["transmitting", "two hops away"])
     def test_handover_the_holder_cannot_renew_takes_the_outbox_path(self, case):
@@ -1001,7 +1032,7 @@ def test_a_packet_without_a_route_polls_after_retry_s_and_a_capped_backoff(
     sim.now = 4.0
     work = PacketWork(sim.packets[0], False)
     work.defer_count = defer_count
-    assert sim.plane.retry_at(sim, sim.nodes[0], work, None) == 4.0 + wait
+    assert sim.plane.retry_at(sim, sim.nodes[0], work, ()) == 4.0 + wait
 
 
 @pytest.mark.parametrize("p_move", [0.05, 0.5, 1.0])
@@ -1018,6 +1049,40 @@ def test_mobility_steps_every_second_with_p_move(monkeypatch, p_move):
     sim.run()
     assert engine.MOBILITY_STEP_S == 1.0
     assert steps == [(float(t), p_move) for t in range(1, 13)]
+
+
+def test_a_move_that_changes_no_edge_keeps_every_map_and_next_hop_tuple(monkeypatch):
+    from ecsim.topology import Position
+
+    # On seed 5, node 0 at (2, 2) keeps its six neighbours at (1, 2), and
+    # node 6 at (0, 0) neighbours node 7 alone.
+    sim = Simulation(make_config(flows=[], scheme={"kind": "always-on"}), 5, collect_trace=True)
+    for dst in sim.nodes:
+        for nid in sim.nodes:
+            sim.next_hops(dst, nid)
+    maps = {dst: dict(dist) for dst, dist in sim._dist_cache.items()}
+    table = dict(sim._next_hops)
+
+    def move(nid, pos):
+        def step(grid, alive, rng, p_move):
+            grid.move(nid, pos)
+            yield nid
+
+        monkeypatch.setattr(engine, "move_step", step)
+        rows = len(sim.trace)
+        sim._on_mobility_step(engine.Event(sim.now, -1, EventKind.MOBILITY_STEP, None, {}))
+        assert sim.trace[rows:] == [(sim.now, nid, "moved", "")]
+
+    assert sorted(sim.graph.neighbors_of(0)) == [1, 2, 3, 4, 5, 7]
+    move(0, Position(1, 2))
+    assert sorted(sim.graph.neighbors_of(0)) == [1, 2, 3, 4, 5, 7]
+    assert sim._dist_cache == maps
+    assert sim._next_hops.keys() == table.keys()
+    assert all(sim._next_hops[key] is hops for key, hops in table.items())
+    assert sorted(sim.graph.neighbors_of(6)) == [7]
+    move(6, Position(1, 1))
+    assert sorted(sim.graph.neighbors_of(6)) != [7]
+    assert sim._next_hops == {}
 
 
 @pytest.mark.parametrize("deadline_rounds, round_s", [(0.5, 10.0), (2.0, 10.0), (3.0, 4.0)])

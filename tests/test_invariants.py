@@ -255,15 +255,25 @@ TIMERS = (SLEEP_EXPIRY, EventKind.IDLE_EXPIRY)
 def checked_simulation(raw, seed):
     """The simulation of ``raw`` for the every-event checks. Its plane keeps
     ``met``: the packets whose latest deferral a meeting timed, because their
-    holder had a hop count."""
+    holder had a next hop."""
     sim = Simulation(from_dict(raw), seed)
     plane = sim.plane
     plane.met = set()
     retry_at = plane.retry_at
 
-    def recorded(sim, node, work, here):
-        (plane.met.discard if here is None else plane.met.add)(work.packet.id)
-        return retry_at(sim, node, work, here)
+    def recorded(sim, node, work, hops):
+        # (q) ``retry_at`` is handed the holder's ``next_hops`` toward the
+        # destination, empty exactly when the holder is off the exact hop
+        # map, and traffic-aware parks only a packet whose destination heads
+        # the tuple, one hop away.
+        dst = work.packet.dst
+        assert hops == sim.next_hops(dst, node.nid)
+        assert (not hops) == (node.nid not in hop_distances(sim.graph, dst))
+        (plane.met.add if hops else plane.met.discard)(work.packet.id)
+        retry = retry_at(sim, node, work, hops)
+        if retry is None:
+            assert isinstance(plane, TrafficAwarePlane) and hops[0] == dst
+        return retry
 
     plane.retry_at = recorded
     return sim
