@@ -104,7 +104,9 @@ def consume(residual: float, power: float, duration: float) -> float:
     """
     if duration < 0:
         raise ValueError(f"duration must be >= 0, got {duration}")
-    return max(0.0, residual - power * duration)
+    after = residual - power * duration
+    # As ``max(0.0, after)``, without the call.
+    return after if after > 0.0 else 0.0
 
 
 def fraction_remaining(account: EnergyAccount) -> float:

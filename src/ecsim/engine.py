@@ -12,8 +12,9 @@ take ``seq`` from one counter, so the two heaps merge into the single (time,
 seq) order. A packet's first arrival and a node's death prediction are
 pushed only when needed, under the (time, seq) key reserved when they were
 made, so equal-time events run in the order they were made. Energy is
-charged lazily: whenever a node is touched, the elapsed interval is billed
-at its current radio mode's power, in place on the node's float residual.
+charged lazily: ``_switch``, the one place a node's state changes, bills the
+interval since the last change at the old radio mode's power, in place on
+the node's float residual, and predicts the node's death when its mode changes.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ class SimNode:
         self.phase_epoch = 0
         self.tx_active = False
         self.rx_active = 0
-        self.mode = MODE_IDLE
+        self.mode: RadioMode | None = None  # set by the simulation's first switch
         # The live death prediction's (time, seq) key, and the key of the
         # last NODE_DEATH entry pushed for this node until it fires: a later
         # prediction waits for that entry to re-queue it. None when none.
@@ -271,10 +272,11 @@ class Simulation:
         self.push(0.0, ROUND_SETUP)
         if config.p_move > 0:
             self.push(MOBILITY_STEP_S, MOBILITY_STEP)
-        # Deaths are predicted on each mode change; a node that keeps its
-        # first mode dies on this prediction.
+        # Deaths are predicted on each mode change. A node starts with no
+        # mode, so its first switch, here, makes its first prediction; a
+        # node that keeps that mode dies on it.
         for node in self.nodes.values():
-            self._schedule_death(node)
+            self._switch(node, node.phase, False, 0)
         # Each scheme's expiry rule also decides a node's first phase.
         for node in self.nodes.values():
             self.plane.expired(self, node)
@@ -397,54 +399,57 @@ class Simulation:
 
     # -- energy accounting -------------------------------------------------
 
-    def _touch(self, node: SimNode) -> None:
-        """Charge the elapsed interval at the node's current mode power."""
+    def _switch(self, node: SimNode, phase: NodePhase, tx_active: bool, rx_active: int) -> None:
+        """The one place a node's state changes. Bills the interval since
+        the node's last change at its old mode's power, stores the new state
+        and derives its mode; a new mode predicts the node's death in it,
+        replacing the prediction of the mode it left."""
         now = self.now
-        duration = now - node.last_touch
-        if duration <= 0:
-            node.last_touch = now
-            return
         mode = node.mode
-        before = node.e_residual
-        node.e_residual = consume(before, self.mode_power[mode], duration)
-        node.time_in_mode[mode] += duration
-        if mode is MODE_TX or mode is MODE_RX:
-            self.plane.radio_busy(self, node.nid, node.last_touch)
-        if self.trace is not None:
-            # Neither key is -0.0: ``duration`` is above 0 here, and ``spent``
-            # is ``before - max(0.0, ...)``, which is +0.0 or more.
-            spent = before - node.e_residual
-            text = self.float_text
-            row = f"{MODE_ROW[mode]}{text[duration]};energy={text[spent]}"
-            self.trace.append((now, node.nid, "mode", row))
+        duration = now - node.last_touch
+        if duration > 0:
+            before = node.e_residual
+            node.e_residual = consume(before, self.mode_power[mode], duration)
+            node.time_in_mode[mode] += duration
+            if mode is MODE_TX or mode is MODE_RX:
+                self.plane.radio_busy(self, node.nid, node.last_touch)
+            if self.trace is not None:
+                # Neither key is -0.0: ``duration`` is above 0 here, and
+                # ``spent`` is ``before`` less a residual of +0.0 or more.
+                spent = before - node.e_residual
+                text = self.float_text
+                row = f"{MODE_ROW[mode]}{text[duration]};energy={text[spent]}"
+                self.trace.append((now, node.nid, "mode", row))
         node.last_touch = now
-
-    def _recompute_mode(self, node: SimNode) -> None:
-        if node.phase is PHASE_SLEEP:
+        node.phase = phase
+        node.tx_active = tx_active
+        node.rx_active = rx_active
+        if phase is PHASE_SLEEP:
             new = MODE_SLEEP
-        elif node.tx_active:
+        elif tx_active:
             new = MODE_TX
-        elif node.rx_active > 0:
+        elif rx_active:
             new = MODE_RX
         else:
             new = MODE_IDLE
-        if new is not node.mode:
-            node.mode = new
-            self._schedule_death(node)
-
-    def _schedule_death(self, node: SimNode) -> None:
-        """Predict the node's death in its current mode; the prediction
-        replaces the one of the mode it left."""
+        if new is mode:
+            return
+        node.mode = new
         node.death_key = None
-        power = self.mode_power[node.mode]
+        power = self.mode_power[new]
         if not node.alive or power <= 0:
             return
         # A battery the last billed interval emptied gives ``eta == now``.
-        eta = self.now + node.e_residual / power
+        eta = now + node.e_residual / power
         if eta <= self.horizon + 1e-9:
-            node.death_key = (eta, self._seq)
-            self._seq += 1
+            seq = self._seq
+            self._seq = seq + 1
+            node.death_key = (eta, seq)
             self._queue_death(node)
+
+    def _touch(self, node: SimNode) -> None:
+        """Bill the node up to now, its state unchanged."""
+        self._switch(node, node.phase, node.tx_active, node.rx_active)
 
     def _queue_death(self, node: SimNode) -> None:
         """Push the live prediction unless an earlier entry for the node is
@@ -456,14 +461,14 @@ class Simulation:
 
     def set_phase(self, node: SimNode, phase: NodePhase, until: float | None = None) -> None:
         """Put ``node`` in ``phase``; with ``until``, arm its phase timer. A call
-        with the current phase only re-arms it. Leaving SLEEP wakes the node."""
+        with the current phase only re-arms it. Leaving SLEEP wakes the node,
+        which resumes what it has to: an outbox, cached bits, or holders
+        caching for it."""
         woke = node.phase is PHASE_SLEEP and phase is not PHASE_SLEEP
         if phase is not node.phase:
-            self._touch(node)
-            node.phase = phase
+            self._switch(node, phase, node.tx_active, node.rx_active)
             node.phase_epoch += 1
             node.wake_at = None
-            self._recompute_mode(node)
         if until is not None:
             kind = IDLE_EXPIRY
             if phase is PHASE_SLEEP:
@@ -472,19 +477,9 @@ class Simulation:
             seq = self._seq
             self._seq = seq + 1
             heapq.heappush(self._timers, (until, seq, kind, node.nid, node.phase_epoch))
-        if woke:
+        # The index holds no empty set: a key means some holder caches for the node.
+        if woke and (node.outbox or node.cache.used_bits or node.nid in self.holders_by_dst):
             self._after_wake(node)
-
-    def _set_tx(self, node: SimNode, active: bool) -> None:
-        self._touch(node)
-        node.tx_active = active
-        self._recompute_mode(node)
-
-    def _bump_rx(self, node: SimNode, delta: int) -> None:
-        self._touch(node)
-        node.rx_active += delta
-        assert node.rx_active >= 0, "receive count went negative"
-        self._recompute_mode(node)
 
     # -- packet terminal accounting -----------------------------------------
 
@@ -639,8 +634,8 @@ class Simulation:
     def _start_tx(self, sender: SimNode, receiver_id: NodeId, work: PacketWork) -> None:
         receiver = self.nodes[receiver_id]
         duration = tx_delay(work.packet.size_bits, self.link_bps)
-        self._set_tx(sender, True)
-        self._bump_rx(receiver, +1)
+        self._switch(sender, sender.phase, True, sender.rx_active)
+        self._switch(receiver, receiver.phase, receiver.tx_active, receiver.rx_active + 1)
         self.plane.transmit(self, work, sender.nid, receiver_id, duration)
         self.push(self.now + duration, TX_COMPLETE, receiver_id,
                    packet_id=work.packet.id, sender=sender.nid)
@@ -651,9 +646,11 @@ class Simulation:
         sender = self.nodes[event.payload["sender"]]
         receiver = self.nodes[event.node]
         if sender.alive:
-            self._set_tx(sender, False)
+            self._switch(sender, sender.phase, False, sender.rx_active)
         if receiver.alive:
-            self._bump_rx(receiver, -1)
+            rx_active = receiver.rx_active - 1
+            assert rx_active >= 0, "receive count went negative"
+            self._switch(receiver, receiver.phase, receiver.tx_active, rx_active)
         # A packet on the air is held by this event alone: it has not ended.
         work = self.work[pid]
         if not sender.alive or not receiver.alive:

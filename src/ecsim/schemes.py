@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING, Union
 
 from ecsim import cluster as cluster_mod
@@ -103,22 +102,6 @@ class SchemePlane:
         return retry
 
 
-def dispatch_scheme(
-    scheme: PeriodicSleepWake | CoordinatedDutyCycle, now: float, offset: float = 0.0
-) -> tuple[NodePhase, float]:
-    """Phase at time ``now``, and the time of its next transition, for a node
-    under a duty-cycle baseline: awake for ``listen`` seconds at the start of
-    every ``period`` after ``offset``."""
-    period = scheme.period
-    listen = scheme.listen
-    rel = now - offset
-    cycle = math.floor(rel / period + 1e-9)
-    within = rel - cycle * period
-    if within < listen - 1e-9:
-        return PHASE_ACTIVE, offset + cycle * period + listen
-    return PHASE_SLEEP, offset + (cycle + 1) * period
-
-
 class DutyCyclePlane(SchemePlane):
     """Duty-cycle baselines: each expiry re-applies the window the node is
     in, also for a sender woken for a meeting (``retry_at``). A sleeping node
@@ -130,10 +113,12 @@ class DutyCyclePlane(SchemePlane):
 
     def __init__(self, sim: Simulation) -> None:
         super().__init__(sim)
-        self.scheme = sim.config.scheme
+        scheme = sim.config.scheme
+        self.period = scheme.period
+        self.listen = scheme.listen
         count = sim.config.node_count
         self.offset = {
-            nid: (nid * self.scheme.period) / count if self.scheme.staggered else 0.0
+            nid: (nid * scheme.period) / count if scheme.staggered else 0.0
             for nid in sim.nodes
         }
         self.busy_until: dict[NodeId, float] = {}  # latest end of each node's transfers
@@ -145,8 +130,16 @@ class DutyCyclePlane(SchemePlane):
             self.busy_until[nid] = max(self.busy_until.get(nid, 0.0), end)
 
     def tick(self, sim: Simulation, node: SimNode) -> None:
-        """Apply the scheme's current window to ``node`` until its end."""
-        phase, until = dispatch_scheme(self.scheme, sim.now, self.offset[node.nid])
+        """Apply the window ``node`` is in at ``now`` until its end: awake for
+        ``listen`` seconds at the start of every ``period`` after its offset."""
+        period, listen = self.period, self.listen
+        offset = self.offset[node.nid]
+        rel = sim.now - offset
+        cycle = math.floor(rel / period + 1e-9)
+        if rel - cycle * period < listen - 1e-9:
+            phase, until = PHASE_ACTIVE, offset + cycle * period + listen
+        else:
+            phase, until = PHASE_SLEEP, offset + (cycle + 1) * period
         if phase is PHASE_SLEEP and (node.tx_active or node.rx_active):
             # Let the transfer finish; stay active and re-check at the radio's
             # free time, which ``transmit`` recorded.
@@ -538,8 +531,7 @@ class PeriodicSleepWake:
         if self.period <= 0:
             raise ValueError("period must be > 0")
 
-    # Cached: ``dispatch_scheme`` reads it at every window change.
-    @cached_property
+    @property
     def listen(self) -> float:
         return self.duty * self.period
 
@@ -559,7 +551,7 @@ class CoordinatedDutyCycle:
         if self.listen <= 0 or self.sleep <= 0:
             raise ValueError("listen and sleep windows must be > 0")
 
-    @cached_property
+    @property
     def period(self) -> float:
         return self.listen + self.sleep
 

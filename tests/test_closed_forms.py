@@ -16,7 +16,7 @@ import math
 import pytest
 
 from ecsim.config import from_dict
-from ecsim.core import EnergyModelParams
+from ecsim.core import EnergyModelParams, RadioMode
 from ecsim.engine import Simulation
 
 HORIZON_S = 4000.0
@@ -116,3 +116,21 @@ def test_an_always_on_packet_on_a_free_link_arrives_in_one_transfer(seed):
     assert len(free) > 700
     for packet in free:
         assert abs(arrived[packet.id] - packet.created_at - TRANSFER_S) <= 1e-12, packet.id
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_an_always_on_transfer_bills_its_radio_time_above_idle_listening(seed):
+    # The sender transmits and the receiver receives for one transfer per
+    # ``tx-start``, and listens idle for the rest of the horizon; no
+    # transfer is on the air at the horizon.
+    sim = Simulation(line("always-on", flows=[FLOW]), seed, collect_trace=True)
+    sim.run()
+    starts = sum(1 for _, nid, kind, _ in sim.trace if kind == "tx-start" and nid == 0)
+    assert starts > 700
+    sender, receiver = sim.nodes[0], sim.nodes[1]
+    busy = starts * TRANSFER_S
+    for node, mode, power in ((sender, RadioMode.ACTIVE_TX, POWER.p_tx),
+                              (receiver, RadioMode.ACTIVE_RX, POWER.p_rx)):
+        assert abs(node.time_in_mode[mode] - busy) <= 1e-9, node.nid
+        expected = HORIZON_S * POWER.p_idle + busy * (power - POWER.p_idle)
+        assert abs(node.e_max - node.e_residual - expected) <= 1e-6, node.nid

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -92,6 +94,32 @@ def test_consume_additive_in_duration(a, b, mode):
     joined = consume(100.0, power, a + b)
     split = consume(consume(100.0, power, a), power, b)
     assert split == pytest.approx(joined, abs=1e-9)
+
+
+AMOUNTS = st.floats(0.0, 1e6)
+
+
+@st.composite
+def draws(draw):
+    """(residual, power, duration); in half the draws the drawn power and
+    duration empty the residual exactly. A residual of -0.0, which no
+    battery holds, checks that the clamp does not pass it through."""
+    power = draw(st.sampled_from([PARAMS.power(mode) for mode in RadioMode]) | AMOUNTS)
+    duration = draw(AMOUNTS)
+    if draw(st.booleans()):
+        residual = power * duration
+    else:
+        residual = draw(AMOUNTS | st.just(-0.0))
+    return residual, power, duration
+
+
+@given(draws())
+def test_consume_clamps_at_zero_as_max_does(drawn):
+    residual, power, duration = drawn
+    after = consume(residual, power, duration)
+    assert repr(after) == repr(max(0.0, residual - power * duration))
+    # Never -0.0, which equals 0.0 but prints as "-0.0".
+    assert math.copysign(1.0, after) == 1.0
 
 
 def test_sum_in_order_rounds_after_every_addition():

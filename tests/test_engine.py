@@ -12,7 +12,7 @@ from ecsim.config import from_dict
 from ecsim.core import EventKind, NodePhase
 from ecsim.engine import PacketWork, Simulation, run_simulation
 from ecsim.scheduler import ActivityLedger
-from ecsim.schemes import CoordinatedDutyCycle, PeriodicSleepWake, dispatch_scheme
+from ecsim.schemes import CoordinatedDutyCycle, PeriodicSleepWake
 from test_acceptance import SCENARIO
 
 
@@ -57,17 +57,31 @@ def cached_for_sleeping_node(holder):
     return sim
 
 
-class TestDispatchScheme:
+def tick_at(scheme, now):
+    """Node 0's phase, and the time of the timer it was armed with, after
+    the duty-cycle plane applies node 0's window at ``now``. Node 0's
+    window starts at 0 s under both duty cycles."""
+    sim = Simulation(make_config(scheme=scheme, flows=[]), 1)
+    node = sim.nodes[0]
+    sim.now = now
+    sim.plane.tick(sim, node)
+    timer = max((e for e in sim.pending() if e.kind in TIMER_KINDS and e.node == 0),
+                key=lambda e: e.seq)
+    assert timer.payload["epoch"] == node.phase_epoch
+    return node.phase, timer.time
+
+
+class TestDutyCycleWindow:
     def test_periodic_half_duty(self):
-        scheme = PeriodicSleepWake(duty=0.5, period=2.0)
-        assert dispatch_scheme(scheme, 0.0) == (NodePhase.ACTIVE, pytest.approx(1.0))
-        assert dispatch_scheme(scheme, 1.0) == (NodePhase.SLEEP, pytest.approx(2.0))
+        scheme = {"kind": "periodic", "duty": 0.5, "period_s": 2.0}
+        assert tick_at(scheme, 0.0) == (NodePhase.ACTIVE, pytest.approx(1.0))
+        assert tick_at(scheme, 1.0) == (NodePhase.SLEEP, pytest.approx(2.0))
 
     def test_coordinated_windows(self):
-        scheme = CoordinatedDutyCycle(listen=0.5, sleep=1.5)
-        assert dispatch_scheme(scheme, 0.0) == (NodePhase.ACTIVE, pytest.approx(0.5))
-        assert dispatch_scheme(scheme, 0.5)[0] is NodePhase.SLEEP
-        assert dispatch_scheme(scheme, 2.0)[0] is NodePhase.ACTIVE
+        scheme = {"kind": "coordinated", "listen_s": 0.5, "sleep_s": 1.5}
+        assert tick_at(scheme, 0.0) == (NodePhase.ACTIVE, pytest.approx(0.5))
+        assert tick_at(scheme, 0.5)[0] is NodePhase.SLEEP
+        assert tick_at(scheme, 2.0)[0] is NodePhase.ACTIVE
 
     def test_scheme_validation(self):
         with pytest.raises(ValueError):
@@ -515,7 +529,7 @@ class TestStepTransitions:
         sim = cached_for_sleeping_node(holder_id)
         holder = sim.nodes[holder_id]
         if case == "transmitting":
-            sim._set_tx(holder, True)
+            sim._switch(holder, holder.phase, True, holder.rx_active)
         rows = len(sim.trace)
         sim._on_cache_delivery(
             engine.Event(14.0, -1, EventKind.CACHE_DELIVERY, holder_id, {"woken": 0})
@@ -578,9 +592,19 @@ class TestCustody:
         assert work.state == engine.DELIVERED
 
     def test_receive_count_below_zero_raises(self):
+        # A transfer that never started ends at node 0.
         sim = Simulation(make_config(), 1)
+        event = engine.Event(0.0, -1, EventKind.TX_COMPLETE, 0, {"packet_id": 0, "sender": 1})
         with pytest.raises(AssertionError, match="receive count went negative"):
-            sim._bump_rx(sim.nodes[0], -1)
+            sim._on_tx_complete(event)
+
+
+def predict_death(sim, node):
+    """Make ``node`` predict its death afresh in its idle mode: a switch to
+    sleep and back at the current time, which bills nothing. The sleep
+    switch predicts too, a later death than the idle one's."""
+    sim._switch(node, NodePhase.SLEEP, False, 0)
+    sim._switch(node, NodePhase.ACTIVE, False, 0)
 
 
 class TestEventQueue:
@@ -619,11 +643,11 @@ class TestEventQueue:
         sim = Simulation(config, 1, collect_trace=True)
         node0, node1 = sim.nodes[0], sim.nodes[1]
         node1.e_residual = 1.0
-        sim._schedule_death(node1)
+        predict_death(sim, node1)
         early = node1.death_key
         node1.e_residual = node0.e_residual = 50.0
-        sim._schedule_death(node1)
-        sim._schedule_death(node0)
+        predict_death(sim, node1)
+        predict_death(sim, node0)
         eta = 50.0 / 0.83
         assert node1.death_key[0] == node0.death_key[0] == eta
         assert node1.death_queued == early and node0.death_queued == node0.death_key
@@ -641,17 +665,44 @@ class TestEventQueue:
         node = sim.nodes[1]
         first = node.death_key
         node.e_residual = 1e6  # lasts beyond the horizon: no prediction
-        sim._schedule_death(node)
+        predict_death(sim, node)
         assert node.death_key is None and node.death_queued == first
         while sim.peek_time() <= first[0]:
             sim.step()
         assert node.alive and node.death_queued is None
         sim._touch(node)
         node.e_residual = 8.3  # ten seconds of idle listening
-        sim._schedule_death(node)
+        predict_death(sim, node)
         sim.run()
         assert not node.alive
         assert node.death_time == pytest.approx(first[0] + 10.0)
+
+    def test_only_a_mode_change_reserves_a_seq_and_queues_a_death(self):
+        # Ties run in push order, so a seq reserved where none was would
+        # reorder equal-time events. Traffic-aware starts every node active
+        # and listening; 30 J of idle listening lasts 36 s of the 50.
+        sim = Simulation(make_config(initial_energy_j=30.0, flows=[]), 1)
+        node = sim.nodes[0]
+        assert node.phase is NodePhase.ACTIVE and node.mode is engine.MODE_IDLE
+
+        def deaths():
+            return sorted(e[:2] for e in sim.pending() if e.kind is EventKind.NODE_DEATH)
+
+        idle_key, queued = node.death_key, deaths()
+        assert idle_key == (30.0 / 0.83, idle_key[1]) and idle_key in queued
+        sim.now = 3.0
+        seq = sim._seq
+        sim._touch(node)
+        sim.set_phase(node, NodePhase.IDLE)  # ACTIVE -> IDLE listens on
+        assert node.phase is NodePhase.IDLE and node.mode is engine.MODE_IDLE
+        assert sim._seq == seq and deaths() == queued and node.death_key == idle_key
+        assert node.e_residual == 30.0 - 0.83 * 3.0
+        # Transmitting is a new mode: one prediction, under the next seq.
+        sim._switch(node, node.phase, True, 0)
+        assert node.mode is engine.MODE_TX and sim._seq == seq + 1
+        assert node.death_key == (3.0 + node.e_residual / 1.4, seq)
+        assert deaths() == sorted(queued + [node.death_key])
+        assert node.death_queued == node.death_key
 
     def test_pending_and_peek_time(self):
         sim = Simulation(make_config(horizon_s=20.0), 4)
@@ -1108,6 +1159,19 @@ def test_a_seed_that_is_not_an_int_is_rejected(seed):
         run_simulation(make_config(), seed)
 
 
+def first_window(offset, period, listen):
+    """Phase at 0 s and the time it ends, for windows of ``listen`` seconds
+    starting at ``offset + k * period`` for every integer k, with
+    ``0 <= offset < period``."""
+    if offset == 0.0:
+        return NodePhase.ACTIVE, listen
+    # The last window to start before 0 s.
+    start = offset - period
+    if start + listen > 0.0:
+        return NodePhase.ACTIVE, start + listen
+    return NodePhase.SLEEP, offset
+
+
 @pytest.mark.parametrize("kind", SCHEMES)
 def test_each_scheme_decides_the_first_phase_by_its_expiry_rule(kind):
     # Right after set-up: the duty cycles put each node in its window at 0 s
@@ -1122,7 +1186,8 @@ def test_each_scheme_decides_the_first_phase_by_its_expiry_rule(kind):
             if e.payload["epoch"] == sim.nodes[e.node].phase_epoch}
     scheme, count = sim.config.scheme, len(sim.nodes)
     offsets = [nid * scheme.period / count if kind == "periodic" else 0.0 for nid in sim.nodes]
-    expected = {nid: dispatch_scheme(scheme, 0.0, offsets[nid]) for nid in sim.nodes}
+    expected = {nid: first_window(offsets[nid], scheme.period, scheme.listen)
+                for nid in sim.nodes}
     assert {nid: node.phase for nid, node in sim.nodes.items()} == {
         nid: phase for nid, (phase, _) in expected.items()
     }
